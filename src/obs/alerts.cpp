@@ -29,7 +29,7 @@ std::int64_t AlertEngine::evaluated_value(const AlertRule& r,
                                           const RuleState& s, sim::Picos edge,
                                           std::int64_t sample) const {
   if (r.burn_window <= 0) return sample;
-  // Trailing (edge - burn_window, edge] average over whatever the ring
+  // Trailing (edge - burn_window, edge] average over whatever the recorder
   // still retains; the edge itself is always included, so a burn window
   // shorter than the cadence degenerates to the instantaneous sample.
   const SeriesWindow w =
@@ -39,12 +39,19 @@ std::int64_t AlertEngine::evaluated_value(const AlertRule& r,
 
 std::size_t AlertEngine::evaluate() {
   const std::size_t before = events_.size();
-  // Walk retained recorder edges newer than the last one consumed, in
-  // order. Edges the ring already overwrote are gone — callers evaluate at
-  // every obs tick, far more often than the ring wraps.
-  for (std::size_t i = 0; i < ts_->size(); ++i) {
+  // Walk the retained recorder edges newer than the last one consumed, in
+  // order. Edges are consecutive cadence multiples, so the first of them
+  // is found by arithmetic rather than a scan over everything retained.
+  // Edges the recorder already dropped are gone — callers evaluate at
+  // every obs tick, far more often than the recorder wraps.
+  std::size_t first = 0;
+  if (ts_->size() != 0 && consumed_edge_ >= ts_->time_at(0)) {
+    first = static_cast<std::size_t>((consumed_edge_ - ts_->time_at(0)) /
+                                     ts_->cadence()) +
+            1;
+  }
+  for (std::size_t i = first; i < ts_->size(); ++i) {
     const sim::Picos edge = ts_->time_at(i);
-    if (edge <= consumed_edge_) continue;
     for (std::uint32_t ri = 0; ri < rules_.size(); ++ri) {
       RuleState& s = state_[ri];
       if (s.series == TimeSeries::kNoSeries) continue;

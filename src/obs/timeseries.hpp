@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <string>
 #include <string_view>
@@ -12,16 +13,22 @@
 /// obs::TimeSeries — a deterministic time-series flight recorder
 /// (DESIGN.md Section 13). Samples a set of named integer-valued series
 /// (each backed by a caller-supplied sampler callback) at a fixed cadence
-/// of *simulated* time: advance(t) takes every cadence edge in
-/// (last_edge, t] in order and snapshots all series at each. There is no
-/// wall clock anywhere — two runs that reach the same fleet time have
+/// of *simulated* time: the cadence edges are the exact multiples of the
+/// cadence, and advance(t) records every edge in (last_edge, t]. There is
+/// no wall clock anywhere — two runs that reach the same fleet time have
 /// sampled at exactly the same instants with exactly the same values, so
 /// the recorder's digest is part of the fleet's bit-for-bit story.
 ///
-/// Storage is a ring: one shared timestamp ring plus one value ring per
-/// series, O(1) append, oldest samples overwritten once capacity is
-/// reached (dropped() counts them). Windowed min/max/avg queries and
-/// TSV/JSON export read whatever the ring still holds.
+/// Samplers are pure reads of simulated state, which cannot change inside
+/// one advance() call, so every edge a call covers reads the same values:
+/// advance() calls each sampler once, in registration order, and stores
+/// one run-length segment {first edge, edge count, values}. The oldest
+/// segments are dropped or trimmed so exactly the newest `capacity` edges
+/// stay retained (dropped() counts the rest). Memory is O(retained
+/// segments x series) — the same as a per-edge ring of `capacity` rows
+/// only when every call advances a single edge. Windowed min/max/avg
+/// queries read the segments directly; TSV/JSON export and the digest
+/// expand them to one row per retained edge.
 
 namespace ghum::obs {
 
@@ -45,9 +52,10 @@ class TimeSeries {
   /// must be > 0; both are clamped to 1 otherwise.
   explicit TimeSeries(sim::Picos cadence, std::size_t capacity = 4096);
 
-  /// Registers a series. Samplers are invoked in registration order at
-  /// every edge; they must be pure reads of simulated state (no wall
-  /// clock, no RNG) or determinism is lost. Returns the series index.
+  /// Registers a series. Samplers are invoked once per advance() call that
+  /// covers at least one edge, in registration order; they must be pure
+  /// reads of simulated state (no wall clock, no RNG, no side effects) or
+  /// determinism is lost. Returns the series index.
   /// Registering after the first advance() keeps history aligned: the new
   /// series reads 0 for edges it missed.
   std::size_t add(std::string name, std::function<std::int64_t()> sampler);
@@ -55,10 +63,10 @@ class TimeSeries {
   /// Index of a named series, or kNoSeries.
   [[nodiscard]] std::size_t find(std::string_view name) const noexcept;
 
-  /// Samples every cadence edge in (last_edge, now]: edge times are exact
-  /// multiples of the cadence, so they are independent of how callers
-  /// chop the timeline into advance() calls as long as every edge is
-  /// reached with the same simulated state.
+  /// Records every cadence edge in (last_edge, now] with one sampler read
+  /// per series: edge times are exact multiples of the cadence, so they
+  /// are independent of how callers chop the timeline into advance()
+  /// calls as long as every edge is reached with the same simulated state.
   void advance(sim::Picos now);
 
   [[nodiscard]] sim::Picos cadence() const noexcept { return cadence_; }
@@ -71,12 +79,13 @@ class TimeSeries {
   }
   /// Samples currently retained (<= capacity).
   [[nodiscard]] std::size_t size() const noexcept { return used_; }
-  /// Samples overwritten because the ring was full.
+  /// Edges no longer retained because newer ones filled the capacity.
   [[nodiscard]] std::uint64_t dropped() const noexcept { return dropped_; }
   /// Time of the most recent edge sampled (-1 before the first).
   [[nodiscard]] sim::Picos last_edge() const noexcept { return last_edge_; }
 
-  /// The i-th retained sample, oldest first (i < size()).
+  /// The i-th retained sample, oldest first (i < size()). A series reads 0
+  /// at edges recorded before it was registered.
   [[nodiscard]] sim::Picos time_at(std::size_t i) const noexcept;
   [[nodiscard]] std::int64_t value_at(std::size_t series,
                                       std::size_t i) const noexcept;
@@ -100,19 +109,39 @@ class TimeSeries {
   struct Series {
     std::string name;
     std::function<std::int64_t()> sampler;
-    std::vector<std::int64_t> ring;
   };
 
-  /// Ring slot of retained sample \p i (oldest first).
-  [[nodiscard]] std::size_t slot_of(std::size_t i) const noexcept {
-    return (head_ + i) % capacity_;
+  /// `count` consecutive edges, from edge index `first` (edge k is at
+  /// k * cadence), that all read `values` — one per series registered
+  /// when the segment was recorded.
+  struct Segment {
+    std::uint64_t first = 0;
+    std::uint64_t count = 0;
+    std::vector<std::int64_t> values;
+
+    [[nodiscard]] std::int64_t value(std::size_t series) const noexcept {
+      return series < values.size() ? values[series] : 0;
+    }
+  };
+
+  /// The retained segment holding edge index \p edge.
+  [[nodiscard]] std::deque<Segment>::const_iterator segment_of(
+      std::uint64_t edge) const noexcept;
+
+  /// Calls f(time, segment) once per retained edge, oldest first.
+  template <class F>
+  void for_each_edge(F&& f) const {
+    for (const Segment& seg : segments_) {
+      for (std::uint64_t k = seg.first; k < seg.first + seg.count; ++k) {
+        f(static_cast<sim::Picos>(k) * cadence_, seg);
+      }
+    }
   }
 
   sim::Picos cadence_;
   std::size_t capacity_;
   std::vector<Series> series_;
-  std::vector<sim::Picos> times_;
-  std::size_t head_ = 0;  ///< ring slot of the oldest retained sample
+  std::deque<Segment> segments_;  ///< oldest first, covering used_ edges
   std::size_t used_ = 0;
   std::uint64_t dropped_ = 0;
   sim::Picos last_edge_ = -1;

@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
+#include <deque>
+#include <functional>
 #include <map>
+#include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/hotspot.hpp"
@@ -31,16 +37,27 @@ constexpr sim::Picos kFar = sim::milliseconds(10'000);
 // ---------------------------------------------------------------------------
 
 TEST(TimeSeries, EdgesAreCadenceMultiplesIndependentOfChopping) {
-  // Two recorders over the same deterministic sampler, one advanced in a
-  // single jump and one in ragged slices: identical edges, values, digest.
+  // Recorders over the same simulated state, advanced in one coarse, one
+  // ragged and one edge-by-edge slicing: identical edges, values, digest.
+  // The state changes only between advance() calls (samplers are pure
+  // reads) and is a function of simulated time: 1 up to t = 350, 2 after.
   auto build = [](const std::vector<sim::Picos>& steps) {
     obs::TimeSeries ts{100};
     std::int64_t v = 0;
-    ts.add("ticks", [&v] { return ++v; });
-    for (sim::Picos t : steps) ts.advance(t);
+    ts.add("state", [&v] { return v; });
+    for (sim::Picos t : steps) {
+      v = t <= 350 ? 1 : 2;
+      ts.advance(t);
+    }
+    EXPECT_EQ(ts.size(), 11u);
+    EXPECT_EQ(ts.value_at(0, 3), 1);  // edge 300
+    EXPECT_EQ(ts.value_at(0, 4), 2);  // edge 400
     return ts.digest();
   };
-  EXPECT_EQ(build({1000}), build({1, 99, 100, 101, 350, 350, 999, 1000}));
+  const std::uint64_t coarse = build({350, 1000});
+  EXPECT_EQ(coarse, build({1, 99, 100, 101, 350, 350, 999, 1000}));
+  EXPECT_EQ(coarse, build({0, 100, 200, 300, 350, 400, 500, 600, 700, 800,
+                           900, 1000}));
 
   obs::TimeSeries ts{100};
   ts.add("zero", [] { return 0; });
@@ -107,9 +124,12 @@ TEST(TimeSeries, ExportsParseAndAreDeterministic) {
   auto build = [] {
     obs::TimeSeries ts{100};
     std::int64_t v = 0;
-    ts.add("a.b-c", [&v] { return v += 3; });
+    ts.add("a.b-c", [&v] { return v; });
     ts.add("d", [&v] { return -v; });
-    ts.advance(500);
+    for (sim::Picos t = 0; t <= 500; t += 100) {
+      v += 3;
+      ts.advance(t);
+    }
     return ts;
   };
   const obs::TimeSeries t1 = build();
@@ -244,6 +264,248 @@ TEST(AlertEngine, DigestIsBitIdenticalAcrossEqualRuns) {
     return eng.digest();
   };
   EXPECT_EQ(run(), run());
+}
+
+// ---------------------------------------------------------------------------
+// Differential check: TimeSeries and AlertEngine against a per-edge model.
+// ---------------------------------------------------------------------------
+
+/// Reference recorder that samples every cadence edge one by one into its
+/// own row and drops the oldest row past capacity, with an alert evaluator
+/// on top that rescans every retained row on each call.
+struct EdgeModel {
+  EdgeModel(sim::Picos c, std::size_t cap) : cadence(c), capacity(cap) {}
+
+  sim::Picos cadence;
+  std::size_t capacity;
+  std::vector<std::string> names;
+  std::vector<std::function<std::int64_t()>> samplers;
+  std::deque<std::pair<sim::Picos, std::vector<std::int64_t>>> rows;
+  std::uint64_t dropped = 0;
+  sim::Picos last_edge = -1;
+
+  void advance(sim::Picos now) {
+    for (sim::Picos e = last_edge < 0 ? 0 : last_edge + cadence; e <= now;
+         e += cadence) {
+      std::vector<std::int64_t> row;
+      for (const auto& f : samplers) row.push_back(f());
+      rows.emplace_back(e, std::move(row));
+      if (rows.size() > capacity) {
+        rows.pop_front();
+        ++dropped;
+      }
+      last_edge = e;
+    }
+  }
+  std::int64_t value(std::size_t s, std::size_t i) const {
+    return s < rows[i].second.size() ? rows[i].second[s] : 0;
+  }
+  obs::SeriesWindow window(std::size_t s, sim::Picos t0, sim::Picos t1) const {
+    obs::SeriesWindow w;
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      if (rows[i].first < t0 || rows[i].first > t1) continue;
+      const std::int64_t v = value(s, i);
+      w.min = w.count == 0 ? v : std::min(w.min, v);
+      w.max = w.count == 0 ? v : std::max(w.max, v);
+      w.sum += v;
+      ++w.count;
+    }
+    return w;
+  }
+  /// (time, values...) per retained row, as the exporters print them.
+  std::vector<std::vector<std::int64_t>> table() const {
+    std::vector<std::vector<std::int64_t>> out;
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      out.push_back({rows[i].first});
+      for (std::size_t s = 0; s < names.size(); ++s) {
+        out.back().push_back(value(s, i));
+      }
+    }
+    return out;
+  }
+  std::string tsv() const {
+    std::string out = "time_ps";
+    for (const std::string& n : names) out += "\t" + n;
+    out += '\n';
+    for (const auto& row : table()) {
+      for (std::size_t c = 0; c < row.size(); ++c) {
+        out += (c == 0 ? "" : "\t") + std::to_string(row[c]);
+      }
+      out += '\n';
+    }
+    return out;
+  }
+  std::string json() const {
+    std::string out = "{\"cadence_ps\":" + std::to_string(cadence) +
+                      ",\"dropped\":" + std::to_string(dropped) +
+                      ",\"series\":[";
+    for (std::size_t s = 0; s < names.size(); ++s) {
+      out += (s == 0 ? "\"" : ",\"") + names[s] + '"';
+    }
+    out += "],\"samples\":[";
+    bool first = true;
+    for (const auto& row : table()) {
+      out += first ? "\n[" : ",\n[";
+      first = false;
+      for (std::size_t c = 0; c < row.size(); ++c) {
+        out += (c == 0 ? "" : ",") + std::to_string(row[c]);
+      }
+      out += ']';
+    }
+    return out + "\n]}\n";
+  }
+  std::uint64_t digest() const {
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    const auto mix = [&h](std::uint64_t x) {
+      for (int b = 0; b < 8; ++b) {
+        h ^= (x >> (8 * b)) & 0xff;
+        h *= 0x100000001b3ull;
+      }
+    };
+    mix(dropped);
+    for (const auto& row : table()) {
+      for (std::int64_t v : row) mix(static_cast<std::uint64_t>(v));
+    }
+    return h;
+  }
+
+  struct RuleRun {
+    obs::AlertRule rule;
+    std::size_t series;
+    bool open = false;
+    sim::Picos breach_since = -1;
+  };
+  std::vector<RuleRun> rules;
+  std::vector<obs::AlertEvent> events;
+  sim::Picos consumed = -1;
+
+  void evaluate() {
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      const sim::Picos edge = rows[i].first;
+      if (edge <= consumed) continue;
+      for (std::uint32_t ri = 0; ri < rules.size(); ++ri) {
+        RuleRun& r = rules[ri];
+        std::int64_t v = value(r.series, i);
+        if (r.rule.burn_window > 0) {
+          const obs::SeriesWindow w =
+              window(r.series, edge - r.rule.burn_window + 1, edge);
+          if (w.count != 0) v = w.avg();
+        }
+        const bool breach = r.rule.predicate == obs::AlertPredicate::kAbove
+                                ? v > r.rule.threshold
+                                : v < r.rule.threshold;
+        if (!breach) {
+          r.breach_since = -1;
+          if (r.open) events.push_back({edge, ri, false, v});
+          r.open = false;
+          continue;
+        }
+        if (r.breach_since < 0) r.breach_since = edge;
+        if (!r.open && edge - r.breach_since >= r.rule.for_duration) {
+          r.open = true;
+          events.push_back({edge, ri, true, v});
+        }
+      }
+      consumed = edge;
+    }
+  }
+};
+
+TEST(TimeSeriesDifferential, RandomAdvancesMatchPerEdgeModel) {
+  std::size_t burn_events = 0;  // over all seeds
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    SCOPED_TRACE(seed);
+    std::mt19937_64 rng{seed};
+    const auto pick = [&rng](std::uint64_t n) {
+      return static_cast<std::int64_t>(rng() % n);
+    };
+    const sim::Picos cadence = std::array<sim::Picos, 3>{1, 7, 10}[seed % 3];
+    const std::size_t capacity =
+        std::array<std::size_t, 4>{1, 2, 5, 48}[seed % 4];
+    obs::TimeSeries ts{cadence, capacity};
+    EdgeModel model{cadence, capacity};
+    std::array<std::int64_t, 3> state{0, 0, 0};
+    const auto add = [&](std::size_t s) {
+      const std::string name = "s" + std::to_string(s);
+      const auto read = [&state, s] { return state[s]; };
+      EXPECT_EQ(ts.add(name, read), s);
+      model.names.push_back(name);
+      model.samplers.push_back(read);
+    };
+    add(0);
+    add(1);
+    // Instantaneous rules (one with a for-duration) and burn-window rules,
+    // one of them wider than everything the recorder retains.
+    const sim::Picos retained = static_cast<sim::Picos>(capacity) * cadence;
+    std::vector<obs::AlertRule> rules = {
+        above("hot", "s0", 5, 2 * cadence),
+        above("burn", "s0", 4, 0, 3 * cadence),
+        above("wide", "s1", 3, cadence, 4 * retained),
+        above("cold", "s1", 6)};
+    rules[3].predicate = obs::AlertPredicate::kBelow;
+    obs::AlertEngine eng{ts, rules};
+    for (const obs::AlertRule& r : rules) {
+      model.rules.push_back(
+          {.rule = r, .series = r.instrument == "s0" ? 0u : 1u});
+    }
+
+    sim::Picos now = pick(3) - 1;  // the first call may lie before edge 0
+    for (int step = 0; step < 80; ++step) {
+      if (step == 30) add(2);  // registered late: reads 0 for earlier edges
+      for (std::int64_t& v : state) v = pick(10);
+      const std::int64_t roll = pick(10);
+      if (roll == 0) {
+        now -= pick(4 * cadence);  // backward: records nothing
+      } else if (roll == 1) {
+        // One call that spans more than the whole capacity.
+        now += retained + (1 + pick(3)) * cadence;
+      } else if (roll > 2) {
+        now += pick(4 * cadence);  // roll == 2 repeats the same time
+      }
+      ts.advance(now);
+      model.advance(now);
+      if (pick(3) != 0) {
+        eng.evaluate();
+        model.evaluate();
+      }
+
+      ASSERT_EQ(ts.size(), model.rows.size());
+      ASSERT_EQ(ts.dropped(), model.dropped);
+      ASSERT_EQ(ts.last_edge(), model.last_edge);
+      for (std::size_t i = 0; i < ts.size(); ++i) {
+        ASSERT_EQ(ts.time_at(i), model.rows[i].first);
+        for (std::size_t s = 0; s < ts.series_count(); ++s) {
+          ASSERT_EQ(ts.value_at(s, i), model.value(s, i)) << "series " << s;
+        }
+      }
+      const sim::Picos t0 = now - pick(6 * cadence);
+      const sim::Picos t1 = t0 + pick(8 * cadence) - cadence;
+      for (std::size_t s = 0; s < ts.series_count(); ++s) {
+        const obs::SeriesWindow got = ts.window(s, t0, t1);
+        const obs::SeriesWindow want = model.window(s, t0, t1);
+        EXPECT_EQ(got.count, want.count)
+            << "window [" << t0 << ", " << t1 << "]";
+        EXPECT_EQ(got.min, want.min);
+        EXPECT_EQ(got.max, want.max);
+        EXPECT_EQ(got.sum, want.sum);
+      }
+    }
+    EXPECT_EQ(ts.digest(), model.digest());
+    EXPECT_EQ(ts.to_tsv(), model.tsv());
+    EXPECT_EQ(ts.to_json(), model.json());
+
+    ASSERT_EQ(eng.events().size(), model.events.size());
+    for (std::size_t i = 0; i < model.events.size(); ++i) {
+      const obs::AlertEvent& a = eng.events()[i];
+      const obs::AlertEvent& b = model.events[i];
+      EXPECT_EQ(a.time, b.time) << "event " << i;
+      EXPECT_EQ(a.rule, b.rule) << "event " << i;
+      EXPECT_EQ(a.open, b.open) << "event " << i;
+      EXPECT_EQ(a.value, b.value) << "event " << i;
+      burn_events += rules[b.rule].burn_window > 0 ? 1 : 0;
+    }
+  }
+  EXPECT_GT(burn_events, 0u) << "no burn-window rule ever fired";
 }
 
 // ---------------------------------------------------------------------------
@@ -519,6 +781,50 @@ TEST(FleetObs, LossReplayCarriesRootSpanAcrossNodes) {
   EXPECT_TRUE(saw_loss);
   EXPECT_TRUE(saw_retry);
   EXPECT_TRUE(saw_transfer) << "no fabric transfer carried a trace context";
+}
+
+TEST(FleetObs, ChaosFleetDigestsMatchPinnedGoldens) {
+  // The heartbeat + lossy-fabric + burn-window stack of bench_chaosnet and
+  // bench_fleetscope in miniature, with a dense cadence and a small
+  // recorder so advance() calls span many edges and old samples are
+  // dropped. The constants were recorded with a recorder that stored one
+  // row per edge: storage may change, what is recorded may not.
+  constexpr std::uint64_t kRecorderDigest = 0x4d390c83652a7d04ull;
+  constexpr std::uint64_t kAlertDigest = 0x8c167f744491e220ull;
+  constexpr std::uint64_t kFleetDigest = 0x926a1129ffe3d6a6ull;
+
+  fleet::FleetConfig f = obs_fleet(2);
+  f.spares = 1;
+  f.heartbeat.enabled = true;
+  f.heartbeat.interval = sim::microseconds(20);
+  f.heartbeat.miss_threshold = 6;
+  f.faults.messages.enabled = true;
+  f.faults.messages.drop_prob = 0.1;
+  f.faults.messages.corrupt_prob = 0.05;
+  f.faults.node_loss = {{.time = solo().end / 2, .node = 1}};
+  f.obs.cadence = solo().end / 64;
+  f.obs.ring_capacity = 32;
+  f.obs.alerts = {
+      above("backlog", "fleet.pending_jobs", 0, f.obs.cadence),
+      above("retrans", "fabric.retransmits", 0),
+      above("burn", "node0.live_jobs", 0, 0, 8 * f.obs.cadence)};
+  fleet::Controller ctl{f, catalog()};
+  ASSERT_EQ(ctl.run(stream(6, solo().end / 4)), Status::kSuccess);
+
+  const obs::TimeSeries* ts = ctl.recorder();
+  const obs::AlertEngine* ae = ctl.alert_engine();
+  ASSERT_NE(ts, nullptr);
+  ASSERT_NE(ae, nullptr);
+  EXPECT_EQ(ts->size(), ts->capacity());
+  EXPECT_GT(ts->dropped(), 0u);
+  EXPECT_TRUE(ae->unresolved().empty());
+  std::array<std::size_t, 3> fired{};
+  for (const obs::AlertEvent& e : ae->events()) ++fired[e.rule];
+  EXPECT_GT(fired[0], 0u);
+  EXPECT_GT(fired[2], 0u) << "the burn-window rule never fired";
+  EXPECT_EQ(ts->digest(), kRecorderDigest) << std::hex << ts->digest();
+  EXPECT_EQ(ae->digest(), kAlertDigest) << std::hex << ae->digest();
+  EXPECT_EQ(ctl.digest(), kFleetDigest) << std::hex << ctl.digest();
 }
 
 /// Label-blind per-name counter sums over one registry.
