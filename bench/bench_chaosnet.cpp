@@ -35,6 +35,7 @@
 #include "benchsupport/scenarios.hpp"
 #include "fleet/arrival.hpp"
 #include "fleet/controller.hpp"
+#include "sim/fnv.hpp"
 #include "tenant/scheduler.hpp"
 
 using namespace ghum;
@@ -109,14 +110,6 @@ void measure_solo(fleet::JobTemplate& t) {
       1, (sched.job(last).finished_at - sched.job(first).finished_at) / 2);
 }
 
-std::uint64_t fnv1a_mix(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (i * 8)) & 0xFFull;
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
 struct ChaosResult {
   std::uint64_t digest = 0;         ///< fleet digest (nodes+jobs+metrics)
   std::uint64_t fabric_digest = 0;  ///< every transfer's cost fingerprint
@@ -157,12 +150,12 @@ ChaosResult run_chaos(const fleet::FleetConfig& cfg,
   r.net = ctl.fabric()->reliable_totals();
   if (const obs::AlertEngine* ae = ctl.alert_engine()) {
     r.alert_transitions = ae->events().size();
-    std::uint64_t h = 0xcbf29ce484222325ull;
+    std::uint64_t h = sim::kFnvOffset;
     for (const obs::AlertEvent& e : ae->events()) {
-      h = fnv1a_mix(h, static_cast<std::uint64_t>(e.time));
-      h = fnv1a_mix(h, (static_cast<std::uint64_t>(e.rule) << 1) |
-                           (e.open ? 1u : 0u));
-      h = fnv1a_mix(h, static_cast<std::uint64_t>(e.value));
+      sim::fnv_mix(h, static_cast<std::uint64_t>(e.time));
+      sim::fnv_mix(h, (static_cast<std::uint64_t>(e.rule) << 1) |
+                          (e.open ? 1u : 0u));
+      sim::fnv_mix(h, static_cast<std::uint64_t>(e.value));
     }
     r.alert_digest = h;
   }

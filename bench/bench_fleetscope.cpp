@@ -173,10 +173,8 @@ ScopeResult run_scope(const fleet::FleetConfig& cfg,
       ++r.failed;
     }
   }
-  if (ctl.fabric() != nullptr) {
-    for (const net::TransferRecord& t : ctl.fabric()->log()) {
-      if (t.ctx.traced()) ++r.traced_transfers;
-    }
+  for (const net::TransferRecord& t : ctl.fabric()->log()) {
+    if (t.ctx.traced()) ++r.traced_transfers;
   }
 
   // Gate (b): the federated registry against the per-source ground truth.

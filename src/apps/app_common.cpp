@@ -60,12 +60,4 @@ void UnifiedBuffer::free(runtime::Runtime& rt) {
   }
 }
 
-void Digest::add_bytes(const void* p, std::size_t n) noexcept {
-  const auto* b = static_cast<const unsigned char*>(p);
-  for (std::size_t i = 0; i < n; ++i) {
-    h_ ^= b[i];
-    h_ *= 0x100000001b3ULL;
-  }
-}
-
 }  // namespace ghum::apps

@@ -10,6 +10,7 @@
 
 #include "cache/kernel_traffic.hpp"
 #include "runtime/runtime.hpp"
+#include "sim/fnv.hpp"
 #include "sim/rng.hpp"
 
 /// \file app_common.hpp
@@ -216,13 +217,15 @@ class UnifiedBuffer {
 /// FNV-1a over a little-endian byte view; used for cross-mode checksums.
 class Digest {
  public:
-  void add_bytes(const void* p, std::size_t n) noexcept;
+  void add_bytes(const void* p, std::size_t n) noexcept {
+    h_ = sim::fnv1a(p, n, h_);
+  }
   void add_u64(std::uint64_t v) noexcept { add_bytes(&v, sizeof(v)); }
   void add_double(double d) noexcept { add_bytes(&d, sizeof(d)); }
   [[nodiscard]] std::uint64_t value() const noexcept { return h_; }
 
  private:
-  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+  std::uint64_t h_ = sim::kFnvOffset;
 };
 
 /// Quantize a float so checksums tolerate benign non-associativity

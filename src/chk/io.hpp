@@ -14,7 +14,7 @@
 ///
 ///   offset 0  : u64 magic "GHUMCHK\0" (little-endian constant)
 ///   offset 8  : u32 format version
-///   offset 12 : u64 FNV-1a digest of the payload bytes
+///   offset 12 : u64 FNV-1a digest of the payload bytes (kDigestSeed)
 ///   offset 20 : u64 payload size in bytes
 ///   offset 28 : payload
 ///
@@ -27,30 +27,16 @@ namespace ghum::chk {
 
 inline constexpr std::uint64_t kMagic = 0x004b'4843'4d55'4847ull;  // "GHUMCHK\0"
 
-/// Current blob format. Version history:
-///  - 1: per-page page-table entries; VMA backing bytes unconditional.
-///  - 2: page tables serialized as extents (first_vpn, pages, pte) — at
-///       full-scale capacities the per-page encoding was larger than the
-///       machine it described; VMAs carry a has-data flag (non-materialized
-///       backing, SystemConfig::materialize_backing=false, has no bytes to
-///       write); config gains materialize_backing after the name field.
-/// restore() accepts both; snapshot() can be asked for version 1 as long as
-/// the machine is representable in it (materialized backing only).
+/// The one blob format written and read: page tables as extents
+/// (first_vpn, pages, pte), a has-data flag before each VMA's bytes, and
+/// materialize_backing after the config's name field. Version 1 (per-page
+/// page tables) is no longer read; restore() rejects every other version.
 inline constexpr std::uint32_t kFormatVersion = 2;
-inline constexpr std::uint32_t kMinFormatVersion = 1;
 
-/// FNV-1a over a byte range — the same hash family EventLog::digest uses,
-/// applied to the serialized payload so blob integrity and state identity
-/// share one fingerprint.
-[[nodiscard]] inline std::uint64_t fnv1a(const std::uint8_t* data,
-                                         std::size_t size) noexcept {
-  std::uint64_t h = 1469598103934665603ull;
-  for (std::size_t i = 0; i < size; ++i) {
-    h ^= data[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
+/// Starting value of the payload digest (sim::fnv1a's \p h). It is one
+/// decimal digit short of the FNV offset basis, and every blob and
+/// state_digest() ever produced is stamped with it, so it stays.
+inline constexpr std::uint64_t kDigestSeed = 1469598103934665603ull;
 
 class Writer {
  public:
@@ -112,6 +98,16 @@ class Reader {
     return v;
   }
   [[nodiscard]] bool boolean() { return u8() != 0; }
+  /// Reads a record count and checks that that many records of at least
+  /// \p min_record_bytes each still fit in the blob, so a corrupt count
+  /// fails here instead of sizing an allocation.
+  [[nodiscard]] std::uint64_t count(std::uint64_t min_record_bytes) {
+    const std::uint64_t n = u64();
+    if (n > remaining() / min_record_bytes) {
+      throw std::out_of_range{"chk: record count exceeds checkpoint blob"};
+    }
+    return n;
+  }
   [[nodiscard]] std::string str() {
     const std::uint64_t n = u64();
     need(n);

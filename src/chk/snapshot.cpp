@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "fault/status.hpp"
+#include "sim/fnv.hpp"
 
 /// \file snapshot.cpp
 /// Serialization order (one section per subsystem; unordered containers are
@@ -19,11 +20,10 @@
 ///   4. EventLog (full event stream; per-type totals are recomputed)
 ///   5. FrameAllocators (GPU then CPU)
 ///   6. NvlinkC2C (degrade factors + traffic counters)
-///   7. PageTables (system then GPU; v2 writes extents in VPN order, v1
-///      expands them to per-page entries)
+///   7. PageTables (system then GPU; extents in VPN order)
 ///   8. TLBs (SMMU cpu/ats, GMMU gpu/sys; LRU order front-to-back)
-///   9. AddressSpace (VMAs with their real backing bytes; v2 prefixes a
-///      has-data flag so non-materialized VMAs carry no byte image)
+///   9. AddressSpace (VMAs with their real backing bytes, each prefixed by
+///      a has-data flag so non-materialized VMAs carry no byte image)
 ///  10. Machine epoch / current tenant
 ///  11. MetricsRegistry (slots in exposition order)
 ///  12. AttributionTable
@@ -54,8 +54,7 @@ sorted_entries(const Map& m) {
 
 // --- SystemConfig -----------------------------------------------------------
 
-void Snapshotter::save_config(const core::SystemConfig& cfg, Writer& w,
-                              std::uint32_t version) {
+void Snapshotter::save_config(const core::SystemConfig& cfg, Writer& w) {
   w.u64(cfg.system_page_size);
   w.u64(cfg.hbm_capacity);
   w.u64(cfg.ddr_capacity);
@@ -131,15 +130,10 @@ void Snapshotter::save_config(const core::SystemConfig& cfg, Writer& w,
   w.u64(f.ecc_retirement_budget);
 
   w.str(cfg.name);
-
-  // Fields introduced with format version 2 append after the v1 tail so a
-  // version-1 payload is a strict prefix of the config section.
-  if (version >= 2) {
-    w.boolean(cfg.materialize_backing);
-  }
+  w.boolean(cfg.materialize_backing);
 }
 
-core::SystemConfig Snapshotter::load_config(Reader& r, std::uint32_t version) {
+core::SystemConfig Snapshotter::load_config(Reader& r) {
   core::SystemConfig cfg;
   cfg.system_page_size = r.u64();
   cfg.hbm_capacity = r.u64();
@@ -199,35 +193,30 @@ core::SystemConfig Snapshotter::load_config(Reader& r, std::uint32_t version) {
   f.migration_batch_fail_prob = r.f64();
   f.migration_max_retries = r.u32();
   f.migration_retry_backoff = r.i64();
-  f.link_degrade.resize(r.u64());
+  f.link_degrade.resize(r.count(32));
   for (auto& wnd : f.link_degrade) {
     wnd.start = r.i64();
     wnd.duration = r.i64();
     wnd.bandwidth_factor = r.f64();
     wnd.latency_factor = r.f64();
   }
-  f.ecc_events.resize(r.u64());
+  f.ecc_events.resize(r.count(16));
   for (auto& e : f.ecc_events) {
     e.time = r.i64();
     e.bytes = r.u64();
   }
-  f.gpu_resets.resize(r.u64());
+  f.gpu_resets.resize(r.count(8));
   for (auto& gr : f.gpu_resets) gr.time = r.i64();
   f.ecc_retirement_budget = r.u64();
 
   cfg.name = r.str();
-  if (version >= 2) {
-    cfg.materialize_backing = r.boolean();
-  }
-  // Version 1 predates non-materialized backing; its default (true) matches
-  // every machine a v1 blob can describe.
+  cfg.materialize_backing = r.boolean();
   return cfg;
 }
 
 // --- machine state ----------------------------------------------------------
 
-void Snapshotter::save_state(core::System& sys, Writer& w,
-                             std::uint32_t version) {
+void Snapshotter::save_state(core::System& sys, Writer& w) {
   core::Machine& m = sys.m_;
 
   // [2] Clock.
@@ -276,30 +265,16 @@ void Snapshotter::save_state(core::System& sys, Writer& w,
   w.u64(m.c2c_.bytes_[1]);
   w.u64(m.c2c_.atomics_);
 
-  // [7] Page tables. Version 2 writes the extent representation directly
-  // (runs are already ordered and canonical — maximal, attribute-equal);
-  // version 1 expands every run back to per-page entries, which is the
-  // legacy encoding byte for byte.
-  const auto save_pt = [&w, version](const pagetable::PageTable& pt) {
-    if (version >= 2) {
-      w.u64(pt.runs_.size());
-      for (const auto& [first_vpn, run] : pt.runs_) {
-        w.u64(first_vpn);
-        w.u64(run.pages);
-        w.u8(static_cast<std::uint8_t>(run.pte.node));
-        w.boolean(run.pte.writable);
-        w.u32(run.pte.numa_generation);
-      }
-    } else {
-      w.u64(pt.total_pages_);
-      for (const auto& [first_vpn, run] : pt.runs_) {
-        for (std::uint64_t p = 0; p < run.pages; ++p) {
-          w.u64(first_vpn + p);
-          w.u8(static_cast<std::uint8_t>(run.pte.node));
-          w.boolean(run.pte.writable);
-          w.u32(run.pte.numa_generation);
-        }
-      }
+  // [7] Page tables, as their extent representation (runs are already
+  // ordered and canonical — maximal, attribute-equal).
+  const auto save_pt = [&w](const pagetable::PageTable& pt) {
+    w.u64(pt.runs_.size());
+    for (const auto& [first_vpn, run] : pt.runs_) {
+      w.u64(first_vpn);
+      w.u64(run.pages);
+      w.u8(static_cast<std::uint8_t>(run.pte.node));
+      w.boolean(run.pte.writable);
+      w.u32(run.pte.numa_generation);
     }
   };
   save_pt(m.system_pt_);
@@ -340,22 +315,11 @@ void Snapshotter::save_state(core::System& sys, Writer& w,
     w.boolean(vma.poisoned);
     w.u64(vma.resident_cpu_bytes);
     w.u64(vma.resident_gpu_bytes);
-    if (version >= 2) {
-      // Non-materialized backing (full-scale runs) has no bytes to carry.
-      const bool has_data = vma.data != nullptr;
-      w.boolean(has_data);
-      if (has_data) {
-        w.bytes(reinterpret_cast<const std::uint8_t*>(vma.data.get()),
-                vma.size);
-      }
-    } else {
-      if (vma.data == nullptr) {
-        throw StatusError{Status::kErrorInvalidValue,
-                          "checkpoint: format version 1 cannot describe "
-                          "non-materialized VMA backing"};
-      }
-      w.bytes(reinterpret_cast<const std::uint8_t*>(vma.data.get()),
-              vma.size);
+    // Non-materialized backing (full-scale runs) has no bytes to carry.
+    const bool has_data = vma.data != nullptr;
+    w.boolean(has_data);
+    if (has_data) {
+      w.bytes(reinterpret_cast<const std::uint8_t*>(vma.data.get()), vma.size);
     }
   }
 
@@ -500,7 +464,7 @@ void Snapshotter::save_state(core::System& sys, Writer& w,
 }
 
 void Snapshotter::load_state(core::System& sys, Reader& r,
-                             std::uint32_t version, core::System* donor) {
+                             core::System* donor) {
   core::Machine& m = sys.m_;
 
   // [2] Clock: set directly — observers (profiler, link monitor, fault
@@ -558,31 +522,17 @@ void Snapshotter::load_state(core::System& sys, Reader& r,
   m.c2c_.bytes_[1] = r.u64();
   m.c2c_.atomics_ = r.u64();
 
-  // [7] Page tables. Either encoding lands in the extent map through
-  // insert_run, which coalesces — a version-1 per-page stream (entries
-  // sorted by VPN, so adjacent pages arrive in order) collapses back into
-  // the same canonical runs the machine held when it was saved.
-  const auto load_pt = [&r, version](pagetable::PageTable& pt) {
+  // [7] Page tables: each saved extent goes back in through insert_run.
+  const auto load_pt = [&r](pagetable::PageTable& pt) {
     pt.clear();
-    if (version >= 2) {
-      for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-        const std::uint64_t first_vpn = r.u64();
-        const std::uint64_t pages = r.u64();
-        pagetable::Pte pte;
-        pte.node = static_cast<mem::Node>(r.u8());
-        pte.writable = r.boolean();
-        pte.numa_generation = r.u32();
-        pt.insert_run(first_vpn, pages, pte);
-      }
-    } else {
-      for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-        const std::uint64_t vpn = r.u64();
-        pagetable::Pte pte;
-        pte.node = static_cast<mem::Node>(r.u8());
-        pte.writable = r.boolean();
-        pte.numa_generation = r.u32();
-        pt.insert_run(vpn, 1, pte);
-      }
+    for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
+      const std::uint64_t first_vpn = r.u64();
+      const std::uint64_t pages = r.u64();
+      pagetable::Pte pte;
+      pte.node = static_cast<mem::Node>(r.u8());
+      pte.writable = r.boolean();
+      pte.numa_generation = r.u32();
+      pt.insert_run(first_vpn, pages, pte);
     }
   };
   load_pt(m.system_pt_);
@@ -631,8 +581,12 @@ void Snapshotter::load_state(core::System& sys, Reader& r,
     v.poisoned = r.boolean();
     v.resident_cpu_bytes = r.u64();
     v.resident_gpu_bytes = r.u64();
-    const bool has_data = version >= 2 ? r.boolean() : true;
+    const bool has_data = r.boolean();
     if (has_data) {
+      // The byte run must fit before its backing is allocated.
+      if (v.size > r.remaining()) {
+        throw std::out_of_range{"chk: VMA backing exceeds checkpoint blob"};
+      }
       if (donor != nullptr) {
         os::Vma* dv = donor->m_.as_.find_exact(v.base);
         if (dv != nullptr && dv->size == v.size && dv->data != nullptr) {
@@ -657,7 +611,7 @@ void Snapshotter::load_state(core::System& sys, Reader& r,
   for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
     const auto kind = static_cast<obs::MetricsRegistry::Kind>(r.u8());
     std::string name = r.str();
-    std::vector<obs::Label> labels(r.u64());
+    std::vector<obs::Label> labels(r.count(16));  // two length prefixes
     for (obs::Label& l : labels) {
       l.key = r.str();
       l.value = r.str();
@@ -683,7 +637,7 @@ void Snapshotter::load_state(core::System& sys, Reader& r,
 
   // [12] Attribution.
   tenant::AttributionTable& at = m.attribution_;
-  at.usage_.assign(r.u64(), {});
+  at.usage_.assign(r.count(12 * 8), {});  // twelve 8-byte fields
   for (tenant::TenantUsage& u : at.usage_) {
     u.resident_cpu_bytes = r.i64();
     u.resident_gpu_bytes = r.i64();
@@ -807,24 +761,20 @@ void Snapshotter::load_state(core::System& sys, Reader& r,
 
 // --- public API -------------------------------------------------------------
 
-Blob Snapshotter::snapshot(core::System& sys, std::uint32_t version) {
+Blob Snapshotter::snapshot(core::System& sys) {
   if (sys.in_kernel_ || sys.in_phase_) {
     throw StatusError{Status::kErrorInvalidValue,
                              "snapshot inside an open kernel/phase"};
   }
-  if (version < kMinFormatVersion || version > kFormatVersion) {
-    throw StatusError{Status::kErrorInvalidValue,
-                             "snapshot: unwritable format version"};
-  }
   Writer payload;
-  save_config(sys.config(), payload, version);
-  save_state(sys, payload, version);
+  save_config(sys.config(), payload);
+  save_state(sys, payload);
   const std::vector<std::uint8_t>& body = payload.data();
 
   Writer out;
   out.u64(kMagic);
-  out.u32(version);
-  out.u64(fnv1a(body.data(), body.size()));
+  out.u32(kFormatVersion);
+  out.u64(sim::fnv1a(body.data(), body.size(), kDigestSeed));
   out.u64(body.size());
   Blob blob = out.take();
   blob.insert(blob.end(), body.begin(), body.end());
@@ -839,8 +789,7 @@ std::unique_ptr<core::System> Snapshotter::restore(const Blob& blob,
       throw StatusError{Status::kErrorInvalidValue,
                                "checkpoint: bad magic"};
     }
-    const std::uint32_t version = header.u32();
-    if (version < kMinFormatVersion || version > kFormatVersion) {
+    if (header.u32() != kFormatVersion) {
       throw StatusError{Status::kErrorInvalidValue,
                                "checkpoint: unsupported format version"};
     }
@@ -851,13 +800,13 @@ std::unique_ptr<core::System> Snapshotter::restore(const Blob& blob,
                                "checkpoint: payload size mismatch"};
     }
     const std::uint8_t* body = blob.data() + (blob.size() - size);
-    if (fnv1a(body, size) != digest) {
+    if (sim::fnv1a(body, size, kDigestSeed) != digest) {
       throw StatusError{Status::kErrorInvalidValue,
                                "checkpoint: payload digest mismatch"};
     }
     Reader r{body, static_cast<std::size_t>(size)};
-    auto sys = std::make_unique<core::System>(load_config(r, version));
-    load_state(*sys, r, version, donor);
+    auto sys = std::make_unique<core::System>(load_config(r));
+    load_state(*sys, r, donor);
     return sys;
   } catch (const std::out_of_range&) {
     throw StatusError{Status::kErrorInvalidValue,
@@ -871,9 +820,10 @@ std::uint64_t Snapshotter::state_digest(core::System& sys) {
                              "state_digest inside an open kernel/phase"};
   }
   Writer payload;
-  save_config(sys.config(), payload, kFormatVersion);
-  save_state(sys, payload, kFormatVersion);
-  return fnv1a(payload.data().data(), payload.data().size());
+  save_config(sys.config(), payload);
+  save_state(sys, payload);
+  return sim::fnv1a(payload.data().data(), payload.data().size(),
+                    kDigestSeed);
 }
 
 std::uint64_t Snapshotter::blob_digest(const Blob& blob) {
@@ -895,13 +845,12 @@ bool Snapshotter::verify(const Blob& blob) noexcept {
   Reader header{blob.data(), blob.size()};
   try {
     if (header.u64() != kMagic) return false;
-    const std::uint32_t version = header.u32();
-    if (version < kMinFormatVersion || version > kFormatVersion) return false;
+    if (header.u32() != kFormatVersion) return false;
     const std::uint64_t digest = header.u64();
     const std::uint64_t size = header.u64();
     if (size != header.remaining()) return false;
     const std::uint8_t* body = blob.data() + (blob.size() - size);
-    return fnv1a(body, size) == digest;
+    return sim::fnv1a(body, size, kDigestSeed) == digest;
   } catch (const std::out_of_range&) {
     return false;
   }

@@ -40,19 +40,13 @@ class Snapshotter {
  public:
   /// Serializes \p sys into a fresh blob. Must be called between phases:
   /// an open kernel/host phase holds un-serializable mid-flight state, so
-  /// snapshotting there throws StatusError{kErrorInvalidValue}. \p version
-  /// selects the blob format (io.hpp lists the history) — writing the
-  /// legacy version 1 exists for compatibility tests and throws when the
-  /// machine holds state version 1 cannot express (non-materialized VMA
-  /// backing).
-  [[nodiscard]] static Blob snapshot(core::System& sys,
-                                     std::uint32_t version = kFormatVersion);
+  /// snapshotting there throws StatusError{kErrorInvalidValue}. The blob
+  /// is always format kFormatVersion (io.hpp).
+  [[nodiscard]] static Blob snapshot(core::System& sys);
 
   /// Validates the blob (magic, version, payload digest) and reconstructs
-  /// a fresh System continuing from the checkpoint. Accepts every format
-  /// version in [kMinFormatVersion, kFormatVersion] — legacy version-1
-  /// blobs (per-page page tables) load into the extent representation,
-  /// which canonicalizes them by coalescing. When \p donor is the
+  /// a fresh System continuing from the checkpoint. Only kFormatVersion
+  /// blobs are accepted. When \p donor is the
   /// System the blob was taken from (or a descendant), matching VMAs adopt
   /// the donor's backing arrays — application-held host pointers survive —
   /// and the fault injector's ECC/reset schedule cursors never rewind
@@ -78,13 +72,10 @@ class Snapshotter {
   [[nodiscard]] static bool verify(const Blob& blob) noexcept;
 
  private:
-  static void save_config(const core::SystemConfig& cfg, Writer& w,
-                          std::uint32_t version);
-  [[nodiscard]] static core::SystemConfig load_config(Reader& r,
-                                                      std::uint32_t version);
-  static void save_state(core::System& sys, Writer& w, std::uint32_t version);
-  static void load_state(core::System& sys, Reader& r, std::uint32_t version,
-                         core::System* donor);
+  static void save_config(const core::SystemConfig& cfg, Writer& w);
+  [[nodiscard]] static core::SystemConfig load_config(Reader& r);
+  static void save_state(core::System& sys, Writer& w);
+  static void load_state(core::System& sys, Reader& r, core::System* donor);
 };
 
 }  // namespace ghum::chk

@@ -9,28 +9,12 @@
 #include "core/machine.hpp"
 #include "core/system.hpp"
 #include "fault/status.hpp"
+#include "sim/fnv.hpp"
 #include "tenant/scheduler.hpp"
 
 namespace ghum::fleet {
 
 namespace {
-
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
-
-void mix(std::uint64_t& h, std::uint64_t x) noexcept {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (x >> (8 * i)) & 0xff;
-    h *= kFnvPrime;
-  }
-}
-
-void mix_bytes(std::uint64_t& h, std::string_view s) noexcept {
-  for (const char c : s) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= kFnvPrime;
-  }
-}
 
 std::vector<obs::Label> class_label(std::uint32_t cls) {
   return {{"class", std::to_string(cls)}};
@@ -73,26 +57,19 @@ Controller::Controller(FleetConfig cfg, std::vector<JobTemplate> templates)
                         "fleet: link-flap window names a node outside the fleet"};
     }
   }
-  if (cfg_.heartbeat.enabled) {
-    if (cfg_.legacy_transfer_cost) {
-      throw StatusError{Status::kErrorInvalidValue,
-                        "fleet: heartbeat detection needs the fabric"};
-    }
-    if (cfg_.heartbeat.interval <= 0 || cfg_.heartbeat.miss_threshold == 0 ||
-        cfg_.heartbeat.heartbeat_bytes == 0) {
-      throw StatusError{Status::kErrorInvalidValue,
-                        "fleet: malformed heartbeat config"};
-    }
+  if (cfg_.heartbeat.enabled &&
+      (cfg_.heartbeat.interval <= 0 || cfg_.heartbeat.miss_threshold == 0 ||
+       cfg_.heartbeat.heartbeat_bytes == 0)) {
+    throw StatusError{Status::kErrorInvalidValue,
+                      "fleet: malformed heartbeat config"};
   }
-  if (!cfg_.legacy_transfer_cost) {
-    // nodes + spares machine endpoints, plus the external arrival source
-    // and the control plane. Throws kErrorNetConfig on a malformed spec,
-    // a malformed flap schedule or a malformed message-fault config, and
-    // kErrorInvalidValue on a flap window with bad endpoints/factors.
-    fabric_ = std::make_unique<net::Fabric>(cfg_.net, machines + 2, &reg_,
-                                            cfg_.faults.link_flap,
-                                            cfg_.faults.messages);
-  }
+  // nodes + spares machine endpoints, plus the external arrival source
+  // and the control plane. Throws kErrorNetConfig on a malformed spec,
+  // a malformed flap schedule or a malformed message-fault config, and
+  // kErrorInvalidValue on a flap window with bad endpoints/factors.
+  fabric_ = std::make_unique<net::Fabric>(cfg_.net, machines + 2, &reg_,
+                                          cfg_.faults.link_flap,
+                                          cfg_.faults.messages);
 
   nodes_.resize(cfg_.nodes + cfg_.spares);
   for (std::uint32_t i = 0; i < nodes_.size(); ++i) {
@@ -136,11 +113,6 @@ std::uint64_t Controller::node_budget() const noexcept {
     if (n.sched != nullptr) return n.sched->budget();
   }
   return 0;
-}
-
-sim::Picos Controller::transfer_cost(std::uint64_t bytes) const noexcept {
-  return cfg_.transfer_latency +
-         sim::transfer_time(bytes, cfg_.transfer_bandwidth_Bps);
 }
 
 void Controller::ensure_classes(std::uint32_t classes) {
@@ -208,7 +180,7 @@ void Controller::setup_obs() {
       return c;
     });
   }
-  if (fabric_ != nullptr && fabric_->lossy()) {
+  if (fabric_->lossy()) {
     ts_->add("fabric.retransmits", [this] {
       return static_cast<std::int64_t>(fabric_->reliable_totals().retransmits);
     });
@@ -229,7 +201,7 @@ void Controller::setup_obs() {
                return term == 0 ? 1000 : ok * 1000 / term;
              });
   }
-  if (cfg_.obs.track_links && fabric_ != nullptr) {
+  if (cfg_.obs.track_links) {
     ts_->add("fabric.total_bytes", [this] {
       return static_cast<std::int64_t>(fabric_->totals().total_bytes());
     });
@@ -251,9 +223,7 @@ void Controller::setup_obs() {
       }
     }
   }
-  if (fabric_ != nullptr && cfg_.obs.record_trace) {
-    fabric_->set_log_enabled(true);
-  }
+  if (cfg_.obs.record_trace) fabric_->set_log_enabled(true);
   alert_engine_ = std::make_unique<obs::AlertEngine>(*ts_, cfg_.obs.alerts);
 }
 
@@ -302,23 +272,21 @@ const obs::MetricsRegistry* Controller::node_metrics(NodeId id) {
 
 std::string Controller::chrome_trace() const {
   std::vector<obs::FleetTraceEvent> evs = trace_;
-  if (fabric_ != nullptr) {
-    // Traced fabric messages (placement commands, evacuation images)
-    // become duration events on the fabric lane and members of their root
-    // span's flow chain — the visible wire hop between node lanes.
-    for (const net::TransferRecord& r : fabric_->log()) {
-      if (!r.ctx.traced()) continue;
-      obs::FleetTraceEvent e;
-      e.time = r.start;
-      e.duration = r.end - r.start;
-      e.kind = obs::FleetTraceKind::kTransfer;
-      e.node = r.src;
-      e.peer = r.dst;
-      e.bytes = r.bytes;
-      e.ctx = r.ctx;
-      e.label = std::string{net::to_string(r.proto)};
-      evs.push_back(std::move(e));
-    }
+  // Traced fabric messages (placement commands, evacuation images) become
+  // duration events on the fabric lane and members of their root span's
+  // flow chain — the visible wire hop between node lanes.
+  for (const net::TransferRecord& r : fabric_->log()) {
+    if (!r.ctx.traced()) continue;
+    obs::FleetTraceEvent e;
+    e.time = r.start;
+    e.duration = r.end - r.start;
+    e.kind = obs::FleetTraceKind::kTransfer;
+    e.node = r.src;
+    e.peer = r.dst;
+    e.bytes = r.bytes;
+    e.ctx = r.ctx;
+    e.label = std::string{net::to_string(r.proto)};
+    evs.push_back(std::move(e));
   }
   for (const fault::LinkFlapWindow& w : cfg_.faults.link_flap) {
     obs::FleetTraceEvent e;
@@ -575,32 +543,30 @@ bool Controller::place(FleetJob& j, sim::Picos now) {
     // The placement command travels control plane -> node; the node can
     // only start the job once it has been delivered, so an idle node's
     // clock advances to the delivery instant (idle time is real time).
+    // The command carries the job's trace context onto the node: the
+    // causal chain's hop across the machine boundary.
     sim::Picos start_at = now;
-    if (fabric_ != nullptr) {
-      // The command carries the job's trace context onto the node: the
-      // causal chain's hop across the machine boundary.
-      if (fabric_->lossy() || cfg_.heartbeat.enabled) {
-        // A command must be *confirmed* delivered before the job counts
-        // as placed — an exhausted retransmit budget is how the control
-        // plane first learns a node is unreachable.
-        const net::ReliableTransfer cmd = fabric_->send(
-            ep_control(), nid, kPlacementMsgBytes, net::MemType::kHost, now,
-            &j.ctx);
-        if (cmd.status != Status::kSuccess) {
-          record(cmd.status);
-          if (cfg_.heartbeat.enabled) {
-            mark_suspected(n, cmd.end, "placement send exhausted");
-          }
-          exclude.push_back(nid);
-          continue;
+    if (fabric_->lossy() || cfg_.heartbeat.enabled) {
+      // A command must be *confirmed* delivered before the job counts as
+      // placed — an exhausted retransmit budget is how the control plane
+      // first learns a node is unreachable.
+      const net::ReliableTransfer cmd =
+          fabric_->send(ep_control(), nid, kPlacementMsgBytes,
+                        net::MemType::kHost, now, &j.ctx);
+      if (cmd.status != Status::kSuccess) {
+        record(cmd.status);
+        if (cfg_.heartbeat.enabled) {
+          mark_suspected(n, cmd.end, "placement send exhausted");
         }
-        start_at = cmd.delivered_at;
-      } else {
-        start_at = fabric_
-                       ->transfer(ep_control(), nid, kPlacementMsgBytes,
-                                  net::MemType::kHost, now, &j.ctx)
-                       .end;
+        exclude.push_back(nid);
+        continue;
       }
+      start_at = cmd.delivered_at;
+    } else {
+      start_at = fabric_
+                     ->transfer(ep_control(), nid, kPlacementMsgBytes,
+                                net::MemType::kHost, now, &j.ctx)
+                     .end;
     }
     if (n.sys->now() < start_at) n.sys->advance(start_at - n.sys->now());
 
@@ -686,7 +652,7 @@ void Controller::on_silent_death(const fault::NodeLossEvent& e) {
   n.sched.reset();
   n.sys.reset();
   n.silently_dead = true;
-  if (fabric_ != nullptr) fabric_->set_endpoint_down(n.id, true);
+  fabric_->set_endpoint_down(n.id, true);
 }
 
 void Controller::declare_loss(Node& n, sim::Picos time) {
@@ -720,7 +686,7 @@ void Controller::declare_loss(Node& n, sim::Picos time) {
   n.placed_bytes = 0;
   n.suspected = false;
   n.silently_dead = false;
-  if (fabric_ != nullptr) fabric_->set_endpoint_down(n.id, true);
+  fabric_->set_endpoint_down(n.id, true);
 
   for (const auto& [tid, jidx] : victims) {
     FleetJob& j = jobs_[jidx];
@@ -913,39 +879,35 @@ void Controller::evacuate(Node& n, const obs::TraceContext& ctx) {
   const sim::Picos ship_start = n.sys->now();
   sim::Picos ship_end = ship_start;
   bool blob_ok = true;
-  if (fabric_ != nullptr) {
-    if (fabric_->lossy()) {
-      // On a lossy fabric the image goes through the reliable send path
-      // (bulk enough for the e2e corruption model), and the spare runs
-      // Snapshotter::verify before trusting a byte of it. A corrupted
-      // image is re-requested once; a second corruption falls back to
-      // the replay ladder below.
-      net::ReliableTransfer t = fabric_->send(
-          n.id, spare->id, blob.size(), net::MemType::kHost, ship_start, &ctx);
+  if (fabric_->lossy()) {
+    // On a lossy fabric the image goes through the reliable send path
+    // (bulk enough for the e2e corruption model), and the spare runs
+    // Snapshotter::verify before trusting a byte of it. A corrupted image
+    // is re-requested once; a second corruption falls back to the replay
+    // ladder below.
+    net::ReliableTransfer t = fabric_->send(
+        n.id, spare->id, blob.size(), net::MemType::kHost, ship_start, &ctx);
+    blob_ok = t.status == Status::kSuccess && !t.payload_corrupt &&
+              chk::Snapshotter::verify(blob);
+    ship_end = t.status == Status::kSuccess ? t.delivered_at : t.end;
+    if (!blob_ok) {
+      if (t.payload_corrupt) evac_corruptions_->inc();
+      evac_rerequests_->inc();
+      t = fabric_->send(n.id, spare->id, blob.size(), net::MemType::kHost,
+                        ship_end, &ctx);
       blob_ok = t.status == Status::kSuccess && !t.payload_corrupt &&
                 chk::Snapshotter::verify(blob);
       ship_end = t.status == Status::kSuccess ? t.delivered_at : t.end;
-      if (!blob_ok) {
-        if (t.payload_corrupt) evac_corruptions_->inc();
-        evac_rerequests_->inc();
-        t = fabric_->send(n.id, spare->id, blob.size(), net::MemType::kHost,
-                          ship_end, &ctx);
-        blob_ok = t.status == Status::kSuccess && !t.payload_corrupt &&
-                  chk::Snapshotter::verify(blob);
-        ship_end = t.status == Status::kSuccess ? t.delivered_at : t.end;
-        if (!blob_ok && t.payload_corrupt) evac_corruptions_->inc();
-      }
-    } else {
-      // The machine image ships donor -> spare as one bulk fabric message
-      // (deep in the rendezvous regime for any real blob) carrying the
-      // degrade fault's trace context; the spare resumes at delivery time.
-      const net::Transfer t =
-          fabric_->transfer(n.id, spare->id, blob.size(), net::MemType::kHost,
-                            ship_start, &ctx);
-      ship_end = t.end;
+      if (!blob_ok && t.payload_corrupt) evac_corruptions_->inc();
     }
   } else {
-    ship_end = ship_start + transfer_cost(blob.size());
+    // The machine image ships donor -> spare as one bulk fabric message
+    // (deep in the rendezvous regime for any real blob) carrying the
+    // degrade fault's trace context; the spare resumes at delivery time.
+    ship_end = fabric_
+                   ->transfer(n.id, spare->id, blob.size(),
+                              net::MemType::kHost, ship_start, &ctx)
+                   .end;
   }
 
   if (!blob_ok) {
@@ -1088,7 +1050,7 @@ Status Controller::run(const std::vector<JobRequest>& requests) {
   // suspicion. Eliding the probes once the watch clears is what bounds the
   // final drain — and when the watch re-opens, the edge clock re-aligns to
   // the grid instead of replaying skipped edges.
-  const bool hb_on = cfg_.heartbeat.enabled && fabric_ != nullptr;
+  const bool hb_on = cfg_.heartbeat.enabled;
   sim::Picos next_hb = cfg_.heartbeat.interval;
   constexpr sim::Picos kNever = std::numeric_limits<sim::Picos>::max();
   for (;;) {
@@ -1152,13 +1114,11 @@ Status Controller::run(const std::vector<JobRequest>& requests) {
     } else {
       arrivals_->inc();
       FleetJob& aj = jobs_[ai];
-      if (fabric_ != nullptr) {
-        // The request descriptor reaches the control plane from outside
-        // the fleet; charged for cost/metering (the open-loop arrival
-        // instant itself is the generator's, not the fabric's).
-        (void)fabric_->transfer(ep_external(), ep_control(), kArrivalMsgBytes,
-                                net::MemType::kHost, t, &aj.ctx);
-      }
+      // The request descriptor reaches the control plane from outside the
+      // fleet; charged for cost/metering (the open-loop arrival instant
+      // itself is the generator's, not the fabric's).
+      (void)fabric_->transfer(ep_external(), ep_control(), kArrivalMsgBytes,
+                              net::MemType::kHost, t, &aj.ctx);
       {
         obs::FleetTraceEvent e;
         e.time = t;
@@ -1256,38 +1216,39 @@ SloSummary Controller::slo_summary(std::uint32_t priority) {
 }
 
 std::uint64_t Controller::digest() {
-  std::uint64_t h = kFnvOffset;
+  std::uint64_t h = sim::kFnvOffset;
   for (Node& n : nodes_) {
-    mix(h, static_cast<std::uint64_t>(n.state));
-    mix(h, (n.suspected ? 1u : 0u) | (n.silently_dead ? 2u : 0u));
+    sim::fnv_mix(h, static_cast<std::uint64_t>(n.state));
+    sim::fnv_mix(h, (n.suspected ? 1u : 0u) | (n.silently_dead ? 2u : 0u));
     if (n.sys != nullptr) {
       const sim::Picos now = n.sys->now();
-      mix(h, static_cast<std::uint64_t>(now));
-      mix(h, n.sys->events().digest(now));
+      sim::fnv_mix(h, static_cast<std::uint64_t>(now));
+      sim::fnv_mix(h, n.sys->events().digest(now));
     }
   }
   for (const FleetJob& j : jobs_) {
-    mix(h, j.req.id);
-    mix(h, static_cast<std::uint64_t>(j.state));
-    mix(h, static_cast<std::uint64_t>(j.status));
-    mix(h, static_cast<std::uint64_t>(j.finished_at));
-    mix(h, static_cast<std::uint64_t>(j.latency));
-    mix(h, j.checksum);
-    mix(h, j.placements);
-    mix(h, j.loss_attempts);
-    mix(h, (j.slo_violation ? 1u : 0u) | (j.migrated ? 2u : 0u) |
-               (j.replayed_after_loss ? 4u : 0u));
-    mix(h, (std::uint64_t{j.ctx.origin_node} << 32) | j.ctx.root_span);
-    mix(h, j.completion_node);
+    sim::fnv_mix(h, j.req.id);
+    sim::fnv_mix(h, static_cast<std::uint64_t>(j.state));
+    sim::fnv_mix(h, static_cast<std::uint64_t>(j.status));
+    sim::fnv_mix(h, static_cast<std::uint64_t>(j.finished_at));
+    sim::fnv_mix(h, static_cast<std::uint64_t>(j.latency));
+    sim::fnv_mix(h, j.checksum);
+    sim::fnv_mix(h, j.placements);
+    sim::fnv_mix(h, j.loss_attempts);
+    sim::fnv_mix(h, (j.slo_violation ? 1u : 0u) | (j.migrated ? 2u : 0u) |
+                        (j.replayed_after_loss ? 4u : 0u));
+    sim::fnv_mix(h,
+                 (std::uint64_t{j.ctx.origin_node} << 32) | j.ctx.root_span);
+    sim::fnv_mix(h, j.completion_node);
   }
-  if (fabric_ != nullptr) mix(h, fabric_->digest());
+  sim::fnv_mix(h, fabric_->digest());
   // The observability layer is part of the reproducibility contract: the
   // recorder's sampled history and the alert open/close sequence must be
   // bit-identical across identical runs, so they mix in too.
-  if (ts_ != nullptr) mix(h, ts_->digest());
-  if (alert_engine_ != nullptr) mix(h, alert_engine_->digest());
-  mix_bytes(h, reg_.to_json());
-  return h;
+  if (ts_ != nullptr) sim::fnv_mix(h, ts_->digest());
+  if (alert_engine_ != nullptr) sim::fnv_mix(h, alert_engine_->digest());
+  const std::string metrics = reg_.to_json();
+  return sim::fnv1a(metrics.data(), metrics.size(), h);
 }
 
 }  // namespace ghum::fleet

@@ -232,7 +232,7 @@ class Controller {
 
   [[nodiscard]] const FleetConfig& config() const noexcept { return cfg_; }
 
-  /// The inter-node fabric (null under cfg.legacy_transfer_cost). Its
+  /// The inter-node fabric; never null (built at construction). Its
   /// ghum_net_* instruments live in metrics(); its endpoint space is
   /// nodes + spares + 2, the last two being the external arrival source
   /// and the control plane.
@@ -282,7 +282,6 @@ class Controller {
   void activate(Node& n);  ///< boot a fresh System + Scheduler for a node
   [[nodiscard]] sim::Picos fleet_now() const noexcept;  ///< max node clock
   [[nodiscard]] std::uint64_t node_budget() const noexcept;
-  [[nodiscard]] sim::Picos transfer_cost(std::uint64_t bytes) const noexcept;
 
   // Event loop.
   void run_nodes_until(sim::Picos t);
@@ -329,7 +328,7 @@ class Controller {
 
   FleetConfig cfg_;
   std::vector<JobTemplate> templates_;
-  std::unique_ptr<net::Fabric> fabric_;  ///< null in legacy-cost mode
+  std::unique_ptr<net::Fabric> fabric_;
   std::vector<Node> nodes_;  ///< actives then spares; index == NodeId
   std::vector<FleetJob> jobs_;
   std::vector<Retry> retries_;  ///< kept sorted by (due, job) ascending

@@ -16,7 +16,9 @@
 /// \file fleet_config.hpp
 /// Configuration of the simulated superchip fleet (DESIGN.md Section 11):
 /// job templates and requests, the open-loop arrival process, and the
-/// fleet::Controller's placement / transfer / retry / admission knobs.
+/// fleet::Controller's placement / retry / admission knobs. Every
+/// inter-node message is priced by the net::Fabric built from
+/// FleetConfig::net (Section 12).
 
 namespace ghum::fleet {
 
@@ -156,17 +158,6 @@ struct FleetConfig {
   /// through it with full UCX-style protocol selection. Rejected at
   /// construction with Status::kErrorNetConfig if malformed.
   net::NetSpec net;
-  /// Compatibility switch: model every inter-node transfer with the flat
-  /// transfer_latency + size/bandwidth cost below instead of the fabric
-  /// (pre-PR-8 behavior, bit-for-bit). Control messages are free in this
-  /// mode, as they were then.
-  bool legacy_transfer_cost = false;
-
-  /// Flat inter-node state-transfer cost (checkpoint blob shipping, the
-  /// ETH data-movement study's latency + size/bandwidth shape) — used only
-  /// under legacy_transfer_cost.
-  sim::Picos transfer_latency = sim::microseconds(10);
-  double transfer_bandwidth_Bps = 25e9;  ///< conservative inter-node fabric
 
   /// Bounded re-placement of jobs lost with their node: up to this many
   /// attempts, the k-th scheduled replace_backoff * 2^(k-1) after the

@@ -3,12 +3,11 @@
 #include <algorithm>
 #include <string>
 
+#include "sim/fnv.hpp"
+
 namespace ghum::net {
 
 namespace {
-
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
 
 /// FNV-1a over the message descriptor — the model's payload checksum,
 /// computed at the sender and recomputed (verified) at the receiver. A
@@ -17,17 +16,11 @@ constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
 std::uint64_t payload_checksum(std::uint32_t src, std::uint32_t dst,
                                std::uint64_t bytes,
                                std::uint64_t seq) noexcept {
-  std::uint64_t h = kFnvOffset;
-  const auto mix64 = [&](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= kFnvPrime;
-    }
-  };
-  mix64(src);
-  mix64(dst);
-  mix64(bytes);
-  mix64(seq);
+  std::uint64_t h = sim::kFnvOffset;
+  sim::fnv_mix(h, src);
+  sim::fnv_mix(h, dst);
+  sim::fnv_mix(h, bytes);
+  sim::fnv_mix(h, seq);
   return h;
 }
 
@@ -117,13 +110,6 @@ sim::Rng& Fabric::link_rng(std::uint64_t link) {
   return link_rng_
       .emplace(link, sim::Rng{msg_.seed ^ ((link + 1) * 0x9e3779b97f4a7c15ull)})
       .first->second;
-}
-
-void Fabric::mix(std::uint64_t v) noexcept {
-  for (int i = 0; i < 8; ++i) {
-    digest_ ^= (v >> (8 * i)) & 0xff;
-    digest_ *= kFnvPrime;
-  }
 }
 
 Fabric::Dilation Fabric::dilation(std::uint32_t src, std::uint32_t dst,
@@ -306,13 +292,13 @@ Transfer Fabric::transfer(std::uint32_t src, std::uint32_t dst,
     lc->inc(bytes);
   }
 
-  mix(src);
-  mix(dst);
-  mix(bytes);
-  mix(static_cast<std::uint64_t>(mem));
-  mix(static_cast<std::uint64_t>(t.proto));
-  mix(static_cast<std::uint64_t>(t.start));
-  mix(static_cast<std::uint64_t>(t.end));
+  sim::fnv_mix(digest_, src);
+  sim::fnv_mix(digest_, dst);
+  sim::fnv_mix(digest_, bytes);
+  sim::fnv_mix(digest_, static_cast<std::uint64_t>(mem));
+  sim::fnv_mix(digest_, static_cast<std::uint64_t>(t.proto));
+  sim::fnv_mix(digest_, static_cast<std::uint64_t>(t.start));
+  sim::fnv_mix(digest_, static_cast<std::uint64_t>(t.end));
   return t;
 }
 
@@ -362,10 +348,10 @@ Datagram Fabric::datagram(std::uint32_t src, std::uint32_t dst,
 
   // Fold the fate into the history digest so two chaos runs only match
   // when every message met the same end.
-  mix(static_cast<std::uint64_t>(d.delivered) |
-      (static_cast<std::uint64_t>(d.corrupt) << 1) |
-      (static_cast<std::uint64_t>(d.duplicated) << 2) |
-      (static_cast<std::uint64_t>(d.reordered) << 3));
+  sim::fnv_mix(digest_, static_cast<std::uint64_t>(d.delivered) |
+                            (static_cast<std::uint64_t>(d.corrupt) << 1) |
+                            (static_cast<std::uint64_t>(d.duplicated) << 2) |
+                            (static_cast<std::uint64_t>(d.reordered) << 3));
   return d;
 }
 
@@ -475,10 +461,11 @@ ReliableTransfer Fabric::send(std::uint32_t src, std::uint32_t dst,
     }
   }
 
-  mix(static_cast<std::uint64_t>(r.status) |
-      (static_cast<std::uint64_t>(r.payload_corrupt) << 8) |
-      (std::uint64_t{r.attempts} << 16));
-  mix(static_cast<std::uint64_t>(r.end));
+  sim::fnv_mix(digest_,
+               static_cast<std::uint64_t>(r.status) |
+                   (static_cast<std::uint64_t>(r.payload_corrupt) << 8) |
+                   (std::uint64_t{r.attempts} << 16));
+  sim::fnv_mix(digest_, static_cast<std::uint64_t>(r.end));
   return r;
 }
 

@@ -9,6 +9,7 @@
 #include "net/net_spec.hpp"
 #include "obs/fleet_trace.hpp"
 #include "obs/metrics.hpp"
+#include "sim/fnv.hpp"
 #include "sim/rng.hpp"
 #include "sim/time.hpp"
 
@@ -242,7 +243,6 @@ class Fabric {
   [[nodiscard]] sim::Picos dilated_cost(Protocol proto, std::uint64_t bytes,
                                         MemType mem, const Dilation& d,
                                         sim::Picos* handshake) const;
-  void mix(std::uint64_t v) noexcept;
 
   [[nodiscard]] sim::Rng& link_rng(std::uint64_t link);
 
@@ -263,7 +263,7 @@ class Fabric {
   std::map<std::uint64_t, sim::Picos> busy_until_;
 
   FabricTotals totals_;
-  std::uint64_t digest_ = 0xcbf29ce484222325ull;
+  std::uint64_t digest_ = sim::kFnvOffset;
   std::map<std::uint64_t, std::uint64_t> link_tally_;  ///< bytes per link
   bool log_enabled_ = false;
   std::vector<TransferRecord> log_;

@@ -8,20 +8,11 @@
 #include "core/system.hpp"
 #include "fault/status.hpp"
 #include "runtime/runtime.hpp"
+#include "sim/fnv.hpp"
 
 namespace ghum::net {
 
 namespace {
-
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
-
-void mix(std::uint64_t& h, std::uint64_t v) noexcept {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= kFnvPrime;
-  }
-}
 
 /// One boundary message owed after a compute round.
 struct HaloMsg {
@@ -125,18 +116,18 @@ MultiNodeResult lockstep(
   }
 
   res.node_end.reserve(cfg.nodes);
-  std::uint64_t checksum = kFnvOffset;
-  std::uint64_t digest = kFnvOffset;
+  std::uint64_t checksum = sim::kFnvOffset;
+  std::uint64_t digest = sim::kFnvOffset;
   for (NodeRun& n : nodes) {
     const sim::Picos end = n.sys->now();
     res.node_end.push_back(end);
     res.makespan = std::max(res.makespan, end);
-    mix(checksum, n.coro.report().checksum);
-    mix(digest, static_cast<std::uint64_t>(end));
-    mix(digest, n.sys->events().digest(end));
-    mix(digest, n.coro.report().checksum);
+    sim::fnv_mix(checksum, n.coro.report().checksum);
+    sim::fnv_mix(digest, static_cast<std::uint64_t>(end));
+    sim::fnv_mix(digest, n.sys->events().digest(end));
+    sim::fnv_mix(digest, n.coro.report().checksum);
   }
-  mix(digest, fab.digest());
+  sim::fnv_mix(digest, fab.digest());
   res.checksum = checksum;
   res.digest = digest;
   res.net = fab.totals();

@@ -1,20 +1,8 @@
 #include "obs/alerts.hpp"
 
+#include "sim/fnv.hpp"
+
 namespace ghum::obs {
-
-namespace {
-
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
-
-void mix(std::uint64_t& h, std::uint64_t x) noexcept {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (x >> (8 * i)) & 0xff;
-    h *= kFnvPrime;
-  }
-}
-
-}  // namespace
 
 AlertEngine::AlertEngine(const TimeSeries& ts, std::vector<AlertRule> rules)
     : ts_(&ts), rules_(std::move(rules)) {
@@ -81,12 +69,12 @@ std::size_t AlertEngine::evaluate() {
 }
 
 std::uint64_t AlertEngine::digest() const noexcept {
-  std::uint64_t h = kFnvOffset;
+  std::uint64_t h = sim::kFnvOffset;
   for (const AlertEvent& e : events_) {
-    mix(h, static_cast<std::uint64_t>(e.time));
-    mix(h, e.rule);
-    mix(h, e.open ? 1 : 0);
-    mix(h, static_cast<std::uint64_t>(e.value));
+    sim::fnv_mix(h, static_cast<std::uint64_t>(e.time));
+    sim::fnv_mix(h, e.rule);
+    sim::fnv_mix(h, e.open ? 1 : 0);
+    sim::fnv_mix(h, static_cast<std::uint64_t>(e.value));
   }
   return h;
 }

@@ -1,65 +1,16 @@
 #include "obs/fleet_trace.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
 #include <set>
 #include <sstream>
 #include <utility>
 
+#include "obs/trace_json.hpp"
+
 namespace ghum::obs {
 
 namespace {
-
-/// Microsecond timestamp with fixed nanosecond precision — ostream
-/// default formatting flips to scientific notation on long traces, which
-/// Chrome's JSON parser rejects inside ts/dur.
-std::string us(sim::Picos t) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.3f", sim::to_microseconds(t));
-  return buf;
-}
-
-/// RFC 8259 string escaping. Labels carry user-supplied job names, so
-/// this is load-bearing: quotes, backslashes and control characters must
-/// not break the document (the hostile-name tests feed exactly those).
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-class TraceWriter {
- public:
-  explicit TraceWriter(std::ostringstream& out) : out_(&out) {}
-
-  std::ostringstream& next() {
-    if (!first_) *out_ << ",\n";
-    first_ = false;
-    return *out_;
-  }
-
- private:
-  std::ostringstream* out_;
-  bool first_ = true;
-};
 
 /// Lane assignment. The control plane is pid 1 (admission / alerts /
 /// fabric threads); node i is pid 10+i with thread 0 for node-level
@@ -153,32 +104,20 @@ void append_event(TraceWriter& w, const FleetTraceEvent& e, const Lane& lane) {
 /// chain id is the (origin, span) pair's dense index — spans from
 /// different origin nodes never collide even when their node-local ids
 /// do. Members on different node lanes render as arrows crossing pid
-/// boundaries: the cross-node causality the tentpole is about.
+/// boundaries: the causality that crosses machines.
 void append_flows(TraceWriter& w, const std::vector<const FleetTraceEvent*>& ordered,
                   const FleetTraceOptions& opts) {
-  std::map<std::pair<std::uint32_t, std::uint32_t>,
-           std::vector<const FleetTraceEvent*>>
+  std::map<std::pair<std::uint32_t, std::uint32_t>, std::vector<FlowPoint>>
       chains;
   for (const FleetTraceEvent* e : ordered) {
     if (e->ctx.traced()) {
-      chains[{e->ctx.origin_node, e->ctx.root_span}].push_back(e);
+      const Lane lane = lane_of(*e, opts);
+      chains[{e->ctx.origin_node, e->ctx.root_span}].push_back(
+          {lane.pid, lane.tid, e->time});
     }
   }
   std::uint64_t id = 0;
-  for (const auto& [key, members] : chains) {
-    ++id;
-    if (members.size() < 2) continue;
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      const FleetTraceEvent& e = *members[i];
-      const Lane lane = lane_of(e, opts);
-      const bool last = i + 1 == members.size();
-      const char* ph = i == 0 ? "s" : (last ? "f" : "t");
-      w.next() << R"({"name":"span","cat":"causal","ph":")" << ph
-               << R"(","id":)" << id << R"(,"pid":)" << lane.pid
-               << R"(,"tid":)" << lane.tid << R"(,"ts":)" << us(e.time)
-               << (last ? R"(,"bp":"e"})" : "}");
-    }
-  }
+  for (const auto& [key, members] : chains) append_flow_chain(w, ++id, members);
 }
 
 }  // namespace

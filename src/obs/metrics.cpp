@@ -1,9 +1,10 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
 #include <stdexcept>
+
+#include "obs/trace_json.hpp"
 
 namespace ghum::obs {
 
@@ -22,32 +23,6 @@ std::string prom_escape(std::string_view s) {
       case '"': out += "\\\""; break;
       case '\n': out += "\\n"; break;
       default: out += c; break;
-    }
-  }
-  return out;
-}
-
-/// JSON string escaping (RFC 8259): quote, backslash, and *every* control
-/// character below 0x20 — not just the newline class. A job named with an
-/// embedded 0x01 must still yield a json_valid exposition.
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '\\': out += "\\\\"; break;
-      case '"': out += "\\\""; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
     }
   }
   return out;

@@ -4,21 +4,9 @@
 #include <iterator>
 #include <sstream>
 
+#include "sim/fnv.hpp"
+
 namespace ghum::obs {
-
-namespace {
-
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
-
-void mix(std::uint64_t& h, std::uint64_t x) noexcept {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (x >> (8 * i)) & 0xff;
-    h *= kFnvPrime;
-  }
-}
-
-}  // namespace
 
 TimeSeries::TimeSeries(sim::Picos cadence, std::size_t capacity)
     : cadence_(cadence > 0 ? cadence : 1),
@@ -147,12 +135,12 @@ std::string TimeSeries::to_json() const {
 }
 
 std::uint64_t TimeSeries::digest() const noexcept {
-  std::uint64_t h = kFnvOffset;
-  mix(h, dropped_);
+  std::uint64_t h = sim::kFnvOffset;
+  sim::fnv_mix(h, dropped_);
   for_each_edge([&](sim::Picos t, const Segment& seg) {
-    mix(h, static_cast<std::uint64_t>(t));
+    sim::fnv_mix(h, static_cast<std::uint64_t>(t));
     for (std::size_t s = 0; s < series_.size(); ++s) {
-      mix(h, static_cast<std::uint64_t>(seg.value(s)));
+      sim::fnv_mix(h, static_cast<std::uint64_t>(seg.value(s)));
     }
   });
   return h;

@@ -1,64 +1,18 @@
 #include "profile/trace_export.hpp"
 
-#include <cstdio>
 #include <map>
 #include <set>
 #include <sstream>
+
+#include "obs/trace_json.hpp"
 
 namespace ghum::profile {
 
 namespace {
 
-/// Microsecond timestamp with fixed 3-decimal (nanosecond) precision.
-/// ostream default formatting would switch to scientific notation for
-/// large traces, which some JSON consumers reject inside Chrome's ts.
-std::string us(sim::Picos t) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.3f", sim::to_microseconds(t));
-  return buf;
-}
-
-/// JSON string escaping (RFC 8259): quote, backslash and control
-/// characters. Kernel/app names are caller-supplied, so this is load-
-/// bearing — a name like `step "k"` must not break the document.
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-class TraceWriter {
- public:
-  explicit TraceWriter(std::ostringstream& out) : out_(&out) {}
-
-  /// Starts the next event object (comma/newline separation).
-  std::ostringstream& next() {
-    if (!first_) *out_ << ",\n";
-    first_ = false;
-    return *out_;
-  }
-
- private:
-  std::ostringstream* out_;
-  bool first_ = true;
-};
+using obs::json_escape;
+using obs::TraceWriter;
+using obs::us;
 
 void append_metadata(TraceWriter& w, const std::set<std::uint32_t>& tenants) {
   w.next() << R"({"name":"process_name","ph":"M","pid":1,"args":{"name":"ghum"}})";
@@ -126,21 +80,12 @@ void append_degrade_windows(TraceWriter& w, const std::vector<sim::Event>& event
 /// of s/t/f flow events anchored at the member events' timestamps/lanes.
 void append_flows(TraceWriter& w, const std::vector<sim::Event>& events,
                   const TraceOptions& opts) {
-  std::map<std::uint32_t, std::vector<const sim::Event*>> spans;
+  std::map<std::uint32_t, std::vector<obs::FlowPoint>> spans;
   for (const auto& e : events) {
-    if (e.span != 0) spans[e.span].push_back(&e);
+    if (e.span != 0) spans[e.span].push_back({1, event_tid(e, opts), e.time});
   }
   for (const auto& [span, members] : spans) {
-    if (members.size() < 2) continue;
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      const sim::Event& e = *members[i];
-      const bool last = i + 1 == members.size();
-      const char* ph = i == 0 ? "s" : (last ? "f" : "t");
-      w.next() << R"({"name":"span","cat":"causal","ph":")" << ph
-               << R"(","id":)" << span << R"(,"pid":1,"tid":)"
-               << event_tid(e, opts) << R"(,"ts":)" << us(e.time)
-               << (last ? R"(,"bp":"e"})" : "}");
-    }
+    obs::append_flow_chain(w, span, members);
   }
 }
 

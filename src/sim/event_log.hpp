@@ -5,6 +5,7 @@
 #include <string_view>
 #include <vector>
 
+#include "sim/fnv.hpp"
 #include "sim/time.hpp"
 
 /// \file event_log.hpp
@@ -112,23 +113,17 @@ class EventLog {
   /// bit-for-bit reproducibility check used by the differential and chaos
   /// benches and by the tenancy repro column.
   [[nodiscard]] std::uint64_t digest(Picos end_time) const noexcept {
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    const auto mix = [&h](std::uint64_t x) {
-      for (int i = 0; i < 8; ++i) {
-        h ^= (x >> (8 * i)) & 0xff;
-        h *= 0x100000001b3ull;
-      }
-    };
+    std::uint64_t h = kFnvOffset;
     for (const Event& e : events_) {
-      mix(static_cast<std::uint64_t>(e.time));
-      mix(static_cast<std::uint64_t>(e.type));
-      mix(e.va);
-      mix(e.bytes);
-      mix(e.aux);
-      mix(e.tenant);
-      mix(e.span);
+      fnv_mix(h, static_cast<std::uint64_t>(e.time));
+      fnv_mix(h, static_cast<std::uint64_t>(e.type));
+      fnv_mix(h, e.va);
+      fnv_mix(h, e.bytes);
+      fnv_mix(h, e.aux);
+      fnv_mix(h, e.tenant);
+      fnv_mix(h, e.span);
     }
-    mix(static_cast<std::uint64_t>(end_time));
+    fnv_mix(h, static_cast<std::uint64_t>(end_time));
     return h;
   }
 

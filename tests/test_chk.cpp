@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <ios>
 #include <memory>
@@ -11,6 +12,7 @@
 #include "apps/srad.hpp"
 #include "chk/snapshot.hpp"
 #include "runtime/runtime.hpp"
+#include "sim/fnv.hpp"
 
 /// Checkpoint/restore tests (DESIGN.md Section 10): blob round trips, header
 /// validation, and the core replay-equivalence guarantee — a run snapshotted
@@ -129,54 +131,18 @@ INSTANTIATE_TEST_SUITE_P(Modes, ChkReplay,
                            return std::string{apps::to_string(info.param)};
                          });
 
-TEST(ChkCompat, Version1BlobRestoresBitIdentical) {
-  core::System sys{chk_cfg()};
-  runtime::Runtime rt{sys};
-  (void)apps::run_hotspot(rt, apps::MemMode::kManaged, small_hotspot());
-  // A contiguous first-touched region: one extent, 64 resident pages.
-  const core::Buffer big = sys.sys_malloc(4ull << 20, "contiguous");
-  for (std::uint64_t off = 0; off < big.bytes; off += chk_cfg().system_page_size)
-    (void)sys.resolve(big.va + off, mem::Node::kCpu);
-
-  // The legacy encoding (per-page page tables, unconditional VMA bytes)
-  // must still restore to the same machine: loading per-page entries into
-  // the extent map coalesces them back to the canonical runs.
-  const chk::Blob legacy = chk::Snapshotter::snapshot(sys, /*version=*/1);
-  std::unique_ptr<core::System> twin = chk::Snapshotter::restore(legacy);
-  EXPECT_EQ(twin->now(), sys.now());
-  EXPECT_EQ(chk::Snapshotter::state_digest(*twin),
-            chk::Snapshotter::state_digest(sys));
-  // Re-serializing the twin at the current version matches the original's
-  // current-version blob bit for bit.
-  EXPECT_EQ(chk::Snapshotter::snapshot(*twin), chk::Snapshotter::snapshot(sys));
-  // A version-1 blob is strictly larger: it spends one record per page
-  // where the extent encoding spends one per run.
-  EXPECT_GT(legacy.size(), chk::Snapshotter::snapshot(sys).size());
-}
-
-TEST(ChkCompat, Version1CannotDescribeNonMaterializedBacking) {
+TEST(ChkRoundTrip, NonMaterializedBackingRoundTrips) {
   core::SystemConfig cfg = chk_cfg();
   cfg.materialize_backing = false;
   cfg.event_log = false;
   core::System sys{cfg};
   core::Buffer b = sys.sys_malloc(1 << 20, "virtual-only");
   (void)b;
-  // No byte image exists, so the v1 format (unconditional VMA bytes) must
-  // refuse rather than serialize garbage...
-  EXPECT_THROW((void)chk::Snapshotter::snapshot(sys, /*version=*/1),
-               StatusError);
-  // ...while the current format round-trips the data-less VMA.
+  // No byte image exists: the VMA travels as its has-data=false record.
   const chk::Blob blob = chk::Snapshotter::snapshot(sys);
   std::unique_ptr<core::System> twin = chk::Snapshotter::restore(blob);
   EXPECT_EQ(chk::Snapshotter::state_digest(*twin),
             chk::Snapshotter::state_digest(sys));
-}
-
-TEST(ChkCompat, UnwritableVersionsAreRejected) {
-  core::System sys{chk_cfg()};
-  EXPECT_THROW((void)chk::Snapshotter::snapshot(sys, 0), StatusError);
-  EXPECT_THROW((void)chk::Snapshotter::snapshot(sys, chk::kFormatVersion + 1),
-               StatusError);
 }
 
 TEST(ChkRoundTrip, MaximallyFragmentedAddressSpaceRoundTrips) {
@@ -199,12 +165,6 @@ TEST(ChkRoundTrip, MaximallyFragmentedAddressSpaceRoundTrips) {
   EXPECT_EQ(twin->machine().system_pt().run_count(),
             sys.machine().system_pt().run_count());
   EXPECT_EQ(chk::Snapshotter::snapshot(*twin), blob);
-  // The legacy encoding agrees on the same machine even at maximal
-  // fragmentation (every run is a single page).
-  std::unique_ptr<core::System> legacy_twin =
-      chk::Snapshotter::restore(chk::Snapshotter::snapshot(sys, /*version=*/1));
-  EXPECT_EQ(chk::Snapshotter::state_digest(*legacy_twin),
-            chk::Snapshotter::state_digest(sys));
   rt.free(b);
 }
 
@@ -234,15 +194,75 @@ TEST(ChkValidation, RejectsCorruptTruncatedAndAlienBlobs) {
   alien[0] ^= 0xff;
   EXPECT_THROW((void)chk::Snapshotter::restore(alien), StatusError);
 
-  // Unsupported format version. The payload digest does not cover the
-  // header, so this exercises the version check itself (offset 8 is the
-  // version word, io.hpp).
-  for (const std::uint8_t v : {std::uint8_t{0},
+  // Unsupported format version, including the retired version 1. The
+  // payload digest does not cover the header, so this exercises the version
+  // check itself (offset 8 is the version word, io.hpp).
+  for (const std::uint8_t v : {std::uint8_t{0}, std::uint8_t{1},
                                std::uint8_t(chk::kFormatVersion + 1)}) {
     chk::Blob vers = blob;
     vers[8] = v;
     EXPECT_THROW((void)chk::Snapshotter::restore(vers), StatusError)
         << "version " << int{v};
+  }
+}
+
+/// Little-endian bytes of \p v.
+std::vector<std::uint8_t> le_bytes(std::uint64_t v) {
+  std::vector<std::uint8_t> out;
+  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  return out;
+}
+
+/// Offsets of every occurrence of the little-endian u64 pair (a, b).
+std::vector<std::size_t> find_u64_pair(const chk::Blob& blob, std::uint64_t a,
+                                       std::uint64_t b) {
+  std::vector<std::uint8_t> pat = le_bytes(a);
+  for (const std::uint8_t byte : le_bytes(b)) pat.push_back(byte);
+  std::vector<std::size_t> hits;
+  for (auto it = std::search(blob.begin(), blob.end(), pat.begin(), pat.end());
+       it != blob.end();
+       it = std::search(it + 1, blob.end(), pat.begin(), pat.end())) {
+    hits.push_back(static_cast<std::size_t>(it - blob.begin()));
+  }
+  return hits;
+}
+
+/// Overwrites the u64 at \p at and re-stamps the payload digest (header
+/// offset 12; the payload starts at 28), so the crafted blob passes
+/// verify() and only the loader's own bounds checks stand in its way.
+chk::Blob with_u64(chk::Blob blob, std::size_t at, std::uint64_t v) {
+  std::copy_n(le_bytes(v).begin(), 8, blob.begin() + at);
+  const std::uint64_t d =
+      sim::fnv1a(blob.data() + 28, blob.size() - 28, chk::kDigestSeed);
+  std::copy_n(le_bytes(d).begin(), 8, blob.begin() + 12);
+  return blob;
+}
+
+TEST(ChkValidation, ChecksumValidOversizedCountsAreRejected) {
+  // A record count or a VMA size far beyond the blob must be refused before
+  // anything is allocated for it, surfacing StatusError rather than
+  // std::length_error or std::bad_alloc.
+  core::SystemConfig cfg = chk_cfg();
+  cfg.event_log = false;
+  constexpr sim::Picos kMarker = 0x5eed'0000'1234'5678;
+  cfg.faults.link_degrade = {{.start = kMarker}};
+  core::System sys{cfg};
+  const core::Buffer b = sys.sys_malloc(1 << 20, "probe");
+  const chk::Blob blob = chk::Snapshotter::snapshot(sys);
+
+  // The link_degrade count (1) precedes the marked window; a VMA record
+  // starts with its base and size.
+  const std::vector<std::size_t> windows = find_u64_pair(blob, 1, kMarker);
+  const std::vector<std::size_t> vma = find_u64_pair(blob, b.va, b.bytes);
+  ASSERT_EQ(windows.size(), 1u);
+  ASSERT_EQ(vma.size(), 1u);
+  for (const std::size_t at : {windows[0], vma[0] + 8}) {
+    for (const std::uint64_t n : {std::uint64_t{1} << 40, std::uint64_t{1} << 61}) {
+      const chk::Blob crafted = with_u64(blob, at, n);
+      ASSERT_TRUE(chk::Snapshotter::verify(crafted));
+      EXPECT_THROW((void)chk::Snapshotter::restore(crafted), StatusError)
+          << "u64 " << n << " at byte " << at;
+    }
   }
 }
 
@@ -305,7 +325,9 @@ TEST(StatusStrings, EveryCodeHasADistinctName) {
     EXPECT_FALSE(name.empty());
     EXPECT_NE(name, "unknown");
     for (std::size_t j = 0; j < all.size(); ++j) {
-      if (i != j) EXPECT_NE(name, to_string(all[j]));
+      if (i != j) {
+        EXPECT_NE(name, to_string(all[j]));
+      }
     }
   }
   EXPECT_EQ(to_string(Status::kErrorGpuReset), "GPU channel reset");
@@ -372,28 +394,6 @@ TEST_F(ChkFuzz, EverySingleByteFlipIsRejected) {
           << pos;
     }
   }
-}
-
-TEST_F(ChkFuzz, LegacyVersionBlobCorruptionIsRejectedToo) {
-  // The version-1 compat loader gets the same treatment: strided flips and
-  // truncations of a legacy blob must always surface StatusError.
-  const chk::Blob legacy = chk::Snapshotter::snapshot(*sys_, /*version=*/1);
-  for (std::size_t pos = 0; pos < legacy.size(); pos += 157) {
-    chk::Blob flipped = legacy;
-    flipped[pos] ^= 0xff;
-    EXPECT_THROW((void)chk::Snapshotter::restore(flipped), StatusError)
-        << "flip at byte " << pos;
-  }
-  for (std::size_t len = 0; len < legacy.size();
-       len += (len < 64 ? 1 : 211)) {
-    chk::Blob t{legacy.begin(), legacy.begin() + static_cast<std::ptrdiff_t>(len)};
-    EXPECT_THROW((void)chk::Snapshotter::restore(t), StatusError)
-        << "truncated to " << len;
-  }
-  // Pristine, it restores bit-identically.
-  std::unique_ptr<core::System> twin = chk::Snapshotter::restore(legacy);
-  EXPECT_EQ(chk::Snapshotter::state_digest(*twin),
-            chk::Snapshotter::state_digest(*sys_));
 }
 
 TEST_F(ChkFuzz, FailedRestoreLeavesTheDonorIntact) {

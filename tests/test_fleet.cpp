@@ -453,29 +453,15 @@ TEST(FleetNet, DefaultModeChargesControlAndDataThroughFabric) {
             1u);
 }
 
-TEST(FleetNet, LegacyModeKeepsFlatCostAndNoFabric) {
-  auto f = small_fleet(1);
-  f.legacy_transfer_cost = true;
-  fleet::Controller ctl{f, catalog()};
-  EXPECT_EQ(ctl.fabric(), nullptr);
-  ASSERT_EQ(ctl.run({make_req(0, 0)}), Status::kSuccess);
-  EXPECT_EQ(ctl.jobs()[0].state, fleet::FleetJobState::kFinished);
-  EXPECT_EQ(ctl.jobs()[0].checksum, solo().checksum);
-}
-
 TEST(FleetNet, BothModesAreDeterministic) {
-  for (const bool legacy : {false, true}) {
-    auto f = small_fleet(2);
-    f.legacy_transfer_cost = legacy;
-    const std::vector<fleet::JobRequest> reqs = {
-        make_req(0, 0), make_req(1, sim::microseconds(5)),
-        make_req(2, sim::microseconds(9))};
-    fleet::Controller a{f, catalog()};
-    fleet::Controller b{f, catalog()};
-    (void)a.run(reqs);
-    (void)b.run(reqs);
-    EXPECT_EQ(a.digest(), b.digest()) << "legacy=" << legacy;
-  }
+  const std::vector<fleet::JobRequest> reqs = {
+      make_req(0, 0), make_req(1, sim::microseconds(5)),
+      make_req(2, sim::microseconds(9))};
+  fleet::Controller a{small_fleet(2), catalog()};
+  fleet::Controller b{small_fleet(2), catalog()};
+  (void)a.run(reqs);
+  (void)b.run(reqs);
+  EXPECT_EQ(a.digest(), b.digest());
 }
 
 TEST(FleetNet, ConstructorRejectsBadNetSpecAndFlapWindows) {
@@ -498,12 +484,6 @@ TEST(FleetNet, ConstructorRejectsBadNetSpecAndFlapWindows) {
   } catch (const StatusError& e) {
     EXPECT_EQ(e.status(), Status::kErrorInvalidValue);
   }
-
-  // The flap schedule is part of the fault config, not the fabric, so
-  // legacy mode rejects malformed windows too.
-  auto legacy_flap = bad_flap;
-  legacy_flap.legacy_transfer_cost = true;
-  EXPECT_THROW((fleet::Controller{legacy_flap, catalog()}), StatusError);
 }
 
 TEST(FleetNet, LinkFlapDelaysPlacementDelivery) {
@@ -531,17 +511,6 @@ TEST(FleetNet, LinkFlapDelaysPlacementDelivery) {
 // --- heartbeat failure detection (DESIGN.md Section 14) ----------------------
 
 TEST(FleetDetect, ConstructorRejectsMalformedHeartbeatConfigs) {
-  // Heartbeats are fabric messages; the flat legacy cost model has no
-  // fabric to charge them through.
-  auto legacy = small_fleet(1);
-  legacy.legacy_transfer_cost = true;
-  legacy.heartbeat.enabled = true;
-  try {
-    fleet::Controller ctl{legacy, catalog()};
-    FAIL() << "heartbeat without a fabric must throw";
-  } catch (const StatusError& e) {
-    EXPECT_EQ(e.status(), Status::kErrorInvalidValue);
-  }
   for (auto mutate : {+[](fleet::HeartbeatConfig& h) { h.interval = 0; },
                       +[](fleet::HeartbeatConfig& h) { h.miss_threshold = 0; },
                       +[](fleet::HeartbeatConfig& h) { h.heartbeat_bytes = 0; }}) {
@@ -610,7 +579,9 @@ TEST(FleetDetect, SuspectedAliveNodeRejoinsWithoutDoublePlacement) {
     EXPECT_EQ(j.checksum, solo().checksum);
     // A suspected-but-alive node keeps its work: a rejoin never re-places
     // a running job (placements grow only through a real loss replay).
-    if (!j.replayed_after_loss) EXPECT_EQ(j.placements, 1u);
+    if (!j.replayed_after_loss) {
+      EXPECT_EQ(j.placements, 1u);
+    }
   }
 }
 

@@ -329,7 +329,8 @@ struct EdgeModel {
     out += '\n';
     for (const auto& row : table()) {
       for (std::size_t c = 0; c < row.size(); ++c) {
-        out += (c == 0 ? "" : "\t") + std::to_string(row[c]);
+        if (c != 0) out += '\t';
+        out += std::to_string(row[c]);
       }
       out += '\n';
     }
@@ -348,7 +349,8 @@ struct EdgeModel {
       out += first ? "\n[" : ",\n[";
       first = false;
       for (std::size_t c = 0; c < row.size(); ++c) {
-        out += (c == 0 ? "" : ",") + std::to_string(row[c]);
+        if (c != 0) out += ',';
+        out += std::to_string(row[c]);
       }
       out += ']';
     }

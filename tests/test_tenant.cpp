@@ -62,7 +62,7 @@ tenant::JobSpec qvsim_spec(std::uint32_t qubits, std::uint64_t footprint) {
 
 TEST(TenantAdmission, RejectsFootprintOverBudget) {
   core::System sys{small_cfg()};
-  tenant::Scheduler sched{sys, {.footprint_budget = 8ull << 20}};
+  tenant::Scheduler sched{sys, {.footprint_budget = 8ull << 20, .recovery = {}}};
   tenant::TenantId id = tenant::kNoTenant;
   const Status s =
       sched.submit(hotspot_spec(apps::MemMode::kManaged, 16ull << 20), &id);
@@ -75,7 +75,7 @@ TEST(TenantAdmission, RejectsFootprintOverBudget) {
 
 TEST(TenantAdmission, RejectsWhenAggregateExceedsBudget) {
   core::System sys{small_cfg()};
-  tenant::Scheduler sched{sys, {.footprint_budget = 10ull << 20}};
+  tenant::Scheduler sched{sys, {.footprint_budget = 10ull << 20, .recovery = {}}};
   EXPECT_EQ(sched.submit(hotspot_spec(apps::MemMode::kManaged, 6ull << 20)),
             Status::kSuccess);
   EXPECT_EQ(sched.submit(hotspot_spec(apps::MemMode::kManaged, 6ull << 20)),
@@ -89,7 +89,9 @@ TEST(TenantAdmission, RejectsWhenAggregateExceedsBudget) {
 TEST(TenantAdmission, QueuesOverBudgetJobsUntilCapacityFrees) {
   core::System sys{small_cfg()};
   tenant::Scheduler sched{
-      sys, {.footprint_budget = 10ull << 20, .queue_over_budget = true}};
+      sys, {.footprint_budget = 10ull << 20,
+            .queue_over_budget = true,
+            .recovery = {}}};
   EXPECT_EQ(sched.submit(hotspot_spec(apps::MemMode::kManaged, 6ull << 20)),
             Status::kSuccess);
   EXPECT_EQ(sched.submit(hotspot_spec(apps::MemMode::kManaged, 6ull << 20)),
@@ -107,7 +109,7 @@ TEST(TenantAdmission, QueuesOverBudgetJobsUntilCapacityFrees) {
 
 TEST(TenantPolicy, FifoRunsJobsToCompletionInSubmissionOrder) {
   core::System sys{small_cfg()};
-  tenant::Scheduler sched{sys, {.policy = tenant::Policy::kFifo}};
+  tenant::Scheduler sched{sys, {.policy = tenant::Policy::kFifo, .recovery = {}}};
   (void)sched.submit(hotspot_spec(apps::MemMode::kManaged, 1ull << 20, 42));
   (void)sched.submit(hotspot_spec(apps::MemMode::kManaged, 1ull << 20, 43));
   sched.run_all();
@@ -116,7 +118,7 @@ TEST(TenantPolicy, FifoRunsJobsToCompletionInSubmissionOrder) {
 
 TEST(TenantPolicy, PriorityRunsMoreUrgentJobFirst) {
   core::System sys{small_cfg()};
-  tenant::Scheduler sched{sys, {.policy = tenant::Policy::kPriority}};
+  tenant::Scheduler sched{sys, {.policy = tenant::Policy::kPriority, .recovery = {}}};
   (void)sched.submit(
       hotspot_spec(apps::MemMode::kManaged, 1ull << 20, 42, /*priority=*/0));
   (void)sched.submit(
@@ -129,7 +131,7 @@ TEST(TenantPolicy, PriorityRunsMoreUrgentJobFirst) {
 
 TEST(TenantPolicy, RoundRobinInterleavesQuanta) {
   core::System sys{small_cfg()};
-  tenant::Scheduler sched{sys, {.policy = tenant::Policy::kRoundRobin}};
+  tenant::Scheduler sched{sys, {.policy = tenant::Policy::kRoundRobin, .recovery = {}}};
   (void)sched.submit(hotspot_spec(apps::MemMode::kManaged, 1ull << 20, 42));
   (void)sched.submit(hotspot_spec(apps::MemMode::kManaged, 1ull << 20, 43));
   sched.run_all();
@@ -142,7 +144,7 @@ TEST(TenantPolicy, RoundRobinInterleavesQuanta) {
 /// One full co-run; returns (end time, event digest) for replay checks.
 std::pair<sim::Picos, std::uint64_t> co_run(tenant::Policy policy) {
   core::System sys{small_cfg()};
-  tenant::Scheduler sched{sys, {.policy = policy}};
+  tenant::Scheduler sched{sys, {.policy = policy, .recovery = {}}};
   (void)sched.submit(hotspot_spec(apps::MemMode::kManaged, 1ull << 20, 42));
   (void)sched.submit(hotspot_spec(apps::MemMode::kSystem, 1ull << 20, 43));
   (void)sched.submit(qvsim_spec(/*qubits=*/14, 1ull << 20));
