@@ -602,6 +602,7 @@ void Snapshotter::load_state(core::System& sys, Reader& r,
 
   // [10] Machine epoch / tenant.
   m.epoch_ = r.u64();
+  m.drop_cursors();
   m.tenant_ = r.u32();
 
   // [11] Metrics registry: find-or-create by (name, labels) — the fresh

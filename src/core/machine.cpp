@@ -76,7 +76,7 @@ bool Machine::map_system_page(os::Vma& vma, std::uint64_t va, mem::Node node) {
                           node == mem::Node::kGpu ? delta : 0);
   attribution_.note_resident_delta(vma.tenant, node == mem::Node::kCpu ? delta : 0,
                                    node == mem::Node::kGpu ? delta : 0);
-  ++epoch_;
+  bump_epoch();
   return true;
 }
 
@@ -95,7 +95,7 @@ void Machine::unmap_system_page(os::Vma& vma, std::uint64_t va) {
                                    node == mem::Node::kGpu ? delta : 0);
   smmu_.invalidate(page_va);
   gmmu_.invalidate_system(page_va);
-  ++epoch_;
+  bump_epoch();
 }
 
 bool Machine::move_system_page(os::Vma& vma, std::uint64_t va, mem::Node to) {
@@ -117,7 +117,7 @@ bool Machine::move_system_page(os::Vma& vma, std::uint64_t va, mem::Node to) {
                                    to == mem::Node::kGpu ? delta : -delta);
   smmu_.invalidate(page_va);
   gmmu_.invalidate_system(page_va);
-  ++epoch_;
+  bump_epoch();
   return true;
 }
 
@@ -175,7 +175,7 @@ Machine::BulkMapResult Machine::map_system_range(os::Vma& vma, std::uint64_t va,
       break;
     }
   }
-  if (r.mapped > 0) ++epoch_;
+  if (r.mapped > 0) bump_epoch();
   return r;
 }
 
@@ -213,7 +213,7 @@ Machine::RangePages Machine::unmap_system_range(os::Vma& vma, std::uint64_t va,
     smmu_.invalidate_range(s.va, s.bytes);
     gmmu_.invalidate_system_range(s.va, s.bytes);
   }
-  ++epoch_;
+  bump_epoch();
   return out;
 }
 
@@ -281,7 +281,7 @@ Machine::BulkMoveResult Machine::move_system_range(os::Vma& vma, std::uint64_t v
       break;
     }
   }
-  if (r.moved > 0) ++epoch_;
+  if (r.moved > 0) bump_epoch();
   return r;
 }
 
@@ -302,7 +302,7 @@ bool Machine::map_gpu_block(os::Vma& vma, std::uint64_t block_va) {
   gpu_pt_.map(block_base, pagetable::Pte{.node = mem::Node::kGpu, .writable = true});
   as_.note_resident_delta(vma, 0, static_cast<std::int64_t>(bytes));
   attribution_.note_resident_delta(vma.tenant, 0, static_cast<std::int64_t>(bytes));
-  ++epoch_;
+  bump_epoch();
   return true;
 }
 
@@ -317,7 +317,7 @@ void Machine::unmap_gpu_block(os::Vma& vma, std::uint64_t block_va) {
   as_.note_resident_delta(vma, 0, -static_cast<std::int64_t>(bytes));
   attribution_.note_resident_delta(vma.tenant, 0, -static_cast<std::int64_t>(bytes));
   gmmu_.invalidate_gpu_table(block_base);
-  ++epoch_;
+  bump_epoch();
 }
 
 }  // namespace ghum::core

@@ -38,6 +38,19 @@ class Snapshotter;
 
 namespace ghum::core {
 
+/// The cacheline a runtime::Span last marked, [line_base, line_base +
+/// line_len), clamped to its page; line_len == 0 means none. Every live
+/// Span registers its cursor with its Machine, which zeroes line_len on
+/// each epoch bump — so a valid cursor always belongs to a view resolved
+/// at the current epoch, and the Span's per-access path never reads the
+/// epoch itself.
+struct LineCursor {
+  std::uint64_t line_base = 0;
+  std::uint64_t line_len = 0;
+  LineCursor* prev = nullptr;  ///< intrusive list of attached cursors
+  LineCursor* next = nullptr;
+};
+
 class Machine {
  public:
   explicit Machine(const SystemConfig& cfg)
@@ -119,6 +132,26 @@ class Machine {
   /// Bumped on every residency change; spans use it to invalidate their
   /// cached page resolutions when a migration lands mid-kernel.
   [[nodiscard]] std::uint64_t epoch() const noexcept { return epoch_; }
+
+  /// Advances the epoch and drops the line cursor of every attached Span,
+  /// so each one's next access re-checks its page view.
+  void bump_epoch() noexcept {
+    ++epoch_;
+    drop_cursors();
+  }
+
+  /// Registers / unregisters a Span's line cursor. A cursor stays attached
+  /// for its Span's whole lifetime, so a Span must not outlive its Machine.
+  void attach(LineCursor& c) noexcept {
+    c.prev = nullptr;
+    c.next = cursors_;
+    if (cursors_ != nullptr) cursors_->prev = &c;
+    cursors_ = &c;
+  }
+  void detach(LineCursor& c) noexcept {
+    (c.prev != nullptr ? c.prev->next : cursors_) = c.next;
+    if (c.next != nullptr) c.next->prev = c.prev;
+  }
 
   // --- multi-tenant attribution (DESIGN.md Section 8) ----------------------
   /// Tenant whose quantum is executing. Set by tenant::Scheduler (through
@@ -242,8 +275,13 @@ class Machine {
   obs::MemSysMetrics met_;
   fault::FaultInjector* fi_ = nullptr;
   std::uint64_t epoch_ = 0;
+  LineCursor* cursors_ = nullptr;
   tenant::TenantId tenant_ = tenant::kNoTenant;
   tenant::AttributionTable attribution_;
+
+  void drop_cursors() noexcept {
+    for (LineCursor* c = cursors_; c != nullptr; c = c->next) c->line_len = 0;
+  }
 
   friend class ghum::chk::Snapshotter;
 };

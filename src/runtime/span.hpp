@@ -1,7 +1,9 @@
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "core/system.hpp"
@@ -10,10 +12,13 @@
 /// Instrumented typed accessor: application kernels read and write real
 /// data through Span<T> while every access is charged to the simulated
 /// memory system. A per-span *page cursor* caches the System::resolve()
-/// result for the page currently being traversed, so the per-access fast
-/// path is a few compares plus a bitmap bit-set; page transitions (and any
-/// migration, detected via the machine epoch) re-resolve and flush the
-/// aggregated counts through System::commit().
+/// result for the page currently being traversed, and a *line cursor*
+/// remembers the cacheline last marked in that page. An access inside
+/// that line is already counted in the line bitmap, so the per-access fast
+/// path is one compare and one element-counter increment; entering another
+/// line marks the bitmap, and leaving the page (or any migration, pushed
+/// to the span as an epoch bump by core::Machine) re-resolves and flushes
+/// the aggregated counts through System::commit().
 ///
 /// The line bitmap counts *unique* cachelines touched per page visit,
 /// modeling L1/L2 coalescing: dense sweeps are charged their raw byte
@@ -22,7 +27,9 @@
 /// patterns.
 ///
 /// Spans must not outlive the kernel/phase they are used in: create them
-/// inside the launch body (they flush on destruction).
+/// inside the launch body (they flush on destruction). A span registers
+/// its line cursor with the System's machine for its whole lifetime, so it
+/// must never outlive that System.
 
 namespace ghum::runtime {
 
@@ -31,13 +38,22 @@ class Span {
  public:
   Span(core::System& sys, const core::Buffer& buf, mem::Node origin,
        std::uint64_t elem_offset = 0, std::uint64_t count = ~0ull)
-      : sys_(&sys),
-        origin_(origin),
-        va_(buf.va + elem_offset * sizeof(T)),
-        ptr_(reinterpret_cast<T*>(buf.host) + elem_offset),
-        batched_(sys.config().batched_access) {
-    const std::uint64_t avail = (buf.bytes / sizeof(T)) - elem_offset;
+      : sys_(&sys), origin_(origin), batched_(sys.config().batched_access) {
+    // Checked before any pointer arithmetic: an offset past the buffer
+    // would otherwise wrap the element count and let load/store run off
+    // the host image.
+    const std::uint64_t total = buf.bytes / sizeof(T);
+    if (elem_offset > total) {
+      throw std::out_of_range{"Span: element offset past the end of the buffer"};
+    }
+    const std::uint64_t avail = total - elem_offset;
+    if (count != ~0ull && count > avail) {
+      throw std::out_of_range{"Span: element range past the end of the buffer"};
+    }
+    va_ = buf.va + elem_offset * sizeof(T);
+    ptr_ = reinterpret_cast<T*>(buf.host) + elem_offset;
     n_ = count == ~0ull ? avail : count;
+    sys.machine().attach(cursor_);
   }
 
   Span(const Span&) = delete;
@@ -45,7 +61,10 @@ class Span {
   Span(Span&& o) = delete;
   Span& operator=(Span&&) = delete;
 
-  ~Span() { flush(); }
+  ~Span() {
+    flush();
+    sys_->machine().detach(cursor_);
+  }
 
   [[nodiscard]] std::size_t size() const noexcept { return n_; }
 
@@ -115,19 +134,25 @@ class Span {
 
   /// Pushes pending aggregated accesses into the memory model.
   void flush() {
-    if (pend_acc_ != 0) {
-      sys_->commit(view_, pend_r_, pend_w_, pend_lines_, pend_acc_);
-      pend_r_ = pend_w_ = pend_lines_ = pend_acc_ = 0;
-    }
+    commit_pending();
     // Invalidate so the next access re-resolves.
     view_.page_base = 1;
     view_.page_end = 0;
     view_.run_end = 0;
+    cursor_.line_len = 0;
   }
 
  private:
   void touch(std::size_t i, bool write) {
     const std::uint64_t addr = va_ + i * sizeof(T);
+    if (addr - cursor_.line_base >= cursor_.line_len) enter_line(addr);
+    ++(write ? pend_nw_ : pend_nr_);
+  }
+
+  /// Slow half of touch(): re-resolves when \p addr left the page view or
+  /// the epoch moved, then marks the line holding \p addr in the bitmap and
+  /// points the line cursor at it.
+  [[gnu::noinline]] void enter_line(std::uint64_t addr) {
     if (addr < view_.page_base || addr >= view_.page_end ||
         sys_->epoch() != view_.epoch) {
       reenter(addr);
@@ -139,15 +164,25 @@ class Span {
       word |= bit;
       ++pend_lines_;
     }
-    (write ? pend_w_ : pend_r_) += sizeof(T);
-    ++pend_acc_;
+    cursor_.line_base = view_.page_base + (line << line_shift_);
+    cursor_.line_len =
+        std::min<std::uint64_t>(view_.line_size, view_.page_end - cursor_.line_base);
+  }
+
+  /// Commits the pending element counts of the current page visit. Every
+  /// access moves sizeof(T) bytes, so element counts carry the byte and
+  /// access totals exactly.
+  void commit_pending() {
+    if ((pend_nr_ | pend_nw_) != 0) {
+      sys_->commit(view_, pend_nr_ * sizeof(T), pend_nw_ * sizeof(T), pend_lines_,
+                   pend_nr_ + pend_nw_);
+      pend_nr_ = pend_nw_ = pend_lines_ = 0;
+    }
   }
 
   void reenter(std::uint64_t addr) {
-    if (pend_acc_ != 0) {
-      sys_->commit(view_, pend_r_, pend_w_, pend_lines_, pend_acc_);
-      pend_r_ = pend_w_ = pend_lines_ = pend_acc_ = 0;
-    }
+    cursor_.line_len = 0;
+    commit_pending();
     if (!batched_ || !sys_->advance_view(view_, addr)) {
       view_ = sys_->resolve(addr, origin_);
     }
@@ -205,26 +240,25 @@ class Span {
         pend_lines_ += static_cast<std::uint64_t>(std::popcount(mask & ~word));
         word |= mask;
       }
-      (write ? pend_w_ : pend_r_) += fit * sizeof(T);
-      pend_acc_ += fit;
+      (write ? pend_nw_ : pend_nr_) += fit;
       k += fit;
     }
   }
 
   core::System* sys_;
   mem::Node origin_;
-  std::uint64_t va_;
-  T* ptr_;
+  std::uint64_t va_ = 0;
+  T* ptr_ = nullptr;
   bool batched_;
   std::size_t n_ = 0;
 
-  core::PageView view_{};  // starts invalid (page_base=1 > page_end=0)
+  core::LineCursor cursor_{};  // starts empty: the first access resolves
+  core::PageView view_{};      // starts invalid (page_base=1 > page_end=0)
   unsigned line_shift_ = 6;
   std::vector<std::uint64_t> bitmap_;
-  std::uint64_t pend_r_ = 0;
-  std::uint64_t pend_w_ = 0;
+  std::uint64_t pend_nr_ = 0;  ///< elements read in this page visit
+  std::uint64_t pend_nw_ = 0;  ///< elements written in this page visit
   std::uint64_t pend_lines_ = 0;
-  std::uint64_t pend_acc_ = 0;
 };
 
 }  // namespace ghum::runtime

@@ -1,0 +1,141 @@
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <sstream>
+#include <stdexcept>
+#include <string>
+#include <string_view>
+#include <vector>
+
+#include "benchsupport/scenarios.hpp"
+#include "runtime/runtime.hpp"
+
+// Golden pin of the paper's Figure 3 grid at Scale::kSmall: all six apps in
+// all three memory modes, each on a fresh machine with the event log on.
+// Every value below was recorded from the simulator and must repeat
+// exactly. The pin compares the Span accounting against fixed numbers, not
+// against another path that shares it: a change to how accesses are
+// counted (bytes, unique lines, page visits, commit boundaries) moves the
+// traffic sums, the simulated end time or the event digest of some cell.
+//
+// On a mismatch the test prints the whole table as it now reads, in the
+// source form of kGolden, so an intended model change can be re-pinned.
+
+namespace ghum {
+namespace {
+
+namespace bs = benchsupport;
+using apps::MemMode;
+
+constexpr std::uint32_t kQubits = 17;
+
+struct GoldenCell {
+  std::string_view app;
+  MemMode mode;
+  Status status;
+  std::uint64_t checksum;
+  sim::Picos sim_end;
+  std::uint64_t event_digest;
+  std::uint64_t l1l2_bytes;
+  std::uint64_t hbm_read_bytes;
+  std::uint64_t hbm_write_bytes;
+  std::uint64_t ddr_read_bytes;
+  std::uint64_t ddr_write_bytes;
+  std::uint64_t c2c_read_bytes;
+  std::uint64_t c2c_write_bytes;
+
+  bool operator==(const GoldenCell&) const = default;
+};
+
+// clang-format off
+const GoldenCell kGolden[] = {
+    {"bfs", MemMode::kExplicit, Status::kSuccess, 12217964842933167717ull, 9369062089, 4503240115883810250ull, 2572032, 1050924, 266916, 0, 573504, 0, 1152},
+    {"bfs", MemMode::kManaged, Status::kSuccess, 12217964842933167717ull, 8582585982, 2604988002389510576ull, 2572416, 1051003, 266931, 0, 573504, 0, 1152},
+    {"bfs", MemMode::kSystem, Status::kSuccess, 12217964842933167717ull, 8177205836, 6009213859632593364ull, 2572032, 0, 0, 0, 573504, 2011529, 560503},
+    {"hotspot", MemMode::kExplicit, Status::kSuccess, 12958572477492417851ull, 8649088181, 3443486873322110978ull, 2942976, 2949120, 589824, 0, 294912, 0, 0},
+    {"hotspot", MemMode::kManaged, Status::kSuccess, 12958572477492417851ull, 8474052436, 2606594530994716465ull, 2943104, 2949140, 589824, 0, 294912, 0, 0},
+    {"hotspot", MemMode::kSystem, Status::kSuccess, 12958572477492417851ull, 8247426212, 16682024602005855539ull, 2942976, 1179648, 294912, 0, 294912, 1471488, 294912},
+    {"needle", MemMode::kExplicit, Status::kSuccess, 6097986680353855866ull, 8584655936, 12561875167469663805ull, 2850816, 671744, 262144, 0, 530240, 0, 0},
+    {"needle", MemMode::kManaged, Status::kSuccess, 6097986680353855866ull, 8478456255, 9177998688339302166ull, 2850944, 671768, 262144, 0, 530240, 0, 0},
+    {"needle", MemMode::kSystem, Status::kSuccess, 6097986680353855866ull, 8185008328, 4050460565642959007ull, 2850816, 0, 0, 0, 530240, 2080768, 770048},
+    {"pathfinder", MemMode::kExplicit, Status::kSuccess, 3858522577108079789ull, 8871257684, 2450228278593344085ull, 774144, 516348, 258048, 0, 262144, 0, 0},
+    {"pathfinder", MemMode::kManaged, Status::kSuccess, 3858522577108079789ull, 8630844067, 11620258191627559426ull, 774400, 516396, 258048, 0, 262144, 0, 0},
+    {"pathfinder", MemMode::kSystem, Status::kSuccess, 3858522577108079789ull, 8475685640, 1236514120563084188ull, 774400, 254200, 258048, 0, 262144, 262400, 0},
+    {"srad", MemMode::kExplicit, Status::kSuccess, 14704995987399598453ull, 9285806219, 2580729710380628057ull, 9819648, 7983360, 3686400, 0, 102400, 0, 768},
+    {"srad", MemMode::kManaged, Status::kSuccess, 14704995987399598453ull, 8435225645, 12418840124373156324ull, 9820544, 7983436, 3686512, 0, 102400, 0, 768},
+    {"srad", MemMode::kSystem, Status::kSuccess, 14704995987399598453ull, 8185573508, 3403946435869820040ull, 9821440, 4296960, 3072224, 0, 102400, 2757888, 307968},
+    {"qvsim", MemMode::kExplicit, Status::kSuccess, 3615917497988629376ull, 8433433521, 1996141497096844707ull, 50331648, 33554432, 35651584, 0, 0, 0, 0},
+    {"qvsim", MemMode::kManaged, Status::kSuccess, 3615917497988629376ull, 8140539474, 14346224160605429349ull, 50331648, 33554432, 35651584, 0, 0, 0, 0},
+    {"qvsim", MemMode::kSystem, Status::kSuccess, 3615917497988629376ull, 8253674016, 17599169863616282969ull, 50331648, 33554432, 35651584, 0, 0, 0, 0},
+};
+// clang-format on
+
+GoldenCell run_cell(std::string_view app, MemMode mode) {
+  const bool qv = app == "qvsim";
+  core::SystemConfig cfg = qv ? bs::qv_config(pagetable::kSystemPage64K, false)
+                              : bs::rodinia_config(pagetable::kSystemPage64K, false);
+  cfg.event_log = true;
+  core::System sys{cfg};
+  runtime::Runtime rt{sys};
+  const bs::GuardedResult r = bs::guarded_run([&] {
+    if (qv) return apps::run_qvsim(rt, mode, bs::qv_sim_config(bs::Scale::kSmall, kQubits));
+    for (const bs::NamedApp& a : bs::rodinia_apps()) {
+      if (a.name == app) return a.run(rt, mode, bs::Scale::kSmall);
+    }
+    throw std::invalid_argument{"unknown app"};
+  });
+  const cache::KernelTraffic t = sys.workload().total("");
+  return GoldenCell{app,
+                    mode,
+                    r.status,
+                    r.report.checksum,
+                    sys.now(),
+                    sys.events().digest(sys.now()),
+                    t.l1l2_bytes,
+                    t.hbm_read_bytes,
+                    t.hbm_write_bytes,
+                    t.ddr_read_bytes,
+                    t.ddr_write_bytes,
+                    t.c2c_read_bytes,
+                    t.c2c_write_bytes};
+}
+
+std::string source_row(const GoldenCell& c) {
+  static const char* const kModeNames[] = {"kExplicit", "kManaged", "kSystem"};
+  std::ostringstream o;
+  o << "    {\"" << c.app << "\", MemMode::" << kModeNames[static_cast<int>(c.mode)]
+    << ", "
+    << (c.status == Status::kSuccess
+            ? std::string{"Status::kSuccess"}
+            : "static_cast<Status>(" + std::to_string(static_cast<int>(c.status)) + ")")
+    << ", "
+    << c.checksum << "ull, " << c.sim_end << ", " << c.event_digest << "ull, "
+    << c.l1l2_bytes << ", " << c.hbm_read_bytes << ", " << c.hbm_write_bytes << ", "
+    << c.ddr_read_bytes << ", " << c.ddr_write_bytes << ", " << c.c2c_read_bytes << ", "
+    << c.c2c_write_bytes << "},\n";
+  return o.str();
+}
+
+TEST(GoldenGrid, SmallScaleGridMatchesPinnedValues) {
+  const std::string_view kApps[] = {"bfs", "hotspot", "needle", "pathfinder", "srad", "qvsim"};
+  const MemMode kModes[] = {MemMode::kExplicit, MemMode::kManaged, MemMode::kSystem};
+  std::vector<GoldenCell> actual;
+  for (const std::string_view app : kApps) {
+    for (const MemMode mode : kModes) actual.push_back(run_cell(app, mode));
+  }
+  const std::vector<GoldenCell> pinned(std::begin(kGolden), std::end(kGolden));
+  ASSERT_EQ(actual.size(), pinned.size());
+  for (std::size_t i = 0; i < actual.size(); ++i) {
+    EXPECT_TRUE(actual[i] == pinned[i])
+        << "cell " << pinned[i].app << "/" << apps::to_string(pinned[i].mode)
+        << " now reads\n" << source_row(actual[i]);
+  }
+  if (actual != pinned) {
+    std::string table;
+    for (const GoldenCell& c : actual) table += source_row(c);
+    ADD_FAILURE() << "current table:\n" << table;
+  }
+}
+
+}  // namespace
+}  // namespace ghum

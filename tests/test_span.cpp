@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 #include <vector>
 
+#include "fault/status.hpp"
 #include "runtime/runtime.hpp"
 #include "runtime/span.hpp"
 #include "sim/rng.hpp"
@@ -297,6 +299,148 @@ TEST_F(SpanTest, FlushIsIdempotent) {
   }
   const auto& rec = sys.host_phase_end();
   EXPECT_EQ(rec.traffic.ddr_write_bytes, 2u * 64u);  // two page visits, 1 line each
+}
+
+TEST_F(SpanTest, ConstructionRejectsRangesPastTheBuffer) {
+  core::Buffer b = rt.malloc_system(1 << 12);  // 1024 elements of 4 bytes
+  EXPECT_THROW((void)rt.host_span<std::uint32_t>(b, 1025), std::out_of_range);
+  EXPECT_THROW((void)rt.host_span<std::uint32_t>(b, 1000, 25), std::out_of_range);
+  EXPECT_THROW((void)rt.device_span<std::uint32_t>(b, 0, 1025), std::out_of_range);
+  EXPECT_THROW((void)rt.host_span<std::uint32_t>(b, ~0ull, 2), std::out_of_range);
+  EXPECT_EQ(rt.host_span<std::uint32_t>(b, 1024).size(), 0u);  // empty tail
+  EXPECT_EQ(rt.host_span<std::uint32_t>(b, 1000, 24).size(), 24u);
+  // A rejected span left nothing registered: the first-touch faults below
+  // bump the epoch, which walks every attached cursor.
+  sys.host_phase_begin("after");
+  {
+    auto s = rt.host_span<std::uint32_t>(b);
+    for (std::size_t i = 0; i < s.size(); ++i) s.store(i, 1);
+  }
+  const auto& rec = sys.host_phase_end();
+  EXPECT_EQ(rec.traffic.ddr_write_bytes, std::uint64_t{1} << 12);
+}
+
+// --- line cursor invalidation across spans ------------------------------------
+// Each case parks span A mid-line, lets something else move pages (and so
+// bump the epoch), then touches the *same line* through A again. A must
+// start a new page visit — re-resolve and charge the line again — exactly
+// as if it polled the epoch on every access.
+
+TEST_F(SpanTest, OtherSpansGpuFaultInvalidatesMidLineCursor) {
+  core::Buffer b = rt.malloc_managed(4 << 20);  // two 2 MiB GPU blocks
+  const std::size_t block1 = (2 << 20) / sizeof(float);
+  (void)rt.launch("warmup", 0, [] {});
+  const auto rec = rt.launch("k", 0, [&] {
+    auto a = rt.device_span<float>(b);
+    auto c = rt.device_span<float>(b);
+    (void)a.load(0);  // faults block 0 in; A's cursor holds line 0
+    const std::uint64_t before = sys.epoch();
+    (void)c.load(block1);  // faults block 1 in
+    EXPECT_NE(sys.epoch(), before);
+    (void)a.load(1);  // line 0 again: must re-resolve
+  });
+  // Per element: A made two page visits of one 128-byte line, C one.
+  EXPECT_EQ(rec.traffic.l1l2_bytes, 3u * 128u);
+  EXPECT_EQ(rec.traffic.gpu_accesses, 3u);
+  EXPECT_EQ(rec.traffic.managed_faults, 2u);
+}
+
+TEST(SpanCursor, AccessCounterMigrationInvalidatesMidLineCursor) {
+  core::SystemConfig cfg = span_config();
+  cfg.system_page_size = pagetable::kSystemPage64K;
+  cfg.access_counter_migration = true;
+  cfg.access_counter_threshold = 16;
+  cfg.counter_min_interval = 0;
+  core::System sys{cfg};
+  runtime::Runtime rt{sys};
+  core::Buffer b = rt.malloc_system(256 << 10);  // four 64 KiB pages
+  (void)rt.host_phase("init", 0, [&] {
+    auto s = rt.host_span<float>(b);
+    for (std::size_t i = 0; i < s.size(); ++i) s.store(i, 1.0f);
+  });
+  (void)rt.launch("warmup", 0, [] {});
+  const std::size_t page1 = (64 << 10) / sizeof(float);
+  const auto rec = rt.launch("k", 0, [&] {
+    auto a = rt.device_span<float>(b);
+    auto c = rt.device_span<float>(b);
+    (void)a.load(0);  // remote read of CPU-resident page 0
+    // 32 distinct 128-byte lines of page 1: committing them crosses the
+    // counter threshold, and the driver moves the region to the GPU.
+    for (std::size_t i = 0; i < 32; ++i) (void)c.load(page1 + i * 32);
+    const std::uint64_t before = sys.epoch();
+    c.flush();
+    EXPECT_NE(sys.epoch(), before);
+    (void)a.load(1);  // line 0 again: now GPU-resident
+  });
+  EXPECT_EQ(sys.access_counters().notifications(), 1u);
+  // A's first visit and C's 32 lines went over C2C; A's second visit found
+  // page 0 in HBM.
+  EXPECT_EQ(rec.traffic.c2c_read_bytes, 33u * 128u);
+  EXPECT_EQ(rec.traffic.hbm_read_bytes, 32u);  // one 32-byte sector
+  EXPECT_EQ(rec.traffic.l1l2_bytes, 34u * 128u);
+}
+
+TEST_F(SpanTest, OwnFlushCollapsingAReplicaInvalidatesOtherCursors) {
+  core::Buffer b = rt.malloc_managed(2 << 20);
+  rt.mem_advise(b, core::System::MemAdvice::kReadMostly);
+  (void)rt.host_phase("init", 0, [&] {
+    auto s = rt.host_span<float>(b);
+    for (std::size_t i = 0; i < s.size(); ++i) s.store(i, 3.0f);
+  });
+  (void)rt.launch("warmup", 0, [] {});
+  const auto rec = rt.launch("k", 0, [&] {
+    auto t = rt.device_span<float>(b);
+    auto w = rt.device_span<float>(b);
+    (void)t.load(0);  // read-duplicates the block; T's cursor holds line 0
+    ASSERT_EQ(sys.managed_engine().replica_count(), 1u);
+    (void)w.load(0);
+    w.store(1, 4.0f);
+    const std::uint64_t before = sys.epoch();
+    w.flush();  // W's own commit writes the replica and collapses it
+    EXPECT_NE(sys.epoch(), before);
+    EXPECT_EQ(sys.managed_engine().replica_count(), 0u);
+    EXPECT_EQ(t.load(1), 4.0f);  // line 0 again: must re-resolve
+    (void)w.load(2);             // W re-resolves after its flush too
+  });
+  // T: two visits of one line; W: two visits of one line.
+  EXPECT_EQ(rec.traffic.l1l2_bytes, 4u * 128u);
+  EXPECT_EQ(rec.traffic.gpu_accesses, 5u);
+}
+
+TEST(SpanCursor, GpuResetUnwindingALaunchLeavesNoCursorAttached) {
+  core::SystemConfig cfg = span_config();
+  cfg.faults.enabled = true;
+  cfg.faults.gpu_resets = {{.time = sim::seconds(1)}};
+  core::System sys{cfg};
+  runtime::Runtime rt{sys};
+  core::Buffer managed = rt.malloc_managed(4 << 20);
+  core::Buffer host = rt.malloc_system(64 << 10);
+  (void)rt.host_phase("init", 0, [&] {
+    auto s = rt.host_span<float>(host);
+    for (std::size_t i = 0; i < s.size(); ++i) s.store(i, 1.0f);
+  });
+  const std::size_t block1 = (2 << 20) / sizeof(float);
+  auto crash = [&] {
+    auto a = rt.device_span<float>(managed);
+    auto h = rt.device_span<float>(host);
+    a.store(0, 2.0f);
+    (void)h.load(0);
+    sys.advance(sim::seconds(1));
+    a.store(block1, 2.0f);  // resolve() services the due reset and throws
+  };
+  EXPECT_THROW((void)rt.launch("crash", 0, crash), StatusError);
+  EXPECT_EQ(rt.get_last_error(), Status::kErrorGpuReset);
+  sys.abort_phase();  // what the recovery ladder does after a crash
+  // Further residency changes on the same System walk the cursor list.
+  const std::uint64_t before = sys.epoch();
+  rt.mem_prefetch(host, 0, host.bytes, mem::Node::kGpu);
+  EXPECT_NE(sys.epoch(), before);
+  const auto rec = rt.launch("after", 0, [&] {
+    auto h = rt.device_span<float>(host);
+    for (std::size_t i = 0; i < h.size(); ++i) (void)h.load(i);
+  });
+  EXPECT_EQ(rec.traffic.hbm_read_bytes, std::uint64_t{64} << 10);
+  EXPECT_EQ(rec.traffic.c2c_read_bytes, 0u);
 }
 
 }  // namespace
