@@ -353,8 +353,9 @@ std::vector<std::string> recovery_corun(bs::Scale scale) {
   scfg.recovery.checkpoint_period_quanta = 4;
   scfg.recovery.verify_checkpoints = true;
   tenant::Scheduler sched{sys, scfg};
-  (void)sched.submit(spec(42));
-  (void)sched.submit(spec(43));
+  tenant::TenantId ids[2] = {tenant::kNoTenant, tenant::kNoTenant};
+  (void)sched.submit(spec(42), &ids[0]);
+  (void)sched.submit(spec(43), &ids[1]);
   sched.run_all();
   sys.link_monitor().stop();
 
@@ -364,23 +365,40 @@ std::vector<std::string> recovery_corun(bs::Scale scale) {
   if (ts.gpu_resets == 0 || ts.job_restarts == 0) {
     failures.emplace_back("recovery co-run produced no reset/restart events");
   }
-  // Instruments without an event-log mirror still must agree with the
-  // scheduler's own accounting.
+  // Instruments without an event-log mirror still must agree with a source
+  // that does not share their increment: the event log, or the
+  // scheduler's per-job records.
   obs::MetricsRegistry& reg = sys.machine().obs();
   check_eq(failures, "recovery.restarts(stats)",
            sys.stats().get("recovery.restarts"), ts.job_restarts);
-  check_eq(failures, "chk_checkpoints",
+  // A checkpoint follows every checkpoint_period_quanta-th quantum the
+  // scheduler ran, and each job records the quanta it consumed.
+  std::uint64_t quanta = 0;
+  for (const tenant::TenantId id : ids) quanta += sched.job(id).quanta;
+  check_eq(failures, "chk_checkpoints(job quanta)",
            reg.counter("ghum_chk_checkpoints_total").value(),
-           sys.stats().get("recovery.checkpoints"));
+           quanta / scfg.recovery.checkpoint_period_quanta);
   check_eq(failures, "chk_snapshot_bytes.count",
            reg.histogram("ghum_chk_snapshot_bytes").count(),
            reg.counter("ghum_chk_checkpoints_total").value());
   if (reg.counter("ghum_recovery_replayed_picos_total").value() == 0) {
     failures.emplace_back("restart happened but replayed-picos counter is zero");
   }
-  check_eq(failures, "recovery.watchdog_trips",
-           reg.counter("ghum_recovery_watchdog_trips_total").value(),
-           sys.stats().get("recovery.watchdog_trips"));
+  // A watchdog trip fails the quantum with kErrorTimeout: the job either
+  // restarts (a kJobRestart event whose aux carries the cause) or ends
+  // with that status.
+  std::uint64_t timeouts = 0;
+  for (const sim::Event& e : sys.events().events()) {
+    if (e.type == sim::EventType::kJobRestart &&
+        (e.aux & 0xffu) == static_cast<std::uint32_t>(Status::kErrorTimeout)) {
+      ++timeouts;
+    }
+  }
+  for (const tenant::TenantId id : ids) {
+    if (sched.job(id).status == Status::kErrorTimeout) ++timeouts;
+  }
+  check_eq(failures, "recovery.watchdog_trips(restart causes)",
+           sys.stats().get("recovery.watchdog_trips"), timeouts);
   return failures;
 }
 

@@ -28,10 +28,12 @@ namespace ghum::chk {
 inline constexpr std::uint64_t kMagic = 0x004b'4843'4d55'4847ull;  // "GHUMCHK\0"
 
 /// The one blob format written and read: page tables as extents
-/// (first_vpn, pages, pte), a has-data flag before each VMA's bytes, and
-/// materialize_backing after the config's name field. Version 1 (per-page
-/// page tables) is no longer read; restore() rejects every other version.
-inline constexpr std::uint32_t kFormatVersion = 2;
+/// (first_vpn, pages, pte), a has-data flag before each VMA's bytes,
+/// materialize_backing after the config's name field, and every event
+/// counter in the metrics-registry section only (no string-keyed stats
+/// section, no engine tallies). Versions 1 and 2 are no longer read;
+/// restore() rejects every other version.
+inline constexpr std::uint32_t kFormatVersion = 3;
 
 /// Starting value of the payload digest (sim::fnv1a's \p h). It is one
 /// decimal digit short of the FNV offset basis, and every blob and

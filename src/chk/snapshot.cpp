@@ -16,23 +16,22 @@
 ///   1. SystemConfig (incl. CostModel and FaultConfig — the blob is
 ///      self-describing; restore rebuilds the System from it)
 ///   2. Clock
-///   3. StatsRegistry
-///   4. EventLog (full event stream; per-type totals are recomputed)
-///   5. FrameAllocators (GPU then CPU)
-///   6. NvlinkC2C (degrade factors + traffic counters)
-///   7. PageTables (system then GPU; extents in VPN order)
-///   8. TLBs (SMMU cpu/ats, GMMU gpu/sys; LRU order front-to-back)
-///   9. AddressSpace (VMAs with their real backing bytes, each prefixed by
+///   3. EventLog (full event stream; per-type totals are recomputed)
+///   4. FrameAllocators (GPU then CPU)
+///   5. NvlinkC2C (degrade factors + traffic counters)
+///   6. PageTables (system then GPU; extents in VPN order)
+///   7. TLBs (SMMU cpu/ats, GMMU gpu/sys; LRU order front-to-back)
+///   8. AddressSpace (VMAs with their real backing bytes, each prefixed by
 ///      a has-data flag so non-materialized VMAs carry no byte image)
-///  10. Machine epoch / current tenant
-///  11. MetricsRegistry (slots in exposition order)
-///  12. AttributionTable
-///  13. System execution state (context, kernel seq, freed bases)
-///  14. PageFaultHandler
-///  15. MigrationEngine
-///  16. AccessCounterEngine
-///  17. ManagedEngine (LRU front-to-back, per-VMA driver state)
-///  18. FaultInjector (RNG words + schedule cursors)
+///   9. Machine epoch / current tenant
+///  10. MetricsRegistry (slots in exposition order) — every event counter
+///      of the machine and its engines lives here, so no later section
+///      repeats a tally
+///  11. AttributionTable
+///  12. System execution state (context, kernel seq, freed bases)
+///  13. AccessCounterEngine
+///  14. ManagedEngine (LRU front-to-back, per-VMA driver state)
+///  15. FaultInjector (RNG words + schedule cursors)
 
 namespace ghum::chk {
 
@@ -222,14 +221,7 @@ void Snapshotter::save_state(core::System& sys, Writer& w) {
   // [2] Clock.
   w.i64(m.clock_.now_);
 
-  // [3] Stats (std::map: already in sorted order).
-  w.u64(m.stats_.counters_.size());
-  for (const auto& [name, v] : m.stats_.counters_) {
-    w.str(name);
-    w.u64(v);
-  }
-
-  // [4] EventLog.
+  // [3] EventLog.
   const sim::EventLog& el = m.events_;
   w.boolean(el.enabled_);
   w.u32(el.tenant_);
@@ -246,7 +238,7 @@ void Snapshotter::save_state(core::System& sys, Writer& w) {
     w.u32(e.span);
   }
 
-  // [5] Frame allocators.
+  // [4] Frame allocators.
   const auto save_fa = [&w](const mem::FrameAllocator& fa) {
     w.u64(fa.capacity_);
     w.u64(fa.used_);
@@ -258,14 +250,14 @@ void Snapshotter::save_state(core::System& sys, Writer& w) {
   save_fa(m.gpu_fa_);
   save_fa(m.cpu_fa_);
 
-  // [6] NVLink-C2C.
+  // [5] NVLink-C2C.
   w.f64(m.c2c_.bw_factor_);
   w.f64(m.c2c_.lat_factor_);
   w.u64(m.c2c_.bytes_[0]);
   w.u64(m.c2c_.bytes_[1]);
   w.u64(m.c2c_.atomics_);
 
-  // [7] Page tables, as their extent representation (runs are already
+  // [6] Page tables, as their extent representation (runs are already
   // ordered and canonical — maximal, attribute-equal).
   const auto save_pt = [&w](const pagetable::PageTable& pt) {
     w.u64(pt.runs_.size());
@@ -280,7 +272,7 @@ void Snapshotter::save_state(core::System& sys, Writer& w) {
   save_pt(m.system_pt_);
   save_pt(m.gpu_pt_);
 
-  // [8] TLBs (LRU front-to-back = most to least recent).
+  // [7] TLBs (LRU front-to-back = most to least recent).
   const auto save_tlb = [&w](const pagetable::Tlb& tlb) {
     w.u64(tlb.hits_);
     w.u64(tlb.misses_);
@@ -295,7 +287,7 @@ void Snapshotter::save_state(core::System& sys, Writer& w) {
   save_tlb(m.gmmu_.utlb_gpu());
   save_tlb(m.gmmu_.utlb_sys());
 
-  // [9] Address space, including every VMA's real backing bytes.
+  // [8] Address space, including every VMA's real backing bytes.
   const os::AddressSpace& as = m.as_;
   w.u64(as.next_va_);
   w.u64(as.rss_);
@@ -323,11 +315,11 @@ void Snapshotter::save_state(core::System& sys, Writer& w) {
     }
   }
 
-  // [10] Machine epoch / tenant.
+  // [9] Machine epoch / tenant.
   w.u64(m.epoch_);
   w.u32(m.tenant_);
 
-  // [11] Metrics registry (slots_ map iterates in exposition order).
+  // [10] Metrics registry (slots_ map iterates in exposition order).
   const obs::MetricsRegistry& reg = m.obs_;
   w.u64(reg.slots_.size());
   for (const auto& [key, slot] : reg.slots_) {
@@ -357,7 +349,7 @@ void Snapshotter::save_state(core::System& sys, Writer& w) {
     }
   }
 
-  // [12] Attribution.
+  // [11] Attribution.
   const tenant::AttributionTable& at = m.attribution_;
   w.u64(at.usage_.size());
   for (const tenant::TenantUsage& u : at.usage_) {
@@ -384,7 +376,7 @@ void Snapshotter::save_state(core::System& sys, Writer& w) {
   w.u64(at.cross_tenant_evictions_);
   w.u64(at.cross_tenant_evicted_bytes_);
 
-  // [13] System execution state. in_kernel_/in_phase_ are rejected by
+  // [12] System execution state. in_kernel_/in_phase_ are rejected by
   // snapshot(), so phase-local fields need no section.
   w.boolean(sys.ctx_init_);
   w.i64(sys.ctx_charged_);
@@ -395,15 +387,7 @@ void Snapshotter::save_state(core::System& sys, Writer& w) {
   w.u64(freed.size());
   for (std::uint64_t b : freed) w.u64(b);
 
-  // [14] Page-fault handler.
-  w.u64(sys.pf_.fault_count_[0]);
-  w.u64(sys.pf_.fault_count_[1]);
-
-  // [15] Migration engine.
-  w.u64(sys.mig_.h2d_bytes_);
-  w.u64(sys.mig_.d2h_bytes_);
-
-  // [16] Access-counter engine.
+  // [13] Access-counter engine.
   const driver::AccessCounterEngine& ac = sys.ac_;
   const auto save_counts =
       [&w](const std::unordered_map<std::uint64_t, std::uint64_t>& counts) {
@@ -419,11 +403,10 @@ void Snapshotter::save_state(core::System& sys, Writer& w) {
   w.i64(ac.next_notification_allowed_);
   w.u64(ac.current_kernel_);
   w.u32(ac.fired_this_kernel_);
-  w.u64(ac.notifications_);
   w.u64(ac.h2d_);
   w.u64(ac.d2h_);
 
-  // [17] Managed engine. The LRU is written front (MRU) to back with each
+  // [14] Managed engine. The LRU is written front (MRU) to back with each
   // block's info so restore rebuilds list and map in one pass.
   const driver::ManagedEngine& me = sys.managed_;
   w.u64(me.lru_.size());
@@ -447,11 +430,8 @@ void Snapshotter::save_state(core::System& sys, Writer& w) {
   for (std::uint64_t b : me.prefetch_protected_) w.u64(b);
   w.u64(me.replicas_.size());
   for (std::uint64_t b : me.replicas_) w.u64(b);
-  w.u64(me.evictions_);
-  w.u64(me.gpu_faults_);
-  w.u64(me.cpu_faults_);
 
-  // [18] Fault injector. Schedules are rebuilt from the config; only the
+  // [15] Fault injector. Schedules are rebuilt from the config; only the
   // RNG words and consumption cursors travel.
   const fault::FaultInjector& fi = sys.fi_;
   for (std::uint64_t s : fi.rng_.s_) w.u64(s);
@@ -460,7 +440,6 @@ void Snapshotter::save_state(core::System& sys, Writer& w) {
   w.i64(fi.active_window_);
   w.u64(fi.next_ecc_);
   w.u64(fi.next_reset_);
-  w.u64(fi.denials_);
 }
 
 void Snapshotter::load_state(core::System& sys, Reader& r,
@@ -472,14 +451,7 @@ void Snapshotter::load_state(core::System& sys, Reader& r,
   // everything they would have done.
   m.clock_.now_ = r.i64();
 
-  // [3] Stats.
-  m.stats_.counters_.clear();
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    std::string name = r.str();
-    m.stats_.counters_[std::move(name)] = r.u64();
-  }
-
-  // [4] EventLog (per-type totals recomputed from the stream).
+  // [3] EventLog (per-type totals recomputed from the stream).
   sim::EventLog& el = m.events_;
   el.enabled_ = r.boolean();
   el.tenant_ = r.u32();
@@ -503,7 +475,7 @@ void Snapshotter::load_state(core::System& sys, Reader& r,
     el.events_.push_back(e);
   }
 
-  // [5] Frame allocators.
+  // [4] Frame allocators.
   const auto load_fa = [&r](mem::FrameAllocator& fa) {
     fa.capacity_ = r.u64();
     fa.used_ = r.u64();
@@ -515,14 +487,14 @@ void Snapshotter::load_state(core::System& sys, Reader& r,
   load_fa(m.gpu_fa_);
   load_fa(m.cpu_fa_);
 
-  // [6] NVLink-C2C.
+  // [5] NVLink-C2C.
   m.c2c_.bw_factor_ = r.f64();
   m.c2c_.lat_factor_ = r.f64();
   m.c2c_.bytes_[0] = r.u64();
   m.c2c_.bytes_[1] = r.u64();
   m.c2c_.atomics_ = r.u64();
 
-  // [7] Page tables: each saved extent goes back in through insert_run.
+  // [6] Page tables: each saved extent goes back in through insert_run.
   const auto load_pt = [&r](pagetable::PageTable& pt) {
     pt.clear();
     for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
@@ -538,7 +510,7 @@ void Snapshotter::load_state(core::System& sys, Reader& r,
   load_pt(m.system_pt_);
   load_pt(m.gpu_pt_);
 
-  // [8] TLBs. hits_/misses_ are set directly — the bound registry counters
+  // [7] TLBs. hits_/misses_ are set directly — the bound registry counters
   // are restored with the registry section, so going through the public
   // interface would double count.
   const auto load_tlb = [&r](pagetable::Tlb& tlb) {
@@ -558,7 +530,7 @@ void Snapshotter::load_state(core::System& sys, Reader& r,
   load_tlb(m.gmmu_.utlb_gpu());
   load_tlb(m.gmmu_.utlb_sys());
 
-  // [9] Address space. A matching donor VMA hands over its backing array
+  // [8] Address space. A matching donor VMA hands over its backing array
   // (host pointers held by live app coroutines stay valid); the blob's
   // byte image is then copied in unconditionally, so the contents reflect
   // the checkpoint even when the donor ran past it.
@@ -600,12 +572,12 @@ void Snapshotter::load_state(core::System& sys, Reader& r,
     as.vmas_.emplace(base, std::move(v));
   }
 
-  // [10] Machine epoch / tenant.
+  // [9] Machine epoch / tenant.
   m.epoch_ = r.u64();
   m.drop_cursors();
   m.tenant_ = r.u32();
 
-  // [11] Metrics registry: find-or-create by (name, labels) — the fresh
+  // [10] Metrics registry: find-or-create by (name, labels) — the fresh
   // Machine constructor already registered the memsys families, this
   // overwrites their values and creates anything beyond them.
   obs::MetricsRegistry& reg = m.obs_;
@@ -636,7 +608,7 @@ void Snapshotter::load_state(core::System& sys, Reader& r,
     }
   }
 
-  // [12] Attribution.
+  // [11] Attribution.
   tenant::AttributionTable& at = m.attribution_;
   at.usage_.assign(r.count(12 * 8), {});  // twelve 8-byte fields
   for (tenant::TenantUsage& u : at.usage_) {
@@ -665,7 +637,7 @@ void Snapshotter::load_state(core::System& sys, Reader& r,
   at.cross_tenant_evictions_ = r.u64();
   at.cross_tenant_evicted_bytes_ = r.u64();
 
-  // [13] System execution state.
+  // [12] System execution state.
   sys.ctx_init_ = r.boolean();
   sys.ctx_charged_ = r.i64();
   sys.in_kernel_ = false;
@@ -676,15 +648,7 @@ void Snapshotter::load_state(core::System& sys, Reader& r,
     sys.freed_bases_.insert(r.u64());
   }
 
-  // [14] Page-fault handler.
-  sys.pf_.fault_count_[0] = r.u64();
-  sys.pf_.fault_count_[1] = r.u64();
-
-  // [15] Migration engine.
-  sys.mig_.h2d_bytes_ = r.u64();
-  sys.mig_.d2h_bytes_ = r.u64();
-
-  // [16] Access-counter engine.
+  // [13] Access-counter engine.
   driver::AccessCounterEngine& ac = sys.ac_;
   const auto load_counts =
       [&r](std::unordered_map<std::uint64_t, std::uint64_t>& counts) {
@@ -699,11 +663,10 @@ void Snapshotter::load_state(core::System& sys, Reader& r,
   ac.next_notification_allowed_ = r.i64();
   ac.current_kernel_ = r.u64();
   ac.fired_this_kernel_ = r.u32();
-  ac.notifications_ = r.u64();
   ac.h2d_ = r.u64();
   ac.d2h_ = r.u64();
 
-  // [17] Managed engine.
+  // [14] Managed engine.
   driver::ManagedEngine& me = sys.managed_;
   me.lru_.clear();
   me.blocks_.clear();
@@ -731,11 +694,8 @@ void Snapshotter::load_state(core::System& sys, Reader& r,
   for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
     me.replicas_.insert(r.u64());
   }
-  me.evictions_ = r.u64();
-  me.gpu_faults_ = r.u64();
-  me.cpu_faults_ = r.u64();
 
-  // [18] Fault injector. With a donor, the ECC/reset cursors never rewind
+  // [15] Fault injector. With a donor, the ECC/reset cursors never rewind
   // below the donor's: a scheduled fault the crashed attempt already
   // consumed must not fire again on the replay, or recovery would crash
   // deterministically forever.
@@ -746,13 +706,12 @@ void Snapshotter::load_state(core::System& sys, Reader& r,
   fi.active_window_ = static_cast<std::ptrdiff_t>(r.i64());
   fi.next_ecc_ = r.u64();
   fi.next_reset_ = r.u64();
-  fi.denials_ = r.u64();
   if (donor != nullptr) {
     fi.next_ecc_ = std::max(fi.next_ecc_, donor->fi_.next_ecc_);
     fi.next_reset_ = std::max(fi.next_reset_, donor->fi_.next_reset_);
   }
 
-  // [19] Link monitor. Its window series is observation-only and restarts
+  // [16] Link monitor. Its window series is observation-only and restarts
   // empty, but the monitor was started at construction (time 0, zero byte
   // baselines) and the clock/C2C totals were restored without an advance:
   // realign it so the first post-restore window opens at the cut instead

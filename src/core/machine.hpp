@@ -13,7 +13,6 @@
 #include "pagetable/smmu.hpp"
 #include "sim/clock.hpp"
 #include "sim/event_log.hpp"
-#include "sim/stats.hpp"
 #include "tenant/attribution.hpp"
 
 /// \file machine.hpp
@@ -90,7 +89,6 @@ class Machine {
   [[nodiscard]] const SystemConfig& config() const noexcept { return cfg_; }
   [[nodiscard]] sim::Clock& clock() noexcept { return clock_; }
   [[nodiscard]] const sim::Clock& clock() const noexcept { return clock_; }
-  [[nodiscard]] sim::StatsRegistry& stats() noexcept { return stats_; }
   [[nodiscard]] sim::EventLog& events() noexcept { return events_; }
   [[nodiscard]] mem::MemoryDevice& hbm() noexcept { return hbm_; }
   [[nodiscard]] mem::MemoryDevice& ddr() noexcept { return ddr_; }
@@ -102,7 +100,6 @@ class Machine {
   }
   [[nodiscard]] interconnect::NvlinkC2C& c2c() noexcept { return c2c_; }
   [[nodiscard]] const interconnect::NvlinkC2C& c2c() const noexcept { return c2c_; }
-  [[nodiscard]] const sim::StatsRegistry& stats() const noexcept { return stats_; }
   [[nodiscard]] pagetable::PageTable& system_pt() noexcept { return system_pt_; }
   [[nodiscard]] pagetable::PageTable& gpu_pt() noexcept { return gpu_pt_; }
   [[nodiscard]] pagetable::Smmu& smmu() noexcept { return smmu_; }
@@ -116,6 +113,10 @@ class Machine {
   [[nodiscard]] const obs::MetricsRegistry& obs() const noexcept { return obs_; }
   /// Cached hot-path instrument handles (bound once at construction).
   [[nodiscard]] obs::MemSysMetrics& metrics() noexcept { return met_; }
+  /// Read-only dotted-name view of the registry's counters
+  /// (stats().get("os.fault.cpu_first_touch")); counting goes through
+  /// metrics(), never through this view.
+  [[nodiscard]] obs::StatsView stats() const noexcept { return obs::StatsView{obs_}; }
 
   /// Refreshes the registry's sampled gauges (frame occupancy, RSS/VRAM,
   /// link byte totals, per-tenant attribution families) from the live
@@ -259,7 +260,6 @@ class Machine {
  private:
   SystemConfig cfg_;
   sim::Clock clock_;
-  sim::StatsRegistry stats_;
   sim::EventLog events_;
   mem::MemoryDevice hbm_;
   mem::MemoryDevice ddr_;

@@ -96,8 +96,8 @@ Status System::gpu_malloc_status(std::uint64_t bytes, Buffer& out,
         m_.unmap_gpu_block(vma, b);
       }
       m_.address_space().destroy(vma.base);
-      m_.stats().add("runtime.oom.gpu_malloc");
       m_.metrics().oom_events->inc();
+      m_.metrics().oom_gpu_malloc->inc();
       if (m_.events().enabled()) {
         m_.events().record(sim::Event{.time = m_.clock().now(),
                                       .type = sim::EventType::kOutOfMemory,
@@ -209,7 +209,6 @@ void System::handle_gpu_reset(const fault::GpuResetEvent& /*e*/) {
   // and the ATS-side uTLBs).
   m_.gmmu().flush_tlbs();
   m_.clock().advance(m_.config().costs.gpu_reset);
-  m_.stats().add("fault.gpu_resets");
   m_.metrics().gpu_resets->inc();
   if (m_.events().enabled()) {
     m_.events().record(sim::Event{.time = m_.clock().now(),
@@ -238,14 +237,12 @@ void System::handle_ecc(const fault::EccEvent& e) {
     }
   }
   m_.clock().advance(m_.config().costs.ecc_retire);
-  m_.stats().add("fault.ecc_events");
-  m_.stats().add("fault.ecc_retired_bytes", retired);
   m_.metrics().ecc_retirements->inc();
   m_.metrics().ecc_retired_bytes->inc(retired);
   if (retired < want) {
     // Everything left is pinned GPU-only data; the remainder of the page
     // retirement is deferred (real driver: pending retirement).
-    m_.stats().add("fault.ecc_unretired_bytes", want - retired);
+    m_.metrics().ecc_unretired_bytes->inc(want - retired);
   }
   if (m_.events().enabled()) {
     m_.events().record(sim::Event{.time = m_.clock().now(),
@@ -259,7 +256,7 @@ void System::handle_ecc(const fault::EccEvent& e) {
   // restart can cure, so the escalation is terminal.
   const std::uint64_t budget = m_.config().faults.ecc_retirement_budget;
   if (budget != 0 && gpu_fa.retired_bytes() > budget) {
-    m_.stats().add("fault.ecc_storms");
+    m_.metrics().ecc_storms->inc();
     throw StatusError{Status::kErrorUnrecoverable,
                       "ECC storm: frame-retirement budget exceeded"};
   }
@@ -293,7 +290,7 @@ void System::mem_advise(const Buffer& buf, MemAdvice advice) {
       managed_.collapse_all_replicas(*vma);
       break;
   }
-  m_.stats().add("runtime.mem_advise");
+  m_.metrics().mem_advise_calls->inc();
 }
 
 void System::prefetch(const Buffer& buf, std::uint64_t offset, std::uint64_t len,
@@ -333,7 +330,7 @@ void System::memcpy_buffers_async(const Buffer& dst, std::uint64_t dst_off,
                                   std::uint64_t bytes, runtime::Stream& stream) {
   const sim::Picos t = memcpy_cost_and_copy(dst, dst_off, src, src_off, bytes);
   stream.enqueue(m_.clock().now(), t);
-  m_.stats().add("runtime.memcpy_async");
+  m_.metrics().memcpy_async_calls->inc();
 }
 
 void System::stream_synchronize(runtime::Stream& stream) {
@@ -392,7 +389,7 @@ sim::Picos System::memcpy_cost_and_copy(const Buffer& dst, std::uint64_t dst_off
     }
     t += link;
   }
-  m_.stats().add("runtime.memcpy_bytes", bytes);
+  m_.metrics().memcpy_bytes->inc(bytes);
   return t;
 }
 
@@ -410,7 +407,7 @@ void System::ensure_gpu_context() {
                                   .bytes = 0,
                                   .aux = 0});
   }
-  m_.stats().add("runtime.context_init");
+  m_.metrics().context_inits->inc();
 }
 
 void System::kernel_begin(std::string name) {
@@ -484,7 +481,7 @@ std::uint64_t System::scrub_tenant(tenant::TenantId t) {
     Buffer b = make_buffer(*vma);
     (void)free_buffer(b);
   }
-  if (scrubbed > 0) m_.stats().add("recovery.scrubbed_bytes", scrubbed);
+  m_.metrics().scrubbed_bytes->inc(scrubbed);
   return scrubbed;
 }
 
@@ -534,7 +531,7 @@ void System::charge_dependent_access(const PageView& view) {
           ? m_.device(view.node).latency()
           : 2 * m_.c2c().latency() + m_.device(view.node).latency();
   m_.clock().advance(t);
-  m_.stats().add("mem.dependent_accesses");
+  m_.metrics().dependent_accesses->inc();
 }
 
 std::string System::summary() const {
@@ -554,7 +551,7 @@ std::string System::summary() const {
              (1 << 20)
       << " MiB\n";
   for (const auto& [name, value] : m_.stats().snapshot()) {
-    out << "  " << name << ": " << value << '\n';
+    if (value != 0) out << "  " << name << ": " << value << '\n';
   }
   return out.str();
 }
@@ -584,7 +581,7 @@ void System::maybe_numa_hint_fault(std::uint64_t page_va, mem::Node origin) {
   const auto& costs = cfg.costs;
   m_.clock().advance(origin == mem::Node::kCpu ? costs.cpu_minor_fault
                                                : costs.gpu_replayable_fault);
-  m_.stats().add("os.numa_hint_faults");
+  m_.metrics().numa_hint_faults->inc();
   if (m_.events().enabled()) {
     m_.events().record(sim::Event{.time = m_.clock().now(),
                                   .type = sim::EventType::kNumaHintFault,

@@ -75,7 +75,9 @@ class System {
   [[nodiscard]] Machine& machine() noexcept { return m_; }
   [[nodiscard]] const SystemConfig& config() const noexcept { return m_.config(); }
   [[nodiscard]] sim::Clock& clock() noexcept { return m_.clock(); }
-  [[nodiscard]] sim::StatsRegistry& stats() noexcept { return m_.stats(); }
+  /// Dotted-name counter reads (stats().get("runtime.memcpy_bytes")): a
+  /// read-only view of the machine's obs::MetricsRegistry.
+  [[nodiscard]] obs::StatsView stats() const noexcept { return m_.stats(); }
   [[nodiscard]] sim::EventLog& events() noexcept { return m_.events(); }
   [[nodiscard]] profile::WorkloadAnalysis& workload() noexcept { return workload_; }
   [[nodiscard]] profile::MemoryProfiler& profiler() noexcept { return profiler_; }

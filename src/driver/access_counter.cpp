@@ -46,13 +46,11 @@ void AccessCounterEngine::note(os::Vma& vma, std::uint64_t va,
   // are being migrated" of paper Section 5.2. The notification is a causal
   // root: the region migration below inherits its span.
   sim::SpanScope span{m_->events()};
-  ++notifications_;
   m_->metrics().counter_notifications->inc();
   count = 0;
   next_notification_allowed_ = m_->clock().now() + cfg.counter_min_interval;
   m_->clock().advance(cfg.costs.counter_notification +
                       cfg.costs.inflight_migration_stall);
-  m_->stats().add("driver.counter.notifications");
   if (m_->events().enabled()) {
     m_->events().record(sim::Event{.time = m_->clock().now(),
                                    .type = sim::EventType::kCounterNotification,

@@ -46,7 +46,10 @@ class AccessCounterEngine {
   /// relative to GPU traffic. We model it with the same threshold.
   void note_cpu_access(os::Vma& vma, std::uint64_t va, std::uint64_t events);
 
-  [[nodiscard]] std::uint64_t notifications() const noexcept { return notifications_; }
+  /// Notifications fired (a read of ghum_counter_notifications_total).
+  [[nodiscard]] std::uint64_t notifications() const noexcept {
+    return m_->metrics().counter_notifications->value();
+  }
   [[nodiscard]] std::uint64_t migrated_h2d_bytes() const noexcept { return h2d_; }
   [[nodiscard]] std::uint64_t migrated_d2h_bytes() const noexcept { return d2h_; }
 
@@ -66,7 +69,6 @@ class AccessCounterEngine {
   sim::Picos next_notification_allowed_ = 0;  ///< global work-queue limit
   std::uint64_t current_kernel_ = ~0ull;      ///< per-kernel batch limiter
   std::uint32_t fired_this_kernel_ = 0;
-  std::uint64_t notifications_ = 0;
   std::uint64_t h2d_ = 0;
   std::uint64_t d2h_ = 0;
 

@@ -53,7 +53,6 @@ ManagedResolution ManagedEngine::gpu_fault(os::Vma& vma, std::uint64_t va,
   // The replayable fault is a causal root: migrations, evictions and
   // retries triggered while servicing it inherit its span.
   sim::SpanScope span{m_->events()};
-  ++gpu_faults_;
   m_->metrics().gpu_fault_requests->inc();
   // Observe the full service latency on every exit path.
   struct LatencyProbe {
@@ -64,7 +63,6 @@ ManagedResolution ManagedEngine::gpu_fault(os::Vma& vma, std::uint64_t va,
       h->observe(static_cast<std::uint64_t>(m->clock().now() - start));
     }
   } probe{m_, m_->metrics().fault_latency_gpu_managed, m_->clock().now()};
-  m_->stats().add("driver.managed.gpu_faults");
   m_->attribution().note_fault(vma.tenant, /*gpu_origin=*/true);
   const std::uint64_t block_base = m_->gpu_pt().page_base(va);
   VmaState& vs = vma_state_[vma.base];
@@ -77,8 +75,8 @@ ManagedResolution ManagedEngine::gpu_fault(os::Vma& vma, std::uint64_t va,
     if (m_->system_pt().lookup(va) == nullptr) {
       fault::FaultInjector::ScopedSuppress guard{m_->fault_injector()};
       if (!m_->map_system_page(vma, va, mem::Node::kCpu)) {
-        m_->stats().add("os.fault.oom");
         m_->metrics().oom_events->inc();
+        m_->metrics().oom_page_fault->inc();
         if (m_->events().enabled()) {
           m_->events().record(sim::Event{.time = m_->clock().now(),
                                          .type = sim::EventType::kOutOfMemory,
@@ -136,7 +134,6 @@ ManagedResolution ManagedEngine::gpu_fault(os::Vma& vma, std::uint64_t va,
 
 mem::Node ManagedEngine::cpu_fault(os::Vma& vma, std::uint64_t va) {
   sim::SpanScope span{m_->events()};
-  ++cpu_faults_;
   m_->metrics().cpu_fault_requests->inc();
   m_->attribution().note_fault(vma.tenant, /*gpu_origin=*/false);
   const std::uint64_t block_base = m_->gpu_pt().page_base(va);
@@ -201,8 +198,8 @@ bool ManagedEngine::make_replica(os::Vma& vma, std::uint64_t block_base) {
   m_->clock().advance(dt);
   register_block(vma, block_base);
   replicas_.insert(block_base);
-  m_->stats().add("driver.managed.replicas_created");
   auto& met = m_->metrics();
+  met.replicas_created->inc();
   met.migrations_h2d->inc();
   met.migrated_bytes_h2d->inc(bytes);
   met.migration_batch_bytes_h2d->observe(bytes);
@@ -222,7 +219,7 @@ void ManagedEngine::collapse_replica(os::Vma& vma, std::uint64_t block_base) {
   m_->unmap_gpu_block(vma, block_base);
   forget_block(block_base);
   m_->clock().advance(m_->config().costs.unmap_per_page);
-  m_->stats().add("driver.managed.replicas_collapsed");
+  m_->metrics().replicas_collapsed->inc();
 }
 
 void ManagedEngine::collapse_all_replicas(os::Vma& vma) {
@@ -309,7 +306,6 @@ void ManagedEngine::prefetch(os::Vma& vma, std::uint64_t base, std::uint64_t len
                                    .bytes = moved,
                                    .aux = dst == mem::Node::kGpu ? 1u : 0u});
   }
-  m_->stats().add("driver.managed.prefetch_bytes", moved);
 }
 
 bool ManagedEngine::remote_mode(const os::Vma& vma) const {
@@ -344,7 +340,6 @@ bool ManagedEngine::ensure_gpu_room(std::uint64_t bytes, std::uint64_t keep_bloc
       // the next-least-recently-used block.
       ++skipped;
       lru_.splice(lru_.begin(), lru_, std::prev(lru_.end()));
-      m_->stats().add("driver.managed.eviction_blocked");
       m_->metrics().evictions_blocked->inc();
       continue;
     }
@@ -357,7 +352,7 @@ void ManagedEngine::enter_remote_mode(os::Vma& vma) {
   VmaState& vs = vma_state_[vma.base];
   if (vs.remote_mode) return;
   vs.remote_mode = true;
-  m_->stats().add("driver.managed.remote_mode_entered");
+  m_->metrics().remote_mode_entries->inc();
   // Pin-to-sysmem: write back whatever is still GPU-resident so the whole
   // range is served over NVLink-C2C from now on. Replicas just drop (the
   // CPU copy is authoritative).
@@ -411,8 +406,6 @@ bool ManagedEngine::block_to_cpu(os::Vma& vma, std::uint64_t block_base,
   m_->clock().advance(dt);
   auto& met = m_->metrics();
   if (is_eviction) {
-    ++evictions_;
-    m_->stats().add("driver.managed.evictions");
     met.evictions->inc();
     met.evicted_bytes->inc(bytes);
     met.eviction_batch_bytes->observe(bytes);
@@ -515,7 +508,7 @@ bool ManagedEngine::block_to_gpu(os::Vma& vma, std::uint64_t block_base,
                                      .aux = 0});
     }
   }
-  m_->stats().add("driver.managed.h2d_bytes", moved_bytes);
+  met.managed_h2d_bytes->inc(moved_bytes);
   if (moved_bytes > 0) {
     m_->attribution().note_migration(vma.tenant, /*h2d=*/true, moved_bytes);
   }

@@ -89,9 +89,16 @@ class ManagedEngine {
   /// cudaMemPrefetchAsync-style explicit migration of [base, base+len).
   void prefetch(os::Vma& vma, std::uint64_t base, std::uint64_t len, mem::Node dst);
 
-  [[nodiscard]] std::uint64_t evictions() const noexcept { return evictions_; }
-  [[nodiscard]] std::uint64_t gpu_faults() const noexcept { return gpu_faults_; }
-  [[nodiscard]] std::uint64_t cpu_faults() const noexcept { return cpu_faults_; }
+  // Reads of the machine's counters.
+  [[nodiscard]] std::uint64_t evictions() const noexcept {
+    return m_->metrics().evictions->value();
+  }
+  [[nodiscard]] std::uint64_t gpu_faults() const noexcept {
+    return m_->metrics().gpu_fault_requests->value();
+  }
+  [[nodiscard]] std::uint64_t cpu_faults() const noexcept {
+    return m_->metrics().cpu_fault_requests->value();
+  }
   [[nodiscard]] std::size_t resident_blocks() const noexcept { return blocks_.size(); }
 
   /// True when \p vma is operating in remote-map mode (thrash guard hit).
@@ -163,10 +170,6 @@ class ManagedEngine {
   /// GPU read replicas of read-mostly blocks (the system page table keeps
   /// the authoritative CPU copy while these exist).
   std::set<std::uint64_t> replicas_;
-
-  std::uint64_t evictions_ = 0;
-  std::uint64_t gpu_faults_ = 0;
-  std::uint64_t cpu_faults_ = 0;
 
   friend class ghum::chk::Snapshotter;
 };

@@ -21,7 +21,6 @@ bool MigrationEngine::batch_with_retry(std::uint64_t va) {
     if (attempt == fcfg.migration_max_retries) break;
     m_->clock().advance(backoff);
     backoff *= 2;
-    m_->stats().add("fault.migration_retries", 1);
     m_->metrics().migration_retries->inc();
     auto& events = m_->events();
     if (events.enabled()) {
@@ -32,7 +31,6 @@ bool MigrationEngine::batch_with_retry(std::uint64_t va) {
                                .aux = attempt + 1});
     }
   }
-  m_->stats().add("fault.migration_aborts", 1);
   m_->metrics().migration_aborts->inc();
   m_->metrics().migration_retry_depth->observe(
       static_cast<std::uint64_t>(fcfg.migration_max_retries) + 1);
@@ -99,15 +97,16 @@ std::uint64_t MigrationEngine::migrate_system_range(os::Vma& vma, std::uint64_t 
   const sim::Picos dt =
       copy_time(dir, moved) + costs.migrate_per_page * static_cast<sim::Picos>(pages);
   m_->clock().advance(dt);
-  (to == mem::Node::kGpu ? h2d_bytes_ : d2h_bytes_) += moved;
   m_->attribution().note_migration(vma.tenant, to == mem::Node::kGpu, moved);
   auto& met = m_->metrics();
   if (to == mem::Node::kGpu) {
+    met.system_migrated_bytes_h2d->inc(moved);
     met.migrations_h2d->inc();
     met.migrated_bytes_h2d->inc(moved);
     met.migration_batch_bytes_h2d->observe(moved);
     met.migration_latency_h2d->observe(static_cast<std::uint64_t>(dt));
   } else {
+    met.system_migrated_bytes_d2h->inc(moved);
     met.migrations_d2h->inc();
     met.migrated_bytes_d2h->inc(moved);
     met.migration_batch_bytes_d2h->observe(moved);
@@ -124,9 +123,6 @@ std::uint64_t MigrationEngine::migrate_system_range(os::Vma& vma, std::uint64_t 
                              .bytes = moved,
                              .aux = 0});
   }
-  m_->stats().add(to == mem::Node::kGpu ? "driver.migrate.h2d_bytes"
-                                        : "driver.migrate.d2h_bytes",
-                  moved);
   return moved;
 }
 

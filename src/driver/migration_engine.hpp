@@ -10,10 +10,6 @@
 /// bookkeeping (application bytes live in one host buffer); what this
 /// engine produces is simulated time and C2C traffic.
 
-namespace ghum::chk {
-class Snapshotter;
-}  // namespace ghum::chk
-
 namespace ghum::driver {
 
 class MigrationEngine {
@@ -39,9 +35,6 @@ class MigrationEngine {
   std::uint64_t migrate_system_range_to_cpu(os::Vma& vma, std::uint64_t base,
                                             std::uint64_t len, std::uint64_t max_bytes);
 
-  [[nodiscard]] std::uint64_t bytes_migrated_h2d() const noexcept { return h2d_bytes_; }
-  [[nodiscard]] std::uint64_t bytes_migrated_d2h() const noexcept { return d2h_bytes_; }
-
   /// Fault-injection gate for one migration batch. Without an injector this
   /// is free and always succeeds. With one, each attempt may be failed by
   /// the injector (copy-engine/channel error); failed attempts charge an
@@ -56,10 +49,6 @@ class MigrationEngine {
                                      mem::Node to);
 
   core::Machine* m_;
-  std::uint64_t h2d_bytes_ = 0;
-  std::uint64_t d2h_bytes_ = 0;
-
-  friend class ghum::chk::Snapshotter;
 };
 
 }  // namespace ghum::driver

@@ -26,8 +26,6 @@ bool FaultInjector::deny_frame_alloc(mem::Node node) {
     return false;
   }
   if (rng_.next_double() >= cfg_.frame_alloc_denial_prob) return false;
-  ++denials_;
-  m_->stats().add("fault.alloc_denials");
   m_->metrics().alloc_denials->inc();
   if (m_->events().enabled()) {
     m_->events().record(sim::Event{.time = m_->clock().now(),
@@ -67,14 +65,13 @@ void FaultInjector::on_time_advance(sim::Picos now) {
   while (next_window_ < windows_.size() &&
          now >= windows_[next_window_].start + windows_[next_window_].duration) {
     ++next_window_;
-    m_->stats().add("fault.link_windows_skipped");
+    m_->metrics().link_windows_skipped->inc();
   }
   if (next_window_ < windows_.size() && now >= windows_[next_window_].start) {
     const LinkDegradeWindow& w = windows_[next_window_];
     c2c.set_degrade(std::max(1.0, w.bandwidth_factor),
                     std::max(1.0, w.latency_factor));
     active_window_ = static_cast<std::ptrdiff_t>(next_window_++);
-    m_->stats().add("fault.link_degrade_windows");
     m_->metrics().link_degrade_begins->inc();
     if (m_->events().enabled()) {
       m_->events().record(sim::Event{.time = now,

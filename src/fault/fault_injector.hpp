@@ -98,7 +98,10 @@ class FaultInjector {
   }
 
   // --- lifetime counters -----------------------------------------------------
-  [[nodiscard]] std::uint64_t denials() const noexcept { return denials_; }
+  /// Frame allocations denied (a read of ghum_alloc_denials_total).
+  [[nodiscard]] std::uint64_t denials() const noexcept {
+    return m_->metrics().alloc_denials->value();
+  }
 
  private:
   core::Machine* m_;
@@ -115,8 +118,6 @@ class FaultInjector {
 
   std::vector<GpuResetEvent> resets_;  ///< sorted by time
   std::size_t next_reset_ = 0;
-
-  std::uint64_t denials_ = 0;
 
   friend class ghum::chk::Snapshotter;
 };

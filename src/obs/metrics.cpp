@@ -97,6 +97,25 @@ Histogram& MetricsRegistry::histogram(std::string_view name,
   return histograms_[slot(name, labels, Kind::kHistogram).index];
 }
 
+std::uint64_t MetricsRegistry::counter_sum(std::string_view name,
+                                           const Label* label) const {
+  const std::string prefix = std::string{name} + '{';
+  std::uint64_t sum = 0;
+  for (auto it = slots_.lower_bound(prefix);
+       it != slots_.end() && it->first.starts_with(prefix); ++it) {
+    const Slot& s = it->second;
+    if (s.kind != Kind::kCounter) continue;
+    if (label != nullptr &&
+        std::none_of(s.labels.begin(), s.labels.end(), [&](const Label& l) {
+          return l.key == label->key && l.value == label->value;
+        })) {
+      continue;
+    }
+    sum += counters_[s.index].value();
+  }
+  return sum;
+}
+
 void MetricsRegistry::merge_from(const MetricsRegistry& src,
                                  const std::vector<Label>& extra) {
   for (const auto& [key, s] : src.slots_) {
@@ -226,33 +245,102 @@ std::string MetricsRegistry::to_json() const {
   return out.str();
 }
 
+namespace {
+
+/// One counter of a machine registry. A row with a handle is bound by
+/// bind_memsys_metrics; a row without one names a counter its owning
+/// module registers (tenant::RecoveryManager) and is listed for its alias
+/// only. An empty label key over a labelled family aliases the family sum.
+struct CounterRow {
+  Counter* MemSysMetrics::*handle;
+  std::string_view name;
+  std::string_view label_key;
+  std::string_view label_value;
+  std::string_view alias;  ///< StatsView name; empty: none
+};
+
+// clang-format off
+constexpr CounterRow kCounterRows[] = {
+    // Faults.
+    {&MemSysMetrics::faults_cpu_first_touch, "ghum_faults_total", "type", "cpu_first_touch", "os.fault.cpu_first_touch"},
+    {&MemSysMetrics::faults_gpu_first_touch, "ghum_faults_total", "type", "gpu_first_touch", "os.fault.gpu_first_touch"},
+    {&MemSysMetrics::faults_gpu_managed, "ghum_faults_total", "type", "gpu_managed", ""},
+    {&MemSysMetrics::gpu_fault_requests, "ghum_managed_fault_requests_total", "origin", "gpu", "driver.managed.gpu_faults"},
+    {&MemSysMetrics::cpu_fault_requests, "ghum_managed_fault_requests_total", "origin", "cpu", ""},
+    {&MemSysMetrics::fallback_placements, "ghum_fallback_placements_total", "", "", "os.fault.fallback"},
+    {&MemSysMetrics::oom_events, "ghum_oom_events_total", "", "", ""},
+    {&MemSysMetrics::oom_page_fault, "ghum_oom_causes_total", "cause", "page_fault", "os.fault.oom"},
+    {&MemSysMetrics::oom_gpu_malloc, "ghum_oom_causes_total", "cause", "gpu_malloc", "runtime.oom.gpu_malloc"},
+    {&MemSysMetrics::numa_hint_faults, "ghum_numa_hint_faults_total", "", "", "os.numa_hint_faults"},
+    // Migrations.
+    {&MemSysMetrics::migrations_h2d, "ghum_migrations_total", "dir", "h2d", ""},
+    {&MemSysMetrics::migrations_d2h, "ghum_migrations_total", "dir", "d2h", ""},
+    {&MemSysMetrics::migrated_bytes_h2d, "ghum_migrated_bytes_total", "dir", "h2d", ""},
+    {&MemSysMetrics::migrated_bytes_d2h, "ghum_migrated_bytes_total", "dir", "d2h", ""},
+    {&MemSysMetrics::system_migrated_bytes_h2d, "ghum_system_migrated_bytes_total", "dir", "h2d", "driver.migrate.h2d_bytes"},
+    {&MemSysMetrics::system_migrated_bytes_d2h, "ghum_system_migrated_bytes_total", "dir", "d2h", "driver.migrate.d2h_bytes"},
+    {&MemSysMetrics::managed_h2d_bytes, "ghum_managed_h2d_bytes_total", "", "", "driver.managed.h2d_bytes"},
+    // Eviction pressure and managed-driver policies.
+    {&MemSysMetrics::evictions, "ghum_evictions_total", "", "", "driver.managed.evictions"},
+    {&MemSysMetrics::evicted_bytes, "ghum_evicted_bytes_total", "", "", ""},
+    {&MemSysMetrics::evictions_blocked, "ghum_evictions_blocked_total", "", "", "driver.managed.eviction_blocked"},
+    {&MemSysMetrics::cross_tenant_evictions, "ghum_cross_tenant_evictions_total", "", "", ""},
+    {&MemSysMetrics::remote_mode_entries, "ghum_remote_mode_entries_total", "", "", "driver.managed.remote_mode_entered"},
+    {&MemSysMetrics::replicas_created, "ghum_read_replicas_total", "event", "created", "driver.managed.replicas_created"},
+    {&MemSysMetrics::replicas_collapsed, "ghum_read_replicas_total", "event", "collapsed", "driver.managed.replicas_collapsed"},
+    // Prefetch, access counters, registration and teardown.
+    {&MemSysMetrics::prefetches, "ghum_prefetches_total", "", "", ""},
+    {&MemSysMetrics::prefetched_bytes, "ghum_prefetched_bytes_total", "", "", "driver.managed.prefetch_bytes"},
+    {&MemSysMetrics::counter_notifications, "ghum_counter_notifications_total", "", "", "driver.counter.notifications"},
+    {&MemSysMetrics::host_registers, "ghum_host_registers_total", "", "", ""},
+    {&MemSysMetrics::host_registered_pages, "ghum_host_registered_pages_total", "", "", "os.host_register.pages"},
+    {&MemSysMetrics::host_register_partials, "ghum_host_register_partials_total", "", "", "os.host_register.partial"},
+    {&MemSysMetrics::deallocated_pages, "ghum_deallocated_pages_total", "", "", "os.dealloc.pages"},
+    // Runtime API.
+    {&MemSysMetrics::context_inits, "ghum_context_inits_total", "", "", "runtime.context_init"},
+    {&MemSysMetrics::mem_advise_calls, "ghum_mem_advise_calls_total", "", "", "runtime.mem_advise"},
+    {&MemSysMetrics::memcpy_async_calls, "ghum_memcpy_async_calls_total", "", "", "runtime.memcpy_async"},
+    {&MemSysMetrics::memcpy_bytes, "ghum_memcpy_bytes_total", "", "", "runtime.memcpy_bytes"},
+    {&MemSysMetrics::dependent_accesses, "ghum_dependent_accesses_total", "", "", "mem.dependent_accesses"},
+    {&MemSysMetrics::scrubbed_bytes, "ghum_tenant_scrubbed_bytes_total", "", "", "recovery.scrubbed_bytes"},
+    // Fault injection & resilience.
+    {&MemSysMetrics::migration_retries, "ghum_migration_retries_total", "", "", "fault.migration_retries"},
+    {&MemSysMetrics::migration_aborts, "ghum_migration_aborts_total", "", "", "fault.migration_aborts"},
+    {&MemSysMetrics::alloc_denials, "ghum_alloc_denials_total", "", "", "fault.alloc_denials"},
+    {&MemSysMetrics::ecc_retirements, "ghum_ecc_retirements_total", "", "", "fault.ecc_events"},
+    {&MemSysMetrics::ecc_retired_bytes, "ghum_ecc_retired_bytes_total", "", "", "fault.ecc_retired_bytes"},
+    {&MemSysMetrics::ecc_unretired_bytes, "ghum_ecc_unretired_bytes_total", "", "", "fault.ecc_unretired_bytes"},
+    {&MemSysMetrics::ecc_storms, "ghum_ecc_storms_total", "", "", "fault.ecc_storms"},
+    {&MemSysMetrics::link_degrade_begins, "ghum_link_degrade_windows_total", "edge", "begin", "fault.link_degrade_windows"},
+    {&MemSysMetrics::link_degrade_ends, "ghum_link_degrade_windows_total", "edge", "end", ""},
+    {&MemSysMetrics::link_windows_skipped, "ghum_link_windows_skipped_total", "", "", "fault.link_windows_skipped"},
+    {&MemSysMetrics::gpu_resets, "ghum_gpu_resets_total", "", "", "fault.gpu_resets"},
+    // Registered by tenant::RecoveryManager.
+    {nullptr, "ghum_recovery_restarts_total", "", "", "recovery.restarts"},
+    {nullptr, "ghum_recovery_failed_jobs_total", "", "", "recovery.failed_jobs"},
+    {nullptr, "ghum_recovery_watchdog_trips_total", "", "", "recovery.watchdog_trips"},
+    {nullptr, "ghum_chk_checkpoints_total", "", "", "recovery.checkpoints"},
+};
+// clang-format on
+
+std::vector<Label> row_labels(const CounterRow& r) {
+  if (r.label_key.empty()) return {};
+  return {{std::string{r.label_key}, std::string{r.label_value}}};
+}
+
+}  // namespace
+
 MemSysMetrics bind_memsys_metrics(MetricsRegistry& reg) {
   MemSysMetrics m;
-  m.faults_cpu_first_touch =
-      &reg.counter("ghum_faults_total", {{"type", "cpu_first_touch"}});
-  m.faults_gpu_first_touch =
-      &reg.counter("ghum_faults_total", {{"type", "gpu_first_touch"}});
-  m.faults_gpu_managed =
-      &reg.counter("ghum_faults_total", {{"type", "gpu_managed"}});
-  m.gpu_fault_requests = &reg.counter("ghum_managed_fault_requests_total",
-                                      {{"origin", "gpu"}});
-  m.cpu_fault_requests = &reg.counter("ghum_managed_fault_requests_total",
-                                      {{"origin", "cpu"}});
-  m.fallback_placements = &reg.counter("ghum_fallback_placements_total");
-  m.oom_events = &reg.counter("ghum_oom_events_total");
+  for (const CounterRow& r : kCounterRows) {
+    if (r.handle != nullptr) m.*r.handle = &reg.counter(r.name, row_labels(r));
+  }
   m.fault_latency_cpu_first_touch =
       &reg.histogram("ghum_fault_latency_picos", {{"type", "cpu_first_touch"}});
   m.fault_latency_gpu_first_touch =
       &reg.histogram("ghum_fault_latency_picos", {{"type", "gpu_first_touch"}});
   m.fault_latency_gpu_managed =
       &reg.histogram("ghum_fault_latency_picos", {{"type", "gpu_managed"}});
-
-  m.migrations_h2d = &reg.counter("ghum_migrations_total", {{"dir", "h2d"}});
-  m.migrations_d2h = &reg.counter("ghum_migrations_total", {{"dir", "d2h"}});
-  m.migrated_bytes_h2d =
-      &reg.counter("ghum_migrated_bytes_total", {{"dir", "h2d"}});
-  m.migrated_bytes_d2h =
-      &reg.counter("ghum_migrated_bytes_total", {{"dir", "d2h"}});
   m.migration_batch_bytes_h2d =
       &reg.histogram("ghum_migration_batch_bytes", {{"dir", "h2d"}});
   m.migration_batch_bytes_d2h =
@@ -261,30 +349,27 @@ MemSysMetrics bind_memsys_metrics(MetricsRegistry& reg) {
       &reg.histogram("ghum_migration_latency_picos", {{"dir", "h2d"}});
   m.migration_latency_d2h =
       &reg.histogram("ghum_migration_latency_picos", {{"dir", "d2h"}});
-
-  m.evictions = &reg.counter("ghum_evictions_total");
-  m.evicted_bytes = &reg.counter("ghum_evicted_bytes_total");
-  m.evictions_blocked = &reg.counter("ghum_evictions_blocked_total");
-  m.cross_tenant_evictions = &reg.counter("ghum_cross_tenant_evictions_total");
   m.eviction_batch_bytes = &reg.histogram("ghum_eviction_batch_bytes");
-
-  m.prefetches = &reg.counter("ghum_prefetches_total");
-  m.prefetched_bytes = &reg.counter("ghum_prefetched_bytes_total");
-  m.counter_notifications = &reg.counter("ghum_counter_notifications_total");
-  m.host_registers = &reg.counter("ghum_host_registers_total");
-
-  m.migration_retries = &reg.counter("ghum_migration_retries_total");
-  m.migration_aborts = &reg.counter("ghum_migration_aborts_total");
   m.migration_retry_depth = &reg.histogram("ghum_migration_retry_attempts");
-  m.alloc_denials = &reg.counter("ghum_alloc_denials_total");
-  m.ecc_retirements = &reg.counter("ghum_ecc_retirements_total");
-  m.ecc_retired_bytes = &reg.counter("ghum_ecc_retired_bytes_total");
-  m.link_degrade_begins =
-      &reg.counter("ghum_link_degrade_windows_total", {{"edge", "begin"}});
-  m.link_degrade_ends =
-      &reg.counter("ghum_link_degrade_windows_total", {{"edge", "end"}});
-  m.gpu_resets = &reg.counter("ghum_gpu_resets_total");
   return m;
+}
+
+std::uint64_t StatsView::get(std::string_view name) const {
+  for (const CounterRow& r : kCounterRows) {
+    if (r.alias.empty() || r.alias != name) continue;
+    const std::vector<Label> labels = row_labels(r);
+    return reg_->counter_sum(r.name, labels.empty() ? nullptr : &labels[0]);
+  }
+  throw std::out_of_range{"StatsView: no counter is named " + std::string{name}};
+}
+
+std::vector<std::pair<std::string_view, std::uint64_t>> StatsView::snapshot() const {
+  std::vector<std::pair<std::string_view, std::uint64_t>> out;
+  for (const CounterRow& r : kCounterRows) {
+    if (!r.alias.empty()) out.emplace_back(r.alias, get(r.alias));
+  }
+  std::sort(out.begin(), out.end());
+  return out;
 }
 
 }  // namespace ghum::obs

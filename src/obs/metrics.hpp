@@ -7,6 +7,7 @@
 #include <map>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 /// \file metrics.hpp
@@ -148,6 +149,12 @@ class MetricsRegistry {
 
   [[nodiscard]] std::size_t size() const noexcept { return slots_.size(); }
 
+  /// Sum of the counters of family \p name that carry \p label (every
+  /// counter of the family when \p label is null); 0 when none is
+  /// registered. Read-only: unlike counter(), it never registers.
+  [[nodiscard]] std::uint64_t counter_sum(std::string_view name,
+                                          const Label* label = nullptr) const;
+
   /// Read-only view of one registered instrument: exactly one of the
   /// three instrument pointers is non-null.
   struct InstrumentView {
@@ -202,8 +209,10 @@ class MetricsRegistry {
 };
 
 /// Cached instrument handles for the memory-system hot paths. Bound once by
-/// core::Machine's constructor; the policy layers (os/, driver/, fault/)
-/// reach them through Machine::metrics() and do pointer increments only.
+/// core::Machine's constructor; the policy layers (os/, driver/, fault/,
+/// core/) reach them through Machine::metrics() and do pointer increments
+/// only. Each event is counted here exactly once: the engines keep no
+/// private tallies of their own.
 ///
 /// Counters whose name mirrors an EventLog event type are incremented at
 /// the exact code site that records the event, so bench_observability can
@@ -216,7 +225,10 @@ struct MemSysMetrics {
   Counter* gpu_fault_requests = nullptr;  ///< every ManagedEngine::gpu_fault
   Counter* cpu_fault_requests = nullptr;  ///< every ManagedEngine::cpu_fault
   Counter* fallback_placements = nullptr;
-  Counter* oom_events = nullptr;
+  Counter* oom_events = nullptr;          ///< every kOutOfMemory, both causes
+  Counter* oom_page_fault = nullptr;      ///< fault path: both nodes full
+  Counter* oom_gpu_malloc = nullptr;      ///< cudaMalloc out of HBM
+  Counter* numa_hint_faults = nullptr;    ///< kNumaHintFault
   // Fault-service latency in simulated picoseconds, per fault type.
   Histogram* fault_latency_cpu_first_touch = nullptr;
   Histogram* fault_latency_gpu_first_touch = nullptr;
@@ -227,16 +239,22 @@ struct MemSysMetrics {
   Counter* migrations_d2h = nullptr;
   Counter* migrated_bytes_h2d = nullptr;
   Counter* migrated_bytes_d2h = nullptr;
+  Counter* system_migrated_bytes_h2d = nullptr;  ///< system-page range moves
+  Counter* system_migrated_bytes_d2h = nullptr;
+  Counter* managed_h2d_bytes = nullptr;  ///< managed block moves to the GPU
   Histogram* migration_batch_bytes_h2d = nullptr;
   Histogram* migration_batch_bytes_d2h = nullptr;
   Histogram* migration_latency_h2d = nullptr;
   Histogram* migration_latency_d2h = nullptr;
 
-  // Eviction pressure (mirror kEviction).
+  // Eviction pressure (mirror kEviction) and the managed driver's policies.
   Counter* evictions = nullptr;
   Counter* evicted_bytes = nullptr;
   Counter* evictions_blocked = nullptr;
   Counter* cross_tenant_evictions = nullptr;
+  Counter* remote_mode_entries = nullptr;  ///< thrash guard engaged
+  Counter* replicas_created = nullptr;     ///< read-duplication copies
+  Counter* replicas_collapsed = nullptr;
   Histogram* eviction_batch_bytes = nullptr;
 
   // Prefetch & access-counter engine.
@@ -244,6 +262,17 @@ struct MemSysMetrics {
   Counter* prefetched_bytes = nullptr;
   Counter* counter_notifications = nullptr;  ///< kCounterNotification
   Counter* host_registers = nullptr;         ///< kHostRegister
+  Counter* host_registered_pages = nullptr;
+  Counter* host_register_partials = nullptr;  ///< CPU ran out part-way
+  Counter* deallocated_pages = nullptr;       ///< pages torn down by free
+
+  // Runtime API.
+  Counter* context_inits = nullptr;  ///< kContextInit
+  Counter* mem_advise_calls = nullptr;
+  Counter* memcpy_async_calls = nullptr;
+  Counter* memcpy_bytes = nullptr;        ///< sync and async copies
+  Counter* dependent_accesses = nullptr;  ///< Span::load_chased
+  Counter* scrubbed_bytes = nullptr;      ///< System::scrub_tenant
 
   // Fault injection & resilience (mirror the kFault*/kEcc* events).
   Counter* migration_retries = nullptr;
@@ -252,12 +281,37 @@ struct MemSysMetrics {
   Counter* alloc_denials = nullptr;
   Counter* ecc_retirements = nullptr;
   Counter* ecc_retired_bytes = nullptr;
+  Counter* ecc_unretired_bytes = nullptr;  ///< retirement deferred (pinned)
+  Counter* ecc_storms = nullptr;           ///< retirement budget exceeded
   Counter* link_degrade_begins = nullptr;
   Counter* link_degrade_ends = nullptr;
+  Counter* link_windows_skipped = nullptr;  ///< jumped over, never applied
   Counter* gpu_resets = nullptr;  ///< kGpuReset channel resets
 };
 
 /// Creates every MemSysMetrics family in \p reg and returns the handles.
 [[nodiscard]] MemSysMetrics bind_memsys_metrics(MetricsRegistry& reg);
+
+/// Read-only view of a machine's counters under their dotted names
+/// ("os.fault.cpu_first_touch", "runtime.memcpy_bytes", "recovery.restarts",
+/// ...). Each name is an alias of one counter in the registry — or, for a
+/// name without labels over a labelled family, of the family's sum — and
+/// the alias sits in the same table row (metrics.cpp) that binds the
+/// counter, so there is one place that decides what a name reads.
+class StatsView {
+ public:
+  explicit StatsView(const MetricsRegistry& reg) noexcept : reg_(&reg) {}
+
+  /// Value behind \p name: 0 while its family is unregistered (the
+  /// recovery.* counters exist only once a RecoveryManager is bound).
+  /// Throws std::out_of_range for a name no table row declares.
+  [[nodiscard]] std::uint64_t get(std::string_view name) const;
+
+  /// Every dotted name with its value, in name order.
+  [[nodiscard]] std::vector<std::pair<std::string_view, std::uint64_t>> snapshot() const;
+
+ private:
+  const MetricsRegistry* reg_;
+};
 
 }  // namespace ghum::obs

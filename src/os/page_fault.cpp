@@ -30,8 +30,8 @@ mem::Node PageFaultHandler::first_touch(Vma& vma, std::uint64_t va,
     placed = mem::other(placed);
     fault::FaultInjector::ScopedSuppress guard{m_->fault_injector()};
     if (!m_->map_system_page(vma, va, placed)) {
-      m_->stats().add("os.fault.oom");
       m_->metrics().oom_events->inc();
+      m_->metrics().oom_page_fault->inc();
       if (m_->events().enabled()) {
         m_->events().record(sim::Event{.time = m_->clock().now(),
                                        .type = sim::EventType::kOutOfMemory,
@@ -42,7 +42,6 @@ mem::Node PageFaultHandler::first_touch(Vma& vma, std::uint64_t va,
       throw StatusError{Status::kErrorOutOfMemory,
                         "PageFaultHandler: out of physical memory on both nodes"};
     }
-    m_->stats().add("os.fault.fallback");
     m_->metrics().fallback_placements->inc();
     if (m_->events().enabled()) {
       m_->events().record(sim::Event{.time = m_->clock().now(),
@@ -53,7 +52,6 @@ mem::Node PageFaultHandler::first_touch(Vma& vma, std::uint64_t va,
     }
   }
 
-  ++fault_count_[static_cast<int>(origin)];
   m_->attribution().note_fault(vma.tenant, origin == mem::Node::kGpu);
   const sim::Picos handle = origin == mem::Node::kCpu ? costs.cpu_minor_fault
                                                       : costs.gpu_replayable_fault;
@@ -72,8 +70,6 @@ mem::Node PageFaultHandler::first_touch(Vma& vma, std::uint64_t va,
         .aux = 0,
     });
   }
-  m_->stats().add(origin == mem::Node::kCpu ? "os.fault.cpu_first_touch"
-                                            : "os.fault.gpu_first_touch");
   auto& met = m_->metrics();
   if (origin == mem::Node::kCpu) {
     met.faults_cpu_first_touch->inc();
@@ -101,7 +97,7 @@ bool PageFaultHandler::host_register(Vma& vma) {
     // stopped. Pages mapped so far stay mapped — the remainder of the
     // range keeps faulting on demand, which is slower but correct.
     // Registration is only recorded on full success.
-    m_->stats().add("os.host_register.partial");
+    m_->metrics().host_register_partials->inc();
   }
   const sim::Picos zero = sim::transfer_time(page, costs.fault_zero_bandwidth_Bps);
   m_->clock().advance((costs.host_register_per_page + zero) *
@@ -116,8 +112,8 @@ bool PageFaultHandler::host_register(Vma& vma) {
                              .bytes = populated * page,
                              .aux = complete ? 0u : 1u});
   }
-  m_->stats().add("os.host_register.pages", populated);
   m_->metrics().host_registers->inc();
+  m_->metrics().host_registered_pages->inc(populated);
   return complete;
 }
 

@@ -11,10 +11,6 @@
 /// expensive, which is the root cause of the slow GPU-side initialization
 /// with system memory (paper Sections 5.1.2 and 5.2).
 
-namespace ghum::chk {
-class Snapshotter;
-}  // namespace ghum::chk
-
 namespace ghum::os {
 
 class PageFaultHandler {
@@ -35,16 +31,17 @@ class PageFaultHandler {
   /// not marked host_registered.
   bool host_register(Vma& vma);
 
-  /// Number of first-touch faults handled, by origin.
+  /// Number of first-touch faults handled, by origin (a read of the
+  /// ghum_faults_total counter).
   [[nodiscard]] std::uint64_t faults(mem::Node origin) const noexcept {
-    return fault_count_[static_cast<int>(origin)];
+    const obs::MemSysMetrics& met = m_->metrics();
+    return (origin == mem::Node::kCpu ? met.faults_cpu_first_touch
+                                      : met.faults_gpu_first_touch)
+        ->value();
   }
 
  private:
   core::Machine* m_;
-  std::uint64_t fault_count_[2]{};
-
-  friend class ghum::chk::Snapshotter;
 };
 
 }  // namespace ghum::os

@@ -70,7 +70,7 @@ void SystemAllocator::deallocate(Vma& vma) {
                              .bytes = vma.size,
                              .aux = 0});
   }
-  m_->stats().add("os.dealloc.pages", torn_down);
+  m_->metrics().deallocated_pages->inc(torn_down);
   m_->address_space().destroy(vma.base);
 }
 

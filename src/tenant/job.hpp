@@ -76,7 +76,7 @@ struct Job {
   // Recovery bookkeeping (tenant::RecoveryManager).
   std::uint32_t restarts = 0;  ///< times rolled back and replayed
   std::uint64_t stall_run = 0;  ///< consecutive zero-progress quanta
-  std::uint64_t retries_at_qstart = 0;  ///< migration-retry stat at quantum start
+  std::uint64_t retries_at_qstart = 0;  ///< migration-retry count at quantum start
   sim::Picos replayed = 0;  ///< simulated time discarded by rollbacks
 
   std::unique_ptr<runtime::Runtime> rt;  ///< per-tenant CUDA-like context

@@ -50,7 +50,7 @@ obs::Counter* RecoveryManager::restarts_for(Status cause) {
 }
 
 void RecoveryManager::quantum_begin(Job& j) {
-  j.retries_at_qstart = sys_->stats().get("fault.migration_retries");
+  j.retries_at_qstart = sys_->machine().metrics().migration_retries->value();
 }
 
 Status RecoveryManager::quantum_end(Job& j, sim::Picos now_before) {
@@ -58,7 +58,6 @@ Status RecoveryManager::quantum_end(Job& j, sim::Picos now_before) {
     if (j.local_now == now_before) {
       if (++j.stall_run >= cfg_.stall_quanta) {
         watchdog_trips_->inc();
-        sys_->stats().add("recovery.watchdog_trips");
         return Status::kErrorTimeout;
       }
     } else {
@@ -67,10 +66,9 @@ Status RecoveryManager::quantum_end(Job& j, sim::Picos now_before) {
   }
   if (cfg_.retry_storm_threshold != 0) {
     const std::uint64_t retries =
-        sys_->stats().get("fault.migration_retries") - j.retries_at_qstart;
+        sys_->machine().metrics().migration_retries->value() - j.retries_at_qstart;
     if (retries >= cfg_.retry_storm_threshold) {
       watchdog_trips_->inc();
-      sys_->stats().add("recovery.watchdog_trips");
       return Status::kErrorTimeout;
     }
   }
@@ -85,7 +83,6 @@ bool RecoveryManager::on_failure(Job& j, Status cause) {
       j.status = Status::kErrorUnrecoverable;
     }
     failed_jobs_->inc();
-    sys_->stats().add("recovery.failed_jobs");
     return false;
   }
 
@@ -102,7 +99,6 @@ bool RecoveryManager::on_failure(Job& j, Status cause) {
   replayed_picos_->inc(static_cast<std::uint64_t>(lost));
   scrubbed_bytes_->inc(scrubbed);
   restarts_for(cause)->inc();
-  sys_->stats().add("recovery.restarts");
   sys_->events().record(
       {.time = sys_->now(),
        .type = sim::EventType::kJobRestart,
@@ -125,7 +121,6 @@ void RecoveryManager::maybe_checkpoint(std::uint64_t total_quanta) {
   last_checkpoint_ = chk::Snapshotter::snapshot(*sys_);
   checkpoints_->inc();
   snapshot_bytes_->observe(last_checkpoint_.size());
-  sys_->stats().add("recovery.checkpoints");
 
   if (cfg_.verify_checkpoints) {
     // Restore into a scratch System and re-snapshot: byte-for-byte payload

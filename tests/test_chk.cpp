@@ -194,10 +194,10 @@ TEST(ChkValidation, RejectsCorruptTruncatedAndAlienBlobs) {
   alien[0] ^= 0xff;
   EXPECT_THROW((void)chk::Snapshotter::restore(alien), StatusError);
 
-  // Unsupported format version, including the retired version 1. The
-  // payload digest does not cover the header, so this exercises the version
-  // check itself (offset 8 is the version word, io.hpp).
-  for (const std::uint8_t v : {std::uint8_t{0}, std::uint8_t{1},
+  // Unsupported format version, including the retired versions 1 and 2.
+  // The payload digest does not cover the header, so this exercises the
+  // version check itself (offset 8 is the version word, io.hpp).
+  for (const std::uint8_t v : {std::uint8_t{0}, std::uint8_t{1}, std::uint8_t{2},
                                std::uint8_t(chk::kFormatVersion + 1)}) {
     chk::Blob vers = blob;
     vers[8] = v;

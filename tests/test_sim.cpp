@@ -3,7 +3,6 @@
 #include "sim/clock.hpp"
 #include "sim/event_log.hpp"
 #include "sim/rng.hpp"
-#include "sim/stats.hpp"
 #include "sim/time.hpp"
 
 namespace ghum::sim {
@@ -75,19 +74,6 @@ TEST(Clock, ZeroAdvanceDoesNotNotify) {
   c.add_observer([&](Picos, Picos) { ++count; });
   c.advance(0);
   EXPECT_EQ(count, 0);
-}
-
-TEST(Stats, AccumulatesAndReads) {
-  StatsRegistry s;
-  EXPECT_EQ(s.get("x"), 0u);
-  s.add("x");
-  s.add("x", 4);
-  s.add("y", 2);
-  EXPECT_EQ(s.get("x"), 5u);
-  EXPECT_EQ(s.get("y"), 2u);
-  const auto snap = s.snapshot();
-  EXPECT_EQ(snap.size(), 2u);
-  EXPECT_EQ(snap.at("x"), 5u);
 }
 
 TEST(EventLog, DisabledByDefaultAndDropsRecords) {
