@@ -84,20 +84,28 @@ AppCoro hotspot_steps(runtime::Runtime& rt, MemMode mode, HotspotConfig cfg) {
       auto south = rt.device_span<float>(*in);
       auto pw = rt.device_span<float>(power.device());
       auto dst = rt.device_span<float>(*out);
+      const std::uint32_t last = cfg.cols - 1;
       for (std::uint32_t r = 0; r < cfg.rows; ++r) {
         const std::uint64_t rn = std::uint64_t{r == 0 ? 0u : r - 1} * cfg.cols;
         const std::uint64_t rs =
             std::uint64_t{r == cfg.rows - 1 ? r : r + 1} * cfg.cols;
         const std::uint64_t rc = std::uint64_t{r} * cfg.cols;
-        float west = center.load(rc);  // clamped west of column 0
+        const float west0 = center.load(rc);  // clamped west of column 0
+        // Per column: centre, east neighbour (not in the last column), then
+        // power, south, north, then the store. Power/south/north is the
+        // right-to-left order in which GCC 12 evaluated these loads as
+        // step_cell() arguments, which the pinned event digests record;
+        // another order moves them.
+        const auto [cv, ev, pv, sv, nv, dv] = runtime::account(
+            last, center.reads(rc), center.reads(rc + 1), pw.reads(rc), south.reads(rs),
+            north.reads(rn), dst.writes(rc));
+        (void)runtime::account(1, center.reads(rc + last), pw.reads(rc + last),
+                               south.reads(rs + last), north.reads(rn + last),
+                               dst.writes(rc + last));
         for (std::uint32_t c = 0; c < cfg.cols; ++c) {
-          const float cur = center.load(rc + c);
-          const float e =
-              c == cfg.cols - 1 ? cur : center.load(rc + c + 1);
-          const float v = step_cell(cur, north.load(rn + c), south.load(rs + c),
-                                    west, e, pw.load(rc + c));
-          dst.store(rc + c, v);
-          west = cur;
+          const float cur = cv[c];
+          dv[c] = step_cell(cur, nv[c], sv[c], c == 0 ? west0 : cv[c - 1],
+                            c == last ? cur : ev[c], pv[c]);
         }
       }
     });

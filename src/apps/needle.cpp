@@ -89,15 +89,17 @@ AppCoro needle_steps(runtime::Runtime& rt, MemMode mode, NeedleConfig cfg) {
           const std::uint64_t row = std::uint64_t{r} * dim;
           const std::uint64_t prow = row - dim;
           const std::uint32_t c0 = 1 + tj * kTile;
-          // Boundary loads for the sliding window.
+          // Boundary loads for the sliding window, then per column the
+          // north cell, the similarity and the store.
           int nw = north.load(prow + c0 - 1);
           int west = edge.load(row + c0 - 1);
-          for (std::uint32_t c = c0; c < c0 + kTile; ++c) {
-            const int up = north.load(prow + c);
-            const int v = std::max(std::max(up - cfg.penalty, west - cfg.penalty),
-                                   nw + sim_m.load(row + c));
-            out.store(row + c, v);
-            nw = up;
+          const auto [up, sim_v, dst] = runtime::account(
+              kTile, north.reads(prow + c0), sim_m.reads(row + c0), out.writes(row + c0));
+          for (std::uint32_t c = 0; c < kTile; ++c) {
+            const int v = std::max(std::max(up[c] - cfg.penalty, west - cfg.penalty),
+                                   nw + sim_v[c]);
+            dst[c] = v;
+            nw = up[c];
             west = v;
           }
         }

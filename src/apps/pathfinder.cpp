@@ -51,17 +51,30 @@ AppCoro pathfinder_steps(runtime::Runtime& rt, MemMode mode, PathfinderConfig cf
       auto w = rt.device_span<int>(wall.device());
       auto d = rt.device_span<int>(*dst);
       const std::uint64_t row_off = std::uint64_t{r} * cfg.cols;
-      // Sliding 3-neighbour window over the previous DP row.
+      // Sliding 3-neighbour window over the previous DP row: its first
+      // three loads, then per column the wall cell, the store, and the
+      // next right neighbour (none for the last two columns).
       int left = s.load(0);
       int center = s.load(0);
       int right = cfg.cols > 1 ? s.load(1) : center;
-      for (std::uint32_t c = 0; c < cfg.cols; ++c) {
-        const int best = std::min(std::min(left, center), right);
-        d.store(c, w.load(row_off + c) + best);
-        left = center;
-        center = right;
-        right = c + 2 < cfg.cols ? s.load(c + 2) : center;
+      const std::uint32_t tail = std::min<std::uint32_t>(cfg.cols, 2);
+      const std::uint32_t body = cfg.cols - tail;
+      auto relax = [&](const int* wv, int* dv, const int* next, std::uint32_t count) {
+        for (std::uint32_t c = 0; c < count; ++c) {
+          dv[c] = wv[c] + std::min(std::min(left, center), right);
+          left = center;
+          center = right;
+          right = next != nullptr ? next[c] : center;
+        }
+      };
+      if (body > 0) {
+        const auto [wv, dv, next] =
+            runtime::account(body, w.reads(row_off), d.writes(0), s.reads(2));
+        relax(wv, dv, next, body);
       }
+      const auto [wv, dv] =
+          runtime::account(tail, w.reads(row_off + body), d.writes(body));
+      relax(wv, dv, nullptr, tail);
     });
     report.compute_traffic += record.traffic;
     if (first) {

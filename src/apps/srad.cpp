@@ -161,34 +161,41 @@ AppCoro srad_steps(runtime::Runtime& rt, MemMode mode, SradConfig cfg) {
       auto dw_w = rt.device_span<float>(dw.device());
       auto de_w = rt.device_span<float>(de.device());
       auto c_w = rt.device_span<float>(coeff.device());
+      const std::uint32_t last = cfg.cols - 1;
       for (std::uint32_t r = 0; r < cfg.rows; ++r) {
         const std::uint64_t rn = std::uint64_t{r == 0 ? 0u : r - 1} * cfg.cols;
         const std::uint64_t rs =
             std::uint64_t{r == cfg.rows - 1 ? r : r + 1} * cfg.cols;
         const std::uint64_t rc = std::uint64_t{r} * cfg.cols;
-        float west = jc_s.load(rc);
+        const float west0 = jc_s.load(rc);  // clamped west of column 0
+        // Per column: centre, east neighbour (not in the last column),
+        // north, south, then the five stores.
+        const auto [jc, je, jn, js, vn, vs, vw, ve, cv] = runtime::account(
+            last, jc_s.reads(rc), jc_s.reads(rc + 1), jn_s.reads(rn), js_s.reads(rs),
+            dn_w.writes(rc), ds_w.writes(rc), dw_w.writes(rc), de_w.writes(rc),
+            c_w.writes(rc));
+        (void)runtime::account(1, jc_s.reads(rc + last), jn_s.reads(rn + last),
+                               js_s.reads(rs + last), dn_w.writes(rc + last),
+                               ds_w.writes(rc + last), dw_w.writes(rc + last),
+                               de_w.writes(rc + last), c_w.writes(rc + last));
         for (std::uint32_t cc = 0; cc < cfg.cols; ++cc) {
-          const std::uint64_t idx = rc + cc;
-          const float jc = jc_s.load(idx);
-          const float e = cc == cfg.cols - 1 ? jc : jc_s.load(idx + 1);
-          const float vdn = jn_s.load(rn + cc) - jc;
-          const float vds = js_s.load(rs + cc) - jc;
-          const float vdw = west - jc;
-          const float vde = e - jc;
-          dn_w.store(idx, vdn);
-          ds_w.store(idx, vds);
-          dw_w.store(idx, vdw);
-          de_w.store(idx, vde);
+          const float c = jc[cc];
+          const float vdn = jn[cc] - c;
+          const float vds = js[cc] - c;
+          const float vdw = (cc == 0 ? west0 : jc[cc - 1]) - c;
+          const float vde = (cc == last ? c : je[cc]) - c;
+          vn[cc] = vdn;
+          vs[cc] = vds;
+          vw[cc] = vdw;
+          ve[cc] = vde;
           const float g2 =
-              (vdn * vdn + vds * vds + vdw * vdw + vde * vde) / (jc * jc);
-          const float l = (vdn + vds + vdw + vde) / jc;
+              (vdn * vdn + vds * vds + vdw * vdw + vde * vde) / (c * c);
+          const float l = (vdn + vds + vdw + vde) / c;
           const float num = 0.5f * g2 - (1.0f / 16.0f) * l * l;
           const float den = 1.0f + 0.25f * l;
           const float qsqr = num / (den * den);
-          float cv = 1.0f / (1.0f + (qsqr - q0sqr) / (q0sqr * (1.0f + q0sqr)));
-          cv = cv < 0.0f ? 0.0f : (cv > 1.0f ? 1.0f : cv);
-          c_w.store(idx, cv);
-          west = jc;
+          const float coef = 1.0f / (1.0f + (qsqr - q0sqr) / (q0sqr * (1.0f + q0sqr)));
+          cv[cc] = coef < 0.0f ? 0.0f : (coef > 1.0f ? 1.0f : coef);
         }
       }
     });
@@ -202,19 +209,30 @@ AppCoro srad_steps(runtime::Runtime& rt, MemMode mode, SradConfig cfg) {
       auto de_r = rt.device_span<float>(de.device());
       auto cc_s = rt.device_span<float>(coeff.device());
       auto cs_s = rt.device_span<float>(coeff.device());
+      const std::uint32_t last = cfg.cols - 1;
+      const float step = 0.25f * cfg.lambda;
       for (std::uint32_t r = 0; r < cfg.rows; ++r) {
         const std::uint64_t rs =
             std::uint64_t{r == cfg.rows - 1 ? r : r + 1} * cfg.cols;
         const std::uint64_t rc = std::uint64_t{r} * cfg.cols;
+        // Per column: c here, c south, c east (not in the last column), then
+        // the four derivatives left to right as they appear in div (the
+        // order in which GCC 12 evaluated them as operands, which the
+        // pinned event digests record), then J's read and write.
+        const auto [ch, cs, ce, vs, vn, ve, vw, jr, jw] = runtime::account(
+            last, cc_s.reads(rc), cs_s.reads(rs), cc_s.reads(rc + 1), ds_r.reads(rc),
+            dn_r.reads(rc), de_r.reads(rc), dw_r.reads(rc), j_s.reads(rc),
+            j_s.writes(rc));
+        (void)runtime::account(1, cc_s.reads(rc + last), cs_s.reads(rs + last),
+                               ds_r.reads(rc + last), dn_r.reads(rc + last),
+                               de_r.reads(rc + last), dw_r.reads(rc + last),
+                               j_s.reads(rc + last), j_s.writes(rc + last));
         for (std::uint32_t cc = 0; cc < cfg.cols; ++cc) {
-          const std::uint64_t idx = rc + cc;
-          const float c_here = cc_s.load(idx);
-          const float c_south = cs_s.load(rs + cc);
-          const float c_east =
-              cc == cfg.cols - 1 ? c_here : cc_s.load(idx + 1);
-          const float div = c_south * ds_r.load(idx) + c_here * dn_r.load(idx) +
-                            c_east * de_r.load(idx) + c_here * dw_r.load(idx);
-          j_s.store(idx, j_s.load(idx) + 0.25f * cfg.lambda * div);
+          const float c_here = ch[cc];
+          const float c_east = cc == last ? c_here : ce[cc];
+          const float div = cs[cc] * vs[cc] + c_here * vn[cc] + c_east * ve[cc] +
+                            c_here * vw[cc];
+          jw[cc] = jr[cc] + step * div;
         }
       }
     });

@@ -46,6 +46,7 @@ struct KernelTraffic {
   }
 
   KernelTraffic& operator+=(const KernelTraffic& o);
+  bool operator==(const KernelTraffic&) const = default;
 };
 
 /// One record per kernel launch (or named host phase).

@@ -4,6 +4,8 @@
 #include <bit>
 #include <cstdint>
 #include <stdexcept>
+#include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "core/system.hpp"
@@ -26,12 +28,61 @@
 /// the read-amplification effect the paper attributes to irregular access
 /// patterns.
 ///
+/// Loops that advance several affine streams together (a stencil row, a
+/// DP tile row) account them with account(): it batches every iteration in
+/// which no stream would leave its page view, and runs the per-element
+/// touch() of each stream, in argument order, for the iterations where one
+/// would. The System sees the same resolve/advance_view/commit calls with
+/// the same arguments as the per-element loop, and the loop body then runs
+/// on raw pointers (DESIGN.md Section 7).
+///
 /// Spans must not outlive the kernel/phase they are used in: create them
 /// inside the launch body (they flush on destruction). A span registers
 /// its line cursor with the System's machine for its whole lifetime, so it
 /// must never outlive that System.
 
 namespace ghum::runtime {
+
+template <typename T>
+class Span;
+
+template <typename T, bool Write>
+class AffineStream;
+
+/// Accounts iterations [0, n) of a loop whose body accesses element
+/// base + c of every stream in iteration c, in argument order — exactly
+/// as the per-element load()/store() calls of that loop would, page visit
+/// for page visit. Returns the raw pointer to element base of each stream
+/// (const for reads()), for the loop body to run on. Throws
+/// std::out_of_range, before accounting anything, if some stream's range
+/// [base, base + n) does not lie inside its span.
+///
+/// List the streams in the order the per-element loop accesses them: when
+/// two of them cross a page in the same iteration, that order is the order
+/// of their commits and faults.
+template <typename... S>
+std::tuple<typename S::Pointer...> account(std::size_t n, S... s);
+
+/// One operand of account(): the loop reads (or writes) element base + c
+/// of a Span in iteration c. Made by Span::reads()/Span::writes(); it
+/// accounts nothing and gives no access to the data by itself.
+template <typename T, bool Write>
+class AffineStream {
+ public:
+  using Pointer = std::conditional_t<Write, T*, const T*>;
+
+ private:
+  static constexpr bool kWrite = Write;
+
+  AffineStream(Span<T>& span, std::size_t base) noexcept : span_(&span), base_(base) {}
+
+  Span<T>* span_;
+  std::size_t base_;
+
+  friend class Span<T>;
+  template <typename... S>
+  friend std::tuple<typename S::Pointer...> account(std::size_t n, S... s);
+};
 
 template <typename T>
 class Span {
@@ -90,23 +141,23 @@ class Span {
     ptr_[i] = v;
   }
 
+  /// Stream operands for account(): element base + c is read (written) in
+  /// iteration c.
+  [[nodiscard]] AffineStream<T, false> reads(std::size_t base) noexcept { return {*this, base}; }
+  [[nodiscard]] AffineStream<T, true> writes(std::size_t base) noexcept { return {*this, base}; }
+
   /// Accounted contiguous read of \p count elements starting at \p i:
-  /// charged exactly like count individual load() calls (same bytes, lines
-  /// and commit boundaries), but accounted page-at-a-time with bulk
-  /// bitmap arithmetic. Returns the raw elements for the caller to read.
-  /// Only monotone single-pass loops should use this — the per-element
-  /// accessors remain the general path.
+  /// account() of one stream. Returns the raw elements for the caller to
+  /// read.
   [[nodiscard]] const T* load_run(std::size_t i, std::size_t count) {
-    account_run(i, count, /*write=*/false);
-    return ptr_ + i;
+    return std::get<0>(account(count, reads(i)));
   }
 
   /// Accounted contiguous write of \p count elements starting at \p i
   /// (bulk analogue of store(); see load_run()). Returns the destination
   /// elements for the caller to fill.
   [[nodiscard]] T* store_run(std::size_t i, std::size_t count) {
-    account_run(i, count, /*write=*/true);
-    return ptr_ + i;
+    return std::get<0>(account(count, writes(i)));
   }
 
   /// Accounted read-modify-write access.
@@ -193,57 +244,53 @@ class Span {
     bitmap_.assign((lines + 63) / 64, 0);
   }
 
-  /// Accounts \p count accesses starting at element \p i exactly like a
-  /// per-element touch() loop: same page visits (=> same commit
-  /// boundaries, faults and translation charges at the same simulated
-  /// times), same unique-line counts, same raw bytes. With batching off —
-  /// or elements wider than a cacheline, where bulk start-address line
-  /// marking would diverge — it *is* that loop.
-  void account_run(std::size_t i, std::size_t count, bool write) {
-    if (!batched_) {
-      for (std::size_t k = 0; k < count; ++k) touch(i + k, write);
-      return;
-    }
-    const std::size_t end = i + count;
-    std::size_t k = i;
-    while (k < end) {
-      const std::uint64_t addr = va_ + k * sizeof(T);
-      if (addr < view_.page_base || addr >= view_.page_end ||
-          sys_->epoch() != view_.epoch) {
-        reenter(addr);
-      }
-      // Elements are attributed to the page containing their *start*
-      // address (touch() semantics), so one straddling the page boundary
-      // still belongs to this chunk.
-      const std::uint64_t room = view_.page_end - addr;
-      std::size_t fit = static_cast<std::size_t>((room + sizeof(T) - 1) / sizeof(T));
-      if (fit > end - k) fit = end - k;
-      if (sizeof(T) > view_.line_size) {
-        // Wide elements can skip lines between consecutive starts; the
-        // scalar path marks exactly the start lines.
-        for (std::size_t e = 0; e < fit; ++e) touch(k + e, write);
-        k += fit;
-        continue;
-      }
-      // Element stride <= line size: the start addresses hit every line in
-      // [first, last], so marking that range word-wise counts exactly the
-      // lines a touch() loop would.
-      const std::uint64_t first = (addr - view_.page_base) >> line_shift_;
-      const std::uint64_t last =
-          (addr + (fit - 1) * sizeof(T) - view_.page_base) >> line_shift_;
-      for (std::uint64_t w = first >> 6; w <= (last >> 6); ++w) {
-        const std::uint64_t lo = w << 6;
-        std::uint64_t mask = ~0ull;
-        if (first > lo) mask &= ~0ull << (first - lo);
-        if (last < lo + 63) mask &= ~0ull >> (63 - (last - lo));
-        std::uint64_t& word = bitmap_[w];
-        pend_lines_ += static_cast<std::uint64_t>(std::popcount(mask & ~word));
-        word |= mask;
-      }
-      (write ? pend_nw_ : pend_nr_) += fit;
-      k += fit;
+  /// account()'s range check, once per stream per call: the loop body
+  /// reads or writes [base, base + count) through a raw pointer.
+  void check_stream(std::size_t base, std::size_t count) const {
+    if (base > n_ || count > n_ - base) {
+      throw std::out_of_range{"Span: stream range past the end of the span"};
     }
   }
+
+  /// How many elements from \p i on touch() would account without calling
+  /// into System: those whose start address lies in the current page view,
+  /// at the current epoch (enter_line()'s test). Elements are attributed to
+  /// the page holding their start, so one straddling the page end still
+  /// counts. Zero with batching off, and for elements wider than a line,
+  /// whose starts can skip lines; both keep the per-element path.
+  [[nodiscard]] std::size_t room(std::size_t i) const noexcept {
+    const std::uint64_t addr = va_ + i * sizeof(T);
+    if (!batched_ || sizeof(T) > view_.line_size || addr < view_.page_base ||
+        addr >= view_.page_end || sys_->epoch() != view_.epoch) {
+      return 0;
+    }
+    return static_cast<std::size_t>((view_.page_end - addr + sizeof(T) - 1) / sizeof(T));
+  }
+
+  /// Accounts elements [i, i + count), with count <= room(i), as touch()
+  /// would: the element stride is at most a line, so their starts hit every
+  /// line in [first, last], and marking that range word-wise adds exactly
+  /// the lines a touch() loop would. Line marking is a set union, so the
+  /// streams of one account() call may mark in any order.
+  void mark(std::size_t i, std::size_t count, bool write) noexcept {
+    const std::uint64_t addr = va_ + i * sizeof(T);
+    const std::uint64_t first = (addr - view_.page_base) >> line_shift_;
+    const std::uint64_t last =
+        (addr + (count - 1) * sizeof(T) - view_.page_base) >> line_shift_;
+    for (std::uint64_t w = first >> 6; w <= (last >> 6); ++w) {
+      const std::uint64_t lo = w << 6;
+      std::uint64_t mask = ~0ull;
+      if (first > lo) mask &= ~0ull << (first - lo);
+      if (last < lo + 63) mask &= ~0ull >> (63 - (last - lo));
+      std::uint64_t& word = bitmap_[w];
+      pend_lines_ += static_cast<std::uint64_t>(std::popcount(mask & ~word));
+      word |= mask;
+    }
+    (write ? pend_nw_ : pend_nr_) += count;
+  }
+
+  template <typename... S>
+  friend std::tuple<typename S::Pointer...> account(std::size_t n, S... s);
 
   core::System* sys_;
   mem::Node origin_;
@@ -260,5 +307,24 @@ class Span {
   std::uint64_t pend_nw_ = 0;  ///< elements written in this page visit
   std::uint64_t pend_lines_ = 0;
 };
+
+template <typename... S>
+std::tuple<typename S::Pointer...> account(std::size_t n, S... s) {
+  (s.span_->check_stream(s.base_, n), ...);
+  for (std::size_t c = 0; c < n;) {
+    std::size_t room = n - c;
+    ((room = std::min(room, s.span_->room(s.base_ + c))), ...);
+    if (room == 0) {
+      // Some stream would call into System: this iteration's accesses run
+      // one by one, in program order.
+      (s.span_->touch(s.base_ + c, S::kWrite), ...);
+      ++c;
+    } else {
+      (s.span_->mark(s.base_ + c, room, S::kWrite), ...);
+      c += room;
+    }
+  }
+  return {static_cast<typename S::Pointer>(s.span_->ptr_ + s.base_)...};
+}
 
 }  // namespace ghum::runtime

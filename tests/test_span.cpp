@@ -1,7 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <map>
+#include <memory>
 #include <set>
 #include <stdexcept>
+#include <string>
+#include <string_view>
+#include <tuple>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "fault/status.hpp"
@@ -287,6 +296,37 @@ TEST_F(SpanTest, BulkRunWideElementsFallBackToScalarMarking) {
   EXPECT_EQ(bulk.duration, scalar.duration);
 }
 
+TEST_F(SpanTest, AccountRejectsStreamRangesPastTheSpan) {
+  core::Buffer b = rt.malloc_system(1 << 12);  // 1024 elements of 4 bytes
+  sys.host_phase_begin("rejected");
+  {
+    auto s = rt.host_span<std::uint32_t>(b, 24);  // elements [24, 1024)
+    auto t = rt.host_span<std::uint32_t>(b);
+    EXPECT_THROW((void)runtime::account(1, t.reads(0), s.reads(1000)), std::out_of_range);
+    EXPECT_THROW((void)runtime::account(2, s.writes(999)), std::out_of_range);
+    EXPECT_THROW((void)runtime::account(1, s.reads(~std::size_t{0})), std::out_of_range);
+    EXPECT_THROW((void)s.load_run(1, 1000), std::out_of_range);
+    EXPECT_THROW((void)t.store_run(1025, 0), std::out_of_range);
+  }
+  // The range is checked before any access: t's in-range stream in the
+  // first call was not charged either.
+  const cache::KernelTraffic rejected = sys.host_phase_end().traffic;
+  EXPECT_EQ(rejected.ddr_read_bytes + rejected.ddr_write_bytes, 0u);
+  EXPECT_EQ(sys.stats().get("os.fault.cpu_first_touch"), 0u);
+  sys.host_phase_begin("accepted");
+  {
+    auto s = rt.host_span<std::uint32_t>(b, 24);
+    auto t = rt.host_span<std::uint32_t>(b);
+    const auto [r, w] = runtime::account(1000, s.reads(0), t.writes(24));  // exact fit
+    EXPECT_EQ(r, s.raw());
+    EXPECT_EQ(w, t.raw() + 24);
+    (void)runtime::account(0, s.reads(1000), t.writes(1024));  // empty, at the end
+  }
+  const cache::KernelTraffic accepted = sys.host_phase_end().traffic;
+  EXPECT_GT(accepted.ddr_read_bytes, 0u);
+  EXPECT_GT(accepted.ddr_write_bytes, 0u);
+}
+
 TEST_F(SpanTest, FlushIsIdempotent) {
   core::Buffer b = rt.malloc_system(1 << 12);
   sys.host_phase_begin("flush");
@@ -441,6 +481,314 @@ TEST(SpanCursor, GpuResetUnwindingALaunchLeavesNoCursorAttached) {
   });
   EXPECT_EQ(rec.traffic.hbm_read_bytes, std::uint64_t{64} << 10);
   EXPECT_EQ(rec.traffic.c2c_read_bytes, 0u);
+}
+
+// --- account(): seeded differential against the per-element loop -----------
+// Each seed draws a scenario — page size, origin, residency (explicit,
+// managed with or without read-mostly replicas, system), element size,
+// whether the buffers were CPU-first-touched — and a few launches of rows.
+// A row is one account() call: 1-9 streams over a handful of spans (so
+// several streams share a span, at nearby or distant offsets), each a read
+// or a write. The same scenario then runs once through account() and once
+// as the per-element load()/store() loop the call stands for, on two fresh
+// Systems, and the two must agree on everything the memory model reports:
+// event-log digest, per-launch KernelTraffic and duration, end time, every
+// counter alias, and the buffers' final bytes. Rows cross pages, fault
+// pages in (another span's fault bumps the epoch under a live view),
+// trigger access-counter migrations and collapse read-mostly replicas with
+// their own writes — the seeds together are checked to hit all of these.
+
+template <std::size_t N>
+struct Bytes {
+  unsigned char d[N];
+};
+
+template <typename T>
+T element(std::uint64_t v) {
+  if constexpr (std::is_arithmetic_v<T>) {
+    return static_cast<T>(v);
+  } else {
+    T t{};
+    t.d[0] = static_cast<unsigned char>(v);
+    t.d[sizeof(T) - 1] = static_cast<unsigned char>(v >> 8);
+    return t;
+  }
+}
+
+/// Read/write patterns of a row's streams (bit i set: stream i writes),
+/// each a distinct account() instantiation: the stencil and DP kernels'
+/// own shapes plus interleavings of reads and writes, 1 to 9 streams.
+struct Pattern {
+  std::size_t k;
+  std::uint32_t writes;
+};
+constexpr Pattern kPatterns[] = {
+    {1, 0b0},        {1, 0b1},       {2, 0b01},       {2, 0b10},
+    {2, 0b11},       {3, 0b010},     {3, 0b100},      {3, 0b101},
+    {4, 0b1000},     {4, 0b1001},    {5, 0b10000},    {6, 0b100000},
+    {7, 0b0101010},  {8, 0b11000000}, {9, 0b111110000}, {9, 0b100000000},
+    {9, 0b101010101},
+};
+constexpr std::size_t kNumPatterns = std::size(kPatterns);
+
+struct StreamSpec {
+  std::size_t span;
+  std::size_t base;
+  bool write;
+};
+
+struct Row {
+  std::size_t n;
+  std::size_t pattern;
+  std::vector<StreamSpec> streams;
+};
+
+struct Launch {
+  std::vector<std::size_t> span_buffer;  ///< buffer index of each span
+  std::vector<Row> rows;
+};
+
+enum class Residency { kExplicit, kManaged, kReadMostly, kSystem };
+
+struct Scenario {
+  std::uint64_t page = pagetable::kSystemPage4K;
+  mem::Node origin = mem::Node::kGpu;
+  Residency residency = Residency::kSystem;
+  bool pretouch = false;
+  std::vector<Launch> launches;
+};
+
+constexpr std::size_t kBuffers = 3;
+constexpr std::uint64_t kBufferBytes = 4ull << 20;  // two 2 MiB managed blocks
+
+template <typename T>
+Scenario draw_scenario(sim::Rng& rng) {
+  Scenario sc;
+  sc.page = rng.next_below(2) ? pagetable::kSystemPage4K : pagetable::kSystemPage64K;
+  sc.origin = rng.next_below(3) ? mem::Node::kGpu : mem::Node::kCpu;
+  sc.residency = static_cast<Residency>(rng.next_below(4));
+  sc.pretouch = sc.residency == Residency::kReadMostly || rng.next_below(2) == 0;
+  const std::size_t elems = kBufferBytes / sizeof(T);
+  const std::size_t page_elems = std::max<std::size_t>(sc.page / sizeof(T), 1);
+  const std::size_t launches = 1 + rng.next_below(3);
+  for (std::size_t l = 0; l < launches; ++l) {
+    Launch launch;
+    const std::size_t spans = 1 + rng.next_below(4);
+    for (std::size_t i = 0; i < spans; ++i) launch.span_buffer.push_back(rng.next_below(kBuffers));
+    const std::size_t rows = 1 + rng.next_below(5);
+    for (std::size_t r = 0; r < rows; ++r) {
+      Row row;
+      // Mostly a few pages long; sometimes empty or a single element.
+      const std::uint64_t kind = rng.next_below(8);
+      row.n = kind == 0 ? 0
+              : kind == 1 ? 1
+                          : static_cast<std::size_t>(1 + rng.next_below(3 * page_elems));
+      row.n = std::min(row.n, elems / 2);
+      row.pattern = rng.next_below(kNumPatterns);
+      // Streams cluster around an anchor (a stencil's rows and neighbours)
+      // or land anywhere in their buffer.
+      const std::size_t anchor = rng.next_below(elems - row.n - 64);
+      for (std::size_t i = 0; i < kPatterns[row.pattern].k; ++i) {
+        StreamSpec sp;
+        sp.span = rng.next_below(spans);
+        sp.base = rng.next_below(2) ? anchor + rng.next_below(64)
+                                    : rng.next_below(elems - row.n + 1);
+        sp.write = ((kPatterns[row.pattern].writes >> i) & 1) != 0;
+        row.streams.push_back(sp);
+      }
+      launch.rows.push_back(std::move(row));
+    }
+    sc.launches.push_back(std::move(launch));
+  }
+  return sc;
+}
+
+template <typename T>
+using SpanSet = std::vector<std::unique_ptr<runtime::Span<T>>>;
+
+std::uint64_t value_of(std::size_t c, std::size_t stream) { return c * 31 + stream + 1; }
+
+/// Writes every write stream of \p row through the pointers account()
+/// returned, in the per-element loop's order.
+template <typename T>
+void write_through(const Row& row, SpanSet<T>& spans, const std::vector<const T*>& ptrs) {
+  ASSERT_EQ(ptrs.size(), row.streams.size());
+  for (std::size_t i = 0; i < ptrs.size(); ++i) {
+    ASSERT_EQ(ptrs[i], spans[row.streams[i].span]->raw() + row.streams[i].base);
+  }
+  for (std::size_t c = 0; c < row.n; ++c) {
+    for (std::size_t i = 0; i < ptrs.size(); ++i) {
+      if (row.streams[i].write) const_cast<T*>(ptrs[i])[c] = element<T>(value_of(c, i));
+    }
+  }
+}
+
+template <typename T, bool Write>
+runtime::AffineStream<T, Write> stream_of(SpanSet<T>& spans, const StreamSpec& sp) {
+  if constexpr (Write) {
+    return spans[sp.span]->writes(sp.base);
+  } else {
+    return spans[sp.span]->reads(sp.base);
+  }
+}
+
+/// One account() call over the row's streams, shaped by kPatterns[P].
+template <typename T, std::size_t P, std::size_t... I>
+void account_row(const Row& row, SpanSet<T>& spans, std::index_sequence<I...>) {
+  constexpr std::uint32_t kWrites = kPatterns[P].writes;
+  std::vector<const T*> ptrs;
+  std::apply([&](auto... p) { (ptrs.push_back(p), ...); },
+             runtime::account(row.n, stream_of<T, ((kWrites >> I) & 1) != 0>(
+                                         spans, row.streams[I])...));
+  write_through<T>(row, spans, ptrs);
+}
+
+template <typename T, std::size_t... P>
+void dispatch_row(const Row& row, SpanSet<T>& spans, std::index_sequence<P...>) {
+  ((row.pattern == P
+        ? account_row<T, P>(row, spans, std::make_index_sequence<kPatterns[P].k>{})
+        : void()),
+   ...);
+}
+
+template <typename T>
+void per_element_row(const Row& row, SpanSet<T>& spans) {
+  for (std::size_t c = 0; c < row.n; ++c) {
+    for (std::size_t i = 0; i < row.streams.size(); ++i) {
+      const StreamSpec& sp = row.streams[i];
+      if (sp.write) {
+        spans[sp.span]->store(sp.base + c, element<T>(value_of(c, i)));
+      } else {
+        (void)spans[sp.span]->load(sp.base + c);
+      }
+    }
+  }
+}
+
+struct Outcome {
+  std::uint64_t digest = 0;
+  sim::Picos end = 0;
+  std::vector<cache::KernelTraffic> traffic;
+  std::vector<sim::Picos> durations;
+  std::vector<std::pair<std::string, std::uint64_t>> counters;
+  std::vector<std::vector<unsigned char>> data;
+};
+
+template <typename T>
+Outcome run_scenario(const Scenario& sc, bool use_account) {
+  core::SystemConfig cfg = span_config();
+  cfg.system_page_size = sc.page;
+  cfg.hbm_capacity = 32ull << 20;
+  cfg.access_counter_migration = true;
+  cfg.access_counter_threshold = 16;
+  cfg.counter_min_interval = 0;
+  core::System sys{cfg};
+  runtime::Runtime rt{sys};
+  // With explicit residency a GPU-origin scenario gets two device buffers
+  // next to one pinned host buffer; the host never touches device memory.
+  auto on_device = [&](std::size_t i) {
+    return sc.residency == Residency::kExplicit && sc.origin == mem::Node::kGpu && i != 0;
+  };
+  std::vector<core::Buffer> bufs;
+  for (std::size_t i = 0; i < kBuffers; ++i) {
+    switch (sc.residency) {
+      case Residency::kExplicit:
+        bufs.push_back(on_device(i) ? rt.malloc_device(kBufferBytes)
+                                    : rt.malloc_host(kBufferBytes));
+        break;
+      case Residency::kManaged:
+      case Residency::kReadMostly:
+        bufs.push_back(rt.malloc_managed(kBufferBytes));
+        if (sc.residency == Residency::kReadMostly) {
+          rt.mem_advise(bufs.back(), core::System::MemAdvice::kReadMostly);
+        }
+        break;
+      case Residency::kSystem:
+        bufs.push_back(rt.malloc_system(kBufferBytes));
+        break;
+    }
+  }
+  if (sc.pretouch) {
+    (void)rt.host_phase("init", 0, [&] {
+      for (std::size_t i = 0; i < kBuffers; ++i) {
+        if (on_device(i)) continue;
+        auto s = rt.host_span<unsigned char>(bufs[i]);
+        std::fill_n(s.store_run(0, s.size()), s.size(), static_cast<unsigned char>(7));
+      }
+    });
+  }
+  (void)rt.launch("warmup", 0, [] {});
+  Outcome out;
+  for (const Launch& launch : sc.launches) {
+    auto body = [&] {
+      SpanSet<T> spans;
+      for (const std::size_t b : launch.span_buffer) {
+        spans.push_back(std::make_unique<runtime::Span<T>>(sys, bufs[b], sc.origin));
+      }
+      for (const Row& row : launch.rows) {
+        if (use_account) {
+          dispatch_row<T>(row, spans, std::make_index_sequence<kNumPatterns>{});
+        } else {
+          per_element_row<T>(row, spans);
+        }
+      }
+    };
+    const cache::KernelRecord rec = sc.origin == mem::Node::kGpu ? rt.launch("rows", 0, body)
+                                                                 : rt.host_phase("rows", 0, body);
+    out.traffic.push_back(rec.traffic);
+    out.durations.push_back(rec.duration);
+  }
+  out.end = sys.now();
+  out.digest = sys.events().digest(sys.now());
+  for (const auto& [name, v] : sys.stats().snapshot()) out.counters.emplace_back(name, v);
+  for (const core::Buffer& b : bufs) {
+    const auto* p = reinterpret_cast<const unsigned char*>(b.host);
+    out.data.emplace_back(p, p + b.bytes);
+  }
+  return out;
+}
+
+std::uint64_t counter(const Outcome& o, std::string_view name) {
+  for (const auto& [n, v] : o.counters) {
+    if (n == name) return v;
+  }
+  return 0;
+}
+
+template <typename T>
+void check_seed(std::uint64_t seed, std::map<std::string, std::uint64_t>& coverage) {
+  sim::Rng rng{seed};
+  const Scenario sc = draw_scenario<T>(rng);
+  const Outcome batched = run_scenario<T>(sc, /*use_account=*/true);
+  const Outcome scalar = run_scenario<T>(sc, /*use_account=*/false);
+  EXPECT_EQ(batched.digest, scalar.digest);
+  EXPECT_EQ(batched.end, scalar.end);
+  EXPECT_EQ(batched.traffic, scalar.traffic);
+  EXPECT_EQ(batched.durations, scalar.durations);
+  EXPECT_EQ(batched.counters, scalar.counters);
+  EXPECT_TRUE(batched.data == scalar.data) << "buffer contents differ";
+  for (const char* name : {"os.fault.gpu_first_touch", "driver.managed.gpu_faults",
+                           "driver.counter.notifications",
+                           "driver.managed.replicas_collapsed"}) {
+    coverage[name] += counter(scalar, name);
+  }
+  coverage["wide elements"] += sizeof(T) > 128 ? 1 : 0;
+}
+
+TEST(SpanAccount, MatchesThePerElementLoopAcrossSeeds) {
+  std::map<std::string, std::uint64_t> coverage;
+  for (std::uint64_t seed = 1; seed <= 48; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    switch (seed % 4) {
+      case 0: check_seed<std::uint8_t>(seed, coverage); break;
+      case 1: check_seed<float>(seed, coverage); break;
+      case 2: check_seed<Bytes<16>>(seed, coverage); break;
+      default: check_seed<Bytes<160>>(seed, coverage); break;
+    }
+  }
+  // The seeds reach every mid-row event the accountant must hand to the
+  // per-element path.
+  for (const auto& [name, hits] : coverage) EXPECT_GT(hits, 0u) << name;
 }
 
 }  // namespace
