@@ -1,7 +1,9 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <queue>
 #include <string>
 #include <vector>
 
@@ -48,10 +50,15 @@
 /// Time model: each node's simulated clock is that node's fleet time.
 /// A node idle at placement time is advanced to the placement instant
 /// (idle time is real time); a degraded node's work is dilated by its
-/// slow factor. Fleet events (arrivals, faults, re-placement retries) are
-/// processed in deterministic (time, kind, id) order, nodes always in
-/// index order — two identical runs are bit-for-bit identical, which
-/// digest() fingerprints and bench_fleet gates.
+/// slow factor. Fleet events (faults, heartbeat edges, re-placement
+/// retries, arrivals) are processed in deterministic (time, kind, id)
+/// order, nodes always in index order — two identical runs are bit-for-bit
+/// identical, which digest() fingerprints and bench_fleet gates.
+///
+/// The implementation is split by concern: controller.cpp (construction,
+/// the event loop, results), placement.cpp (placement, admission,
+/// shedding), faults.cpp (node loss, degradation, evacuation, heartbeat
+/// detection) and controller_obs.cpp (recorder, alerts, metrics, traces).
 namespace ghum::fleet {
 
 enum class NodeState : std::uint8_t {
@@ -163,9 +170,11 @@ class Controller {
 
   /// Serves the whole request stream through the configured fault
   /// schedule and drains the fleet. One-shot: a second call fails with
-  /// kErrorInvalidValue. Returns kSuccess when every request reached a
-  /// terminal state (individual job failures are recorded per job, not
-  /// here); any Status return is also recorded for last_error().
+  /// kErrorInvalidValue, as does a request naming an unknown template or
+  /// arriving before its predecessor (\p requests must be sorted by
+  /// arrival). Returns kSuccess when every request reached a terminal
+  /// state (individual job failures are recorded per job, not here); any
+  /// Status return is also recorded for last_error().
   Status run(const std::vector<JobRequest>& requests);
 
   // --- results ---------------------------------------------------------------
@@ -248,6 +257,9 @@ class Controller {
   }
 
  private:
+  /// (tenant id on a node's scheduler, fleet job index) per live replica.
+  using Live = std::vector<std::pair<tenant::TenantId, std::uint64_t>>;
+
   struct Node {
     NodeId id = kNoNode;
     NodeState state = NodeState::kSpare;
@@ -255,8 +267,7 @@ class Controller {
     std::unique_ptr<tenant::Scheduler> sched;
     std::uint32_t slow_factor = 1;
     std::uint64_t placed_bytes = 0;
-    /// Live (tenant id on this node's scheduler -> fleet job index).
-    std::vector<std::pair<tenant::TenantId, std::uint64_t>> live;
+    Live live;
     /// Failure-detector belief: excluded from placement, still running.
     bool suspected = false;
     /// Physically dead (machine and endpoint gone) but not yet detected —
@@ -269,9 +280,20 @@ class Controller {
     sim::Picos known_now = 0;
   };
 
-  struct Retry {
-    sim::Picos due = 0;
-    std::uint64_t job = 0;
+  /// Fleet event kinds, in the order same-instant events are handled. A
+  /// heartbeat edge is derived each iteration, never queued.
+  enum class EventKind : std::uint8_t {
+    kLoss, kDegrade, kHeartbeat, kRetry, kArrival
+  };
+
+  /// One timed fleet event; ordered by (time, kind, id). The id of a loss
+  /// or degrade is (node << 32 | index in its config list), of a retry or
+  /// an arrival the fleet job index.
+  struct Event {
+    sim::Picos time = 0;
+    EventKind kind = EventKind::kArrival;
+    std::uint64_t id = 0;
+    auto operator<=>(const Event&) const = default;
   };
 
   Status record(Status s) noexcept {
@@ -280,6 +302,9 @@ class Controller {
   }
 
   void activate(Node& n);  ///< boot a fresh System + Scheduler for a node
+  /// Kills \p n's machine, leaves it in state \p to and returns the jobs
+  /// that were live on it.
+  Live tear_down(Node& n, NodeState to);
   [[nodiscard]] sim::Picos fleet_now() const noexcept;  ///< max node clock
   [[nodiscard]] std::uint64_t node_budget() const noexcept;
 
@@ -300,13 +325,21 @@ class Controller {
   void ensure_classes(std::uint32_t classes);
 
   // Fault domain.
+  /// Without heartbeats the loss is declared at once; with them the
+  /// machine and endpoint die now and the controller's belief is untouched.
   void on_node_loss(const fault::NodeLossEvent& e);
-  /// Heartbeat mode: the machine and endpoint die now; belief is untouched.
-  void on_silent_death(const fault::NodeLossEvent& e);
   /// The recovery ladder (omniscient loss, or heartbeat detection): kill
   /// whatever machine remains, replay victims under the backoff budget,
   /// shed to the surviving capacity.
   void declare_loss(Node& n, sim::Picos time);
+  /// Drops \p from's replica of every victim; a victim left without a
+  /// live replica goes back to pending under \p ctx, re-offered at \p t
+  /// itself or, with \p backoff, through schedule_retry.
+  void redrive(NodeId from, const Live& victims, const obs::TraceContext& ctx,
+               sim::Picos t, bool backoff);
+  /// Consumes one re-placement attempt of \p j and queues its retry after
+  /// the backoff, or fails it with kErrorNodeLost once the budget is spent.
+  void schedule_retry(FleetJob& j, sim::Picos t);
   void on_node_degrade(const fault::NodeDegradeEvent& e);
   void evacuate(Node& n, const obs::TraceContext& ctx);
   void shed_to_capacity(sim::Picos now);
@@ -331,7 +364,8 @@ class Controller {
   std::unique_ptr<net::Fabric> fabric_;
   std::vector<Node> nodes_;  ///< actives then spares; index == NodeId
   std::vector<FleetJob> jobs_;
-  std::vector<Retry> retries_;  ///< kept sorted by (due, job) ascending
+  /// Pending losses, degrades, retries and arrivals, earliest first.
+  std::priority_queue<Event, std::vector<Event>, std::greater<>> events_;
   bool ran_ = false;
   Status last_error_ = Status::kSuccess;
 

@@ -59,7 +59,8 @@ struct JobTemplate {
   /// Predicted solo runtime (bench_fleet measures it from solo runs).
   sim::Picos est_cost = 0;
   /// Reference output digest of an uninterrupted solo run; 0 = unknown.
-  /// The controller checks every finished job against it when set.
+  /// The controller never reads it: callers compare finished jobs'
+  /// checksums against it (bench_fleet, bench_chaosnet and perfbench do).
   std::uint64_t solo_checksum = 0;
 };
 

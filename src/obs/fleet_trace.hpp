@@ -86,9 +86,9 @@ struct FleetTraceEvent {
   std::uint32_t peer = kControlLane;  ///< transfer/evacuation destination
   std::uint32_t tenant = 0;
   std::uint64_t job = ~0ull;  ///< fleet job id (~0 = none)
-  TraceContext ctx;
+  TraceContext ctx{};
   std::uint64_t bytes = 0;
-  std::string label;  ///< extra name detail (may be user-supplied; escaped)
+  std::string label{};  ///< extra name detail (may be user-supplied; escaped)
 };
 
 struct FleetTraceOptions {

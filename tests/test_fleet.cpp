@@ -6,6 +6,7 @@
 #include "apps/hotspot.hpp"
 #include "fleet/arrival.hpp"
 #include "fleet/controller.hpp"
+#include "sim/fnv.hpp"
 #include "tenant/scheduler.hpp"
 
 /// Fleet-controller tests (DESIGN.md Section 11): deterministic arrivals,
@@ -181,6 +182,22 @@ TEST(FleetController, RunIsOneShotAndErrorsAreStickyUntilRead) {
   EXPECT_EQ(ctl.peek_last_error(), Status::kErrorInvalidValue);
   EXPECT_EQ(ctl.get_last_error(), Status::kErrorInvalidValue);
   EXPECT_EQ(ctl.get_last_error(), Status::kSuccess);
+}
+
+TEST(FleetController, RejectsArrivalsOutOfOrder) {
+  // A request stream whose arrival times decrease would drive fleet time
+  // backwards; it is rejected before anything runs, like an unknown
+  // template. Equal arrival times are fine.
+  fleet::Controller ctl{small_fleet(1), catalog()};
+  EXPECT_EQ(ctl.run({make_req(0, 0), make_req(1, solo().end),
+                     make_req(2, solo().end / 2)}),
+            Status::kErrorInvalidValue);
+  EXPECT_EQ(ctl.get_last_error(), Status::kErrorInvalidValue);
+  EXPECT_EQ(ctl.metrics().counter("ghum_fleet_arrivals_total").value(), 0u);
+  EXPECT_TRUE(ctl.jobs().empty());
+
+  fleet::Controller ok{small_fleet(1), catalog()};
+  EXPECT_EQ(ok.run({make_req(0, 0), make_req(1, 0)}), Status::kSuccess);
 }
 
 // --- placement and SLO accounting --------------------------------------------
@@ -603,6 +620,33 @@ TEST(FleetDetect, ChaoticDetectionRunsAreDeterministic) {
   EXPECT_EQ(drive(), drive());
 }
 
+TEST(FleetDetect, DegradeOfUndetectedDeadNodeWaitsForDetection) {
+  // The machine died silently just before its degrade fires: there is no
+  // machine image to evacuate, so the degrade leaves the spare alone and
+  // the heartbeat detector's loss ladder replays the node's job.
+  const sim::Picos iv = sim::microseconds(20);
+  auto f = small_fleet(2, 1);
+  f.heartbeat.enabled = true;
+  f.heartbeat.interval = iv;
+  f.heartbeat.miss_threshold = 3;
+  f.faults.node_loss = {{.time = solo().end / 2, .node = 1}};
+  f.faults.node_degrade = {
+      {.time = solo().end / 2 + iv / 2, .node = 1, .slow_factor = 2}};
+  fleet::Controller ctl{f, catalog()};
+  ASSERT_EQ(ctl.run({make_req(0, 0), make_req(1, 0)}), Status::kSuccess);
+  for (const fleet::FleetJob& j : ctl.jobs()) {
+    EXPECT_EQ(j.state, fleet::FleetJobState::kFinished);
+    EXPECT_EQ(j.checksum, solo().checksum);
+  }
+  EXPECT_TRUE(ctl.jobs()[1].replayed_after_loss);
+  auto& m = ctl.metrics();
+  EXPECT_EQ(m.counter("ghum_fleet_evacuations_total").value(), 0u);
+  EXPECT_EQ(m.counter("ghum_fleet_detected_losses_total").value(), 1u);
+  const auto status = ctl.node_status();
+  EXPECT_EQ(status[1].state, fleet::NodeState::kDead);
+  EXPECT_EQ(status[2].state, fleet::NodeState::kSpare);
+}
+
 // --- evacuation-blob integrity ----------------------------------------------
 
 TEST(FleetChk, CorruptEvacBlobIsReRequested) {
@@ -660,6 +704,194 @@ TEST(FleetChk, DoublyCorruptEvacBlobFallsBackToReplay) {
   EXPECT_EQ(ctl.get_last_error(), Status::kErrorDataCorruption);
   EXPECT_EQ(ctl.node_status()[0].state, fleet::NodeState::kRetired);
   EXPECT_EQ(ctl.node_status()[1].state, fleet::NodeState::kAlive);
+}
+
+// --- golden pins of the fleet event order -----------------------------------
+
+/// Everything a run's outcome is fingerprinted by: the fleet digest, the
+/// fabric's history digest, the flight recorder and alert digests, and an
+/// FNV-1a over the causal trace stream. Same-instant events handled in a
+/// different order move at least one of them. The values below were
+/// recorded on the hand-merged event loop that the fleet event queue
+/// replaced; they may not be re-pinned to fit a change in event order.
+struct Pins {
+  std::uint64_t fleet = 0;
+  std::uint64_t fabric = 0;
+  std::uint64_t recorder = 0;
+  std::uint64_t alerts = 0;
+  std::uint64_t trace = 0;
+};
+
+Pins pins(fleet::Controller& ctl) {
+  std::uint64_t h = sim::kFnvOffset;
+  for (const obs::FleetTraceEvent& e : ctl.trace_events()) {
+    sim::fnv_mix(h, static_cast<std::uint64_t>(e.time));
+    sim::fnv_mix(h, static_cast<std::uint64_t>(e.kind));
+    sim::fnv_mix(h, (std::uint64_t{e.node} << 32) | e.peer);
+    sim::fnv_mix(h, e.job);
+    sim::fnv_mix(h, e.tenant);
+    sim::fnv_mix(h, e.bytes);
+    h = sim::fnv1a(e.label.data(), e.label.size(), h);
+  }
+  return {ctl.digest(), ctl.fabric()->digest(), ctl.recorder()->digest(),
+          ctl.alert_engine()->digest(), h};
+}
+
+void expect_pins(fleet::Controller& ctl, const Pins& want) {
+  ASSERT_NE(ctl.recorder(), nullptr);
+  ASSERT_NE(ctl.alert_engine(), nullptr);
+  const Pins got = pins(ctl);
+  EXPECT_EQ(got.fleet, want.fleet) << std::hex << "fleet 0x" << got.fleet;
+  EXPECT_EQ(got.fabric, want.fabric) << std::hex << "fabric 0x" << got.fabric;
+  EXPECT_EQ(got.recorder, want.recorder)
+      << std::hex << "recorder 0x" << got.recorder;
+  EXPECT_EQ(got.alerts, want.alerts) << std::hex << "alerts 0x" << got.alerts;
+  EXPECT_EQ(got.trace, want.trace) << std::hex << "trace 0x" << got.trace;
+}
+
+/// A small fleet with the recorder, one backlog alert and the trace on.
+fleet::FleetConfig golden_fleet(std::uint32_t nodes, std::uint32_t spares) {
+  auto f = small_fleet(nodes, spares);
+  f.obs.enabled = true;
+  f.obs.cadence = solo().end / 16;
+  obs::AlertRule backlog;
+  backlog.name = "backlog";
+  backlog.instrument = "fleet.pending_jobs";
+  backlog.predicate = obs::AlertPredicate::kAbove;
+  backlog.threshold = 0;
+  f.obs.alerts = {backlog};
+  return f;
+}
+
+bool traced(const fleet::Controller& ctl, obs::FleetTraceKind kind,
+            sim::Picos time) {
+  for (const obs::FleetTraceEvent& e : ctl.trace_events()) {
+    if (e.kind == kind && e.time == time) return true;
+  }
+  return false;
+}
+
+TEST(FleetGolden, LossDegradeAndArrivalsAtOneInstant) {
+  // Two losses (listed out of node order), a degrade evacuated onto the
+  // spare and three arrivals, all at one instant.
+  const sim::Picos t = solo().end / 2;
+  auto f = golden_fleet(3, 1);
+  f.faults.evacuate_degraded = true;
+  f.faults.node_loss = {{.time = t, .node = 2}, {.time = t, .node = 1}};
+  f.faults.node_degrade = {{.time = t, .node = 0, .slow_factor = 4}};
+  fleet::Controller ctl{f, catalog()};
+  ASSERT_EQ(ctl.run({make_req(0, 0), make_req(1, 0), make_req(2, 0),
+                     make_req(3, t), make_req(4, t), make_req(5, t)}),
+            Status::kSuccess);
+  EXPECT_TRUE(traced(ctl, obs::FleetTraceKind::kNodeLoss, t));
+  EXPECT_TRUE(traced(ctl, obs::FleetTraceKind::kNodeDegrade, t));
+  EXPECT_TRUE(traced(ctl, obs::FleetTraceKind::kArrival, t));
+  EXPECT_EQ(ctl.metrics().counter("ghum_fleet_evacuations_total").value(), 1u);
+  expect_pins(ctl, {.fleet = 0x584c19471a314afcull,
+                    .fabric = 0xf89d26d8e4d4455cull,
+                    .recorder = 0x1b14cf91cab8b132ull,
+                    .alerts = 0x96cde6de83653e7cull,
+                    .trace = 0x3ea56753cdcd619aull});
+}
+
+TEST(FleetGolden, RetryDueOnHeartbeatEdgeAndArrival) {
+  // A silent loss on an edge is declared on the third missed edge; the
+  // replay's backoff is two intervals, so the retry falls due on a later
+  // edge, at the instant request 2 arrives. A second (no-op) loss of the
+  // same node keeps the heartbeat watch open through that instant.
+  const sim::Picos iv = sim::microseconds(20);
+  auto f = golden_fleet(2, 0);
+  f.heartbeat.enabled = true;
+  f.heartbeat.interval = iv;
+  f.heartbeat.miss_threshold = 3;
+  f.replace_backoff = 2 * iv;
+  const sim::Picos loss = solo().end / 2 / iv * iv;
+  const sim::Picos declared = loss + 2 * iv;
+  const sim::Picos due = declared + f.replace_backoff;
+  f.faults.node_loss = {{.time = loss, .node = 1},
+                        {.time = due + 10 * iv, .node = 1}};
+  fleet::Controller ctl{f, catalog()};
+  ASSERT_EQ(ctl.run({make_req(0, 0), make_req(1, 0), make_req(2, due)}),
+            Status::kSuccess);
+  EXPECT_TRUE(traced(ctl, obs::FleetTraceKind::kNodeLoss, declared));
+  EXPECT_TRUE(traced(ctl, obs::FleetTraceKind::kArrival, due));
+  EXPECT_TRUE(ctl.jobs()[1].replayed_after_loss);
+  expect_pins(ctl, {.fleet = 0x579d596197509192ull,
+                    .fabric = 0xa3d853bbfb530496ull,
+                    .recorder = 0x237b76e6c3987132ull,
+                    .alerts = 0x7225f19d90dbff55ull,
+                    .trace = 0x8c22d08a30f59023ull});
+}
+
+TEST(FleetGolden, RetryDueOnArrival) {
+  // Without heartbeats a loss is declared at once; the replay's retry
+  // falls due at the instant request 2 arrives, with no edge in between.
+  const sim::Picos loss = solo().end / 2;
+  auto f = golden_fleet(2, 0);
+  const sim::Picos due = loss + f.replace_backoff;
+  f.faults.node_loss = {{.time = loss, .node = 1}};
+  fleet::Controller ctl{f, catalog()};
+  ASSERT_EQ(ctl.run({make_req(0, 0), make_req(1, 0), make_req(2, due)}),
+            Status::kSuccess);
+  EXPECT_TRUE(traced(ctl, obs::FleetTraceKind::kReplacementRetry, loss));
+  EXPECT_TRUE(traced(ctl, obs::FleetTraceKind::kArrival, due));
+  EXPECT_TRUE(ctl.jobs()[1].replayed_after_loss);
+  expect_pins(ctl, {.fleet = 0x29c78e91346feacfull,
+                    .fabric = 0x1f4b76b50a380c4bull,
+                    .recorder = 0xc63723358f8defa3ull,
+                    .alerts = 0x7225f19d90dbff55ull,
+                    .trace = 0x4c4fd9dd787f2d05ull});
+}
+
+TEST(FleetGolden, WatchReopensThroughExhaustedPlacementSend) {
+  // An early loss keeps the heartbeat watch open until it is declared;
+  // later, single-attempt placement sends on a lossy fabric exhaust and
+  // re-open it, and the edge grid resumes at the next future edge.
+  auto f = golden_fleet(3, 0);
+  f.heartbeat.enabled = true;
+  f.heartbeat.interval = sim::microseconds(20);
+  f.heartbeat.miss_threshold = 6;
+  f.faults.messages.enabled = true;
+  f.faults.messages.drop_prob = 0.2;
+  f.faults.messages.max_retransmits = 0;
+  f.faults.node_loss = {{.time = solo().end / 4, .node = 2}};
+  std::vector<fleet::JobRequest> reqs;
+  for (std::uint64_t i = 0; i < 8; ++i) {
+    reqs.push_back(make_req(i, static_cast<sim::Picos>(i) * solo().end / 3));
+  }
+  fleet::Controller ctl{f, catalog()};
+  ASSERT_EQ(ctl.run(reqs), Status::kSuccess);
+  bool reopened = false;
+  for (const obs::FleetTraceEvent& e : ctl.trace_events()) {
+    reopened |= e.kind == obs::FleetTraceKind::kNodeSuspect &&
+                e.label == "placement send exhausted" &&
+                e.time > solo().end / 4;
+  }
+  EXPECT_TRUE(reopened);
+  expect_pins(ctl, {.fleet = 0x45471012420adb34ull,
+                    .fabric = 0x68225c3e13abe7c9ull,
+                    .recorder = 0x9c780104557195ffull,
+                    .alerts = 0xb55a32f891f02e6cull,
+                    .trace = 0x2d34a44e45d7133dull});
+}
+
+TEST(FleetGolden, DoublyCorruptEvacuationFallsBackToReplay) {
+  auto f = golden_fleet(2, 1);
+  f.faults.node_degrade = {
+      {.time = solo().end / 2, .node = 0, .slow_factor = 4}};
+  f.faults.messages.enabled = true;
+  f.faults.messages.bulk_threshold = 4096;
+  f.faults.messages.e2e_corrupt_bulk = {0, 1};
+  fleet::Controller ctl{f, catalog()};
+  ASSERT_EQ(ctl.run({make_req(0, 0), make_req(1, 0), make_req(2, 0),
+                     make_req(3, 0)}),
+            Status::kSuccess);
+  EXPECT_EQ(ctl.metrics().counter("ghum_fleet_evac_replays_total").value(), 1u);
+  expect_pins(ctl, {.fleet = 0xe0415c31d7485e8eull,
+                    .fabric = 0x0d55430d7e41ca24ull,
+                    .recorder = 0xaf4314755e967db7ull,
+                    .alerts = 0x2211d5b204d9b5b6ull,
+                    .trace = 0x0d00560499650c32ull});
 }
 
 }  // namespace
