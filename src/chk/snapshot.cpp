@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <iterator>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -20,7 +21,7 @@
 ///   4. FrameAllocators (GPU then CPU)
 ///   5. NvlinkC2C (degrade factors + traffic counters)
 ///   6. PageTables (system then GPU; extents in VPN order)
-///   7. TLBs (SMMU cpu/ats, GMMU gpu/sys; LRU order front-to-back)
+///   7. TLBs (SMMU cpu/ats, GMMU gpu/sys; most recent entry first)
 ///   8. AddressSpace (VMAs with their real backing bytes, each prefixed by
 ///      a has-data flag so non-materialized VMAs carry no byte image)
 ///   9. Machine epoch / current tenant
@@ -47,6 +48,17 @@ sorted_entries(const Map& m) {
   std::sort(v.begin(), v.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
   return v;
+}
+
+/// Reads a node byte, refusing one that names no mem::Node: the machine
+/// indexes its per-node tables with it.
+mem::Node read_node(Reader& r) {
+  const std::uint8_t node = r.u8();
+  if (node > static_cast<std::uint8_t>(mem::Node::kGpu)) {
+    throw StatusError{Status::kErrorInvalidValue,
+                      "checkpoint: node byte names no memory node"};
+  }
+  return static_cast<mem::Node>(node);
 }
 
 }  // namespace
@@ -276,11 +288,11 @@ void Snapshotter::save_state(core::System& sys, Writer& w) {
   const auto save_tlb = [&w](const pagetable::Tlb& tlb) {
     w.u64(tlb.hits_);
     w.u64(tlb.misses_);
-    w.u64(tlb.lru_.size());
-    for (const auto& entry : tlb.lru_) {
-      w.u64(entry.vpn);
-      w.u8(static_cast<std::uint8_t>(entry.node));
-    }
+    w.u64(tlb.size());
+    tlb.for_each_mru([&w](std::uint64_t vpn, mem::Node node) {
+      w.u64(vpn);
+      w.u8(static_cast<std::uint8_t>(node));
+    });
   };
   save_tlb(m.smmu_.cpu_tlb());
   save_tlb(m.smmu_.ats_tlb());
@@ -501,7 +513,7 @@ void Snapshotter::load_state(core::System& sys, Reader& r,
       const std::uint64_t first_vpn = r.u64();
       const std::uint64_t pages = r.u64();
       pagetable::Pte pte;
-      pte.node = static_cast<mem::Node>(r.u8());
+      pte.node = read_node(r);
       pte.writable = r.boolean();
       pte.numa_generation = r.u32();
       pt.insert_run(first_vpn, pages, pte);
@@ -512,17 +524,23 @@ void Snapshotter::load_state(core::System& sys, Reader& r,
 
   // [7] TLBs. hits_/misses_ are set directly — the bound registry counters
   // are restored with the registry section, so going through the public
-  // interface would double count.
+  // interface would double count. Entries arrive most recent first, so
+  // each one is appended at the LRU end.
   const auto load_tlb = [&r](pagetable::Tlb& tlb) {
     tlb.hits_ = r.u64();
     tlb.misses_ = r.u64();
-    tlb.lru_.clear();
-    tlb.map_.clear();
-    for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
+    tlb.flush();
+    const std::uint64_t n = r.count(9);  // a u64 VPN and a node byte
+    if (n > tlb.capacity()) {
+      throw StatusError{Status::kErrorInvalidValue,
+                        "checkpoint: TLB holds more entries than its capacity"};
+    }
+    for (std::uint64_t i = 0; i < n; ++i) {
       const std::uint64_t vpn = r.u64();
-      const auto node = static_cast<mem::Node>(r.u8());
-      tlb.lru_.push_back({vpn, node});
-      tlb.map_[vpn] = std::prev(tlb.lru_.end());
+      if (!tlb.append_lru(vpn, read_node(r))) {
+        throw StatusError{Status::kErrorInvalidValue,
+                          "checkpoint: TLB entry repeats a VPN"};
+      }
     }
   };
   load_tlb(m.smmu_.cpu_tlb());
@@ -765,7 +783,14 @@ std::unique_ptr<core::System> Snapshotter::restore(const Blob& blob,
                                "checkpoint: payload digest mismatch"};
     }
     Reader r{body, static_cast<std::size_t>(size)};
-    auto sys = std::make_unique<core::System>(load_config(r));
+    std::unique_ptr<core::System> sys;
+    try {
+      sys = std::make_unique<core::System>(load_config(r));
+    } catch (const std::invalid_argument&) {
+      // A page size or TLB capacity the machine's tables cannot hold.
+      throw StatusError{Status::kErrorInvalidValue,
+                        "checkpoint: configuration cannot build a machine"};
+    }
     load_state(*sys, r, donor);
     return sys;
   } catch (const std::out_of_range&) {

@@ -1,9 +1,9 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <list>
 #include <optional>
-#include <unordered_map>
+#include <vector>
 
 #include "mem/node.hpp"
 #include "obs/metrics.hpp"
@@ -14,6 +14,12 @@
 /// we model each as one capacity-bounded LRU cache keyed by virtual page
 /// number. A TLB hit avoids the page-walk cost; migration and unmapping
 /// invalidate entries (TLB shootdown costs are charged by the cost model).
+///
+/// Layout (DESIGN.md Section 7, "Flat TLBs"): the entries live in one
+/// array, doubly linked into the LRU list by 32-bit indices, and an
+/// open-addressed table of entry indices finds them by VPN. Both arrays
+/// grow on demand up to the capacity, so a miss allocates nothing once the
+/// TLB has filled.
 
 namespace ghum::chk {
 class Snapshotter;
@@ -23,7 +29,9 @@ namespace ghum::pagetable {
 
 class Tlb {
  public:
-  explicit Tlb(std::size_t capacity) : capacity_(capacity) {}
+  /// Throws std::invalid_argument if \p capacity does not fit the 32-bit
+  /// entry links.
+  explicit Tlb(std::size_t capacity);
 
   /// Looks up a VPN; refreshes LRU position on hit.
   [[nodiscard]] std::optional<mem::Node> lookup(std::uint64_t vpn);
@@ -34,18 +42,26 @@ class Tlb {
   /// Invalidates one VPN (no-op if absent).
   void invalidate(std::uint64_t vpn);
 
-  /// Invalidates every cached VPN in [first, last): one walk over the
-  /// bounded LRU list instead of one hash erase per page, so bulk unmap /
-  /// migration splices cost O(TLB entries), not O(pages).
+  /// Invalidates every cached VPN in [first, last). Costs
+  /// O(min(last - first, size())), so bulk unmap / migration splices never
+  /// pay per page beyond the bounded TLB.
   void invalidate_range(std::uint64_t first, std::uint64_t last);
 
   /// Invalidates everything (full shootdown).
   void flush();
 
-  [[nodiscard]] std::size_t size() const noexcept { return map_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   [[nodiscard]] std::uint64_t hits() const noexcept { return hits_; }
   [[nodiscard]] std::uint64_t misses() const noexcept { return misses_; }
+
+  /// Calls \p visit(vpn, node) for every entry, most recent first.
+  template <typename F>
+  void for_each_mru(F&& visit) const {
+    for (std::uint32_t i = head_; i != kNil; i = entries_[i].next) {
+      visit(entries_[i].vpn, entries_[i].node);
+    }
+  }
 
   /// Mirrors hit/miss counts into registry counters (obs subsystem). Bound
   /// once by core::Machine; nullptr (the default) means unobserved.
@@ -55,19 +71,55 @@ class Tlb {
   }
 
  private:
+  static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+
   struct Entry {
     std::uint64_t vpn;
+    std::uint32_t prev;  ///< towards the MRU end; free slots: unused
+    std::uint32_t next;  ///< towards the LRU end; free slots: next free
     mem::Node node;
   };
+
+  /// First index slot probed for \p vpn.
+  [[nodiscard]] std::size_t home(std::uint64_t vpn) const noexcept;
+  /// Index slot holding \p vpn, or the empty slot where it would go.
+  [[nodiscard]] std::size_t slot_of(std::uint64_t vpn) const noexcept;
+  /// Entry index of \p vpn, or kNil.
+  [[nodiscard]] std::uint32_t find(std::uint64_t vpn) const noexcept;
+  /// Empties index slot \p hole by backward-shift deletion.
+  void erase_slot(std::size_t hole) noexcept;
+  /// Doubles the index (at least kMinSlots) and reinserts every entry.
+  void grow_index();
+  void unlink(std::uint32_t i) noexcept;
+  /// Makes linked entry \p i the most recent.
+  void to_front(std::uint32_t i) noexcept;
+  void push_front(std::uint32_t i) noexcept;
+  void push_back(std::uint32_t i) noexcept;
+  /// Takes a free or fresh entry for a VPN known to be absent, sets it and
+  /// indexes it; the caller links it into the list.
+  std::uint32_t emplace(std::uint64_t vpn, mem::Node node);
+  /// Unindexes, unlinks and frees entry \p i.
+  void remove(std::uint32_t i) noexcept;
+
+  /// Restores one checkpointed entry at the LRU end; the caller has kept
+  /// the entry count within capacity(). Returns false (and changes
+  /// nothing) if the TLB already holds \p vpn.
+  [[nodiscard]] bool append_lru(std::uint64_t vpn, mem::Node node);
+
   std::size_t capacity_;
-  std::list<Entry> lru_;  // front = most recent
-  std::unordered_map<std::uint64_t, std::list<Entry>::iterator> map_;
+  std::vector<Entry> entries_;
+  std::vector<std::uint32_t> index_;  ///< entry indices; kNil = empty slot
+  unsigned shift_ = 64;               ///< 64 - log2(index_.size())
+  std::uint32_t head_ = kNil;         ///< most recent
+  std::uint32_t tail_ = kNil;         ///< least recent
+  std::uint32_t free_ = kNil;         ///< free-list head, linked by next
+  std::size_t size_ = 0;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   obs::Counter* hits_ctr_ = nullptr;
   obs::Counter* misses_ctr_ = nullptr;
 
-  // Restore rebuilds lru_/map_ in recency order and reinstates hits_/misses_
+  // Restore appends entries in recency order and reinstates hits_/misses_
   // without touching the bound registry counters (those are restored with
   // the registry itself, avoiding double counting).
   friend class ghum::chk::Snapshotter;

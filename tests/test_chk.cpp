@@ -227,15 +227,26 @@ std::vector<std::size_t> find_u64_pair(const chk::Blob& blob, std::uint64_t a,
   return hits;
 }
 
-/// Overwrites the u64 at \p at and re-stamps the payload digest (header
-/// offset 12; the payload starts at 28), so the crafted blob passes
-/// verify() and only the loader's own bounds checks stand in its way.
-chk::Blob with_u64(chk::Blob blob, std::size_t at, std::uint64_t v) {
-  std::copy_n(le_bytes(v).begin(), 8, blob.begin() + at);
+/// Re-stamps the payload digest (header offset 12; the payload starts at
+/// 28), so a crafted blob passes verify() and only the loader's own bounds
+/// checks stand in its way.
+chk::Blob restamped(chk::Blob blob) {
   const std::uint64_t d =
       sim::fnv1a(blob.data() + 28, blob.size() - 28, chk::kDigestSeed);
   std::copy_n(le_bytes(d).begin(), 8, blob.begin() + 12);
   return blob;
+}
+
+/// Overwrites the u64 at \p at, re-stamped.
+chk::Blob with_u64(chk::Blob blob, std::size_t at, std::uint64_t v) {
+  std::copy_n(le_bytes(v).begin(), 8, blob.begin() + at);
+  return restamped(std::move(blob));
+}
+
+/// Overwrites the byte at \p at, re-stamped.
+chk::Blob with_u8(chk::Blob blob, std::size_t at, std::uint8_t v) {
+  blob[at] = v;
+  return restamped(std::move(blob));
 }
 
 TEST(ChkValidation, ChecksumValidOversizedCountsAreRejected) {
@@ -266,6 +277,106 @@ TEST(ChkValidation, ChecksumValidOversizedCountsAreRejected) {
   }
 }
 
+/// The CPU TLB of tlb_probe_blob()'s machine holds its capacity, three
+/// marker VPNs; the ATS TLB's odd capacity marks the config record.
+constexpr std::uint64_t kProbeVpn = 0x7ee1'0000'0000'0000;
+constexpr std::uint64_t kProbeAtsEntries = 0x1357;
+
+chk::Blob tlb_probe_blob() {
+  core::SystemConfig cfg = chk_cfg();
+  cfg.event_log = false;
+  cfg.cpu_tlb_entries = 3;
+  cfg.ats_tlb_entries = kProbeAtsEntries;
+  core::System sys{cfg};
+  pagetable::Tlb& tlb = sys.machine().smmu().cpu_tlb();
+  for (std::uint64_t i = 0; i < 3; ++i) tlb.insert(kProbeVpn + i, mem::Node::kCpu);
+  return chk::Snapshotter::snapshot(sys);
+}
+
+/// Offset of the CPU TLB's entry count in tlb_probe_blob(): the count (3)
+/// precedes the most recent VPN; each entry is a u64 VPN and a node byte.
+std::size_t probe_tlb_count_at(const chk::Blob& blob) {
+  const std::vector<std::size_t> at = find_u64_pair(blob, 3, kProbeVpn + 2);
+  EXPECT_EQ(at.size(), 1u);
+  return at.empty() ? 0 : at[0];
+}
+
+void expect_invalid_value(const chk::Blob& crafted) {
+  ASSERT_TRUE(chk::Snapshotter::verify(crafted));
+  try {
+    (void)chk::Snapshotter::restore(crafted);
+    FAIL() << "restore accepted a corrupt blob";
+  } catch (const StatusError& e) {
+    EXPECT_EQ(e.status(), Status::kErrorInvalidValue);
+  }
+}
+
+TEST(ChkValidation, ChecksumValidTlbCountAboveCapacityIsRejected) {
+  // Shrinking the saved CPU TLB capacity below the entries saved for it
+  // would restore a TLB holding more translations than it can.
+  const chk::Blob blob = tlb_probe_blob();
+  EXPECT_EQ(chk::Snapshotter::restore(blob)->machine().smmu().cpu_tlb().size(), 3u);
+  const std::vector<std::size_t> cfg_at = find_u64_pair(blob, 3, kProbeAtsEntries);
+  ASSERT_EQ(cfg_at.size(), 1u);
+  for (const std::uint64_t cap : {0u, 1u, 2u}) {
+    expect_invalid_value(with_u64(blob, cfg_at[0], cap));
+  }
+}
+
+TEST(ChkValidation, ChecksumValidUnbuildableConfigIsRejected) {
+  // The machine's constructors refuse these configurations; restore must
+  // report them as a bad blob, not let std::invalid_argument escape.
+  const chk::Blob blob = tlb_probe_blob();
+  // The payload (offset 28) opens with the system page size.
+  expect_invalid_value(with_u64(blob, 28, 3000));
+  // A TLB capacity its 32-bit entry links cannot address.
+  const std::vector<std::size_t> cfg_at = find_u64_pair(blob, 3, kProbeAtsEntries);
+  ASSERT_EQ(cfg_at.size(), 1u);
+  expect_invalid_value(with_u64(blob, cfg_at[0], std::uint64_t{1} << 40));
+}
+
+TEST(ChkValidation, ChecksumValidTlbRepeatedVpnIsRejected) {
+  // A VPN saved twice would leave two recency entries for one key.
+  const chk::Blob blob = tlb_probe_blob();
+  const std::size_t count_at = probe_tlb_count_at(blob);
+  expect_invalid_value(with_u64(blob, count_at + 8 + 9, kProbeVpn + 2));
+  expect_invalid_value(with_u64(blob, count_at + 8 + 18, kProbeVpn + 1));
+}
+
+TEST(ChkValidation, ChecksumValidTlbNodeOutsideNodeIsRejected) {
+  const chk::Blob blob = tlb_probe_blob();
+  const std::size_t count_at = probe_tlb_count_at(blob);
+  EXPECT_NO_THROW((void)chk::Snapshotter::restore(with_u8(blob, count_at + 16, 1)));
+  for (const std::uint8_t node : {std::uint8_t{2}, std::uint8_t{0xff}}) {
+    expect_invalid_value(with_u8(blob, count_at + 16, node));
+  }
+}
+
+TEST(ChkValidation, ChecksumValidPteNodeOutsideNodeIsRejected) {
+  // The machine indexes per-node tables with a restored PTE's node, so a
+  // byte that names no node must be refused before anything indexes it.
+  core::SystemConfig cfg = chk_cfg();
+  cfg.event_log = false;
+  core::System sys{cfg};
+  runtime::Runtime rt{sys};
+  constexpr std::uint64_t kPage = pagetable::kSystemPage64K;
+  const core::Buffer b = rt.malloc_system(4 * kPage, "probe");
+  rt.host_phase("touch", 0.0, [&] {
+    runtime::Span<std::uint64_t> s{sys, b, mem::Node::kCpu};
+    for (std::uint64_t p = 0; p < 4; ++p) {
+      s.store(p * (kPage / sizeof(std::uint64_t)), p);
+    }
+  });
+  const chk::Blob blob = chk::Snapshotter::snapshot(sys);
+  // A run record is its first VPN, its page count and then the node byte.
+  const std::vector<std::size_t> run = find_u64_pair(blob, b.va / kPage, 4);
+  ASSERT_EQ(run.size(), 1u);
+  EXPECT_NO_THROW((void)chk::Snapshotter::restore(with_u8(blob, run[0] + 16, 1)));
+  for (const std::uint8_t node : {std::uint8_t{2}, std::uint8_t{7}}) {
+    expect_invalid_value(with_u8(blob, run[0] + 16, node));
+  }
+}
+
 TEST(ChkValidation, SnapshotInsideOpenKernelThrows) {
   core::System sys{chk_cfg()};
   sys.kernel_begin("k");
@@ -276,6 +387,73 @@ TEST(ChkValidation, SnapshotInsideOpenKernelThrows) {
     EXPECT_EQ(e.status(), Status::kErrorInvalidValue);
   }
   (void)sys.kernel_end();
+}
+
+TEST(ChkGolden, TlbSectionOfAChurnedMachineIsPinned) {
+  // Every TLB is driven past its capacity, then loses single pages to
+  // per-page invalidation and a span to a range shootdown, so the blob's
+  // TLB section holds a non-trivial MRU-to-LRU order for all four. The
+  // pin was recorded on the std::list + unordered_map TLB; any change to
+  // the saved recency order changes it.
+  core::SystemConfig cfg = chk_cfg();
+  cfg.event_log = false;
+  cfg.hbm_capacity = 64ull << 20;
+  cfg.cpu_tlb_entries = 6;
+  cfg.ats_tlb_entries = 10;
+  cfg.gpu_utlb_entries = 4;
+  core::System sys{cfg};
+  runtime::Runtime rt{sys};
+  constexpr std::uint64_t kSysPage = pagetable::kSystemPage64K;
+  constexpr std::uint64_t kGpuPage = pagetable::kGpuPageSize;
+  constexpr std::uint64_t kSysPages = 24;
+  constexpr std::uint64_t kGpuPages = 7;
+  const core::Buffer host = rt.malloc_system(kSysPages * kSysPage, "host");
+  const core::Buffer dev = rt.malloc_device(kGpuPages * kGpuPage, "dev");
+  constexpr std::uint64_t kPerSysPage = kSysPage / sizeof(std::uint64_t);
+  constexpr std::uint64_t kPerGpuPage = kGpuPage / sizeof(std::uint64_t);
+
+  // Strided page orders (5 and 3 are coprime with the page counts) so
+  // hits, misses and evictions interleave instead of streaming.
+  rt.host_phase("touch", 0.0, [&] {
+    runtime::Span<std::uint64_t> s{sys, host, mem::Node::kCpu};
+    for (std::uint64_t i = 0; i < 3 * kSysPages; ++i) {
+      s.store(((i * 5) % kSysPages) * kPerSysPage + i, i);
+    }
+  });
+  rt.launch("sweep", 0.0, [&] {
+    runtime::Span<std::uint64_t> s{sys, host, mem::Node::kGpu};
+    runtime::Span<std::uint64_t> d{sys, dev, mem::Node::kGpu};
+    for (std::uint64_t i = 0; i < 3 * kSysPages; ++i) {
+      (void)s.load(((i * 5) % kSysPages) * kPerSysPage);
+      if (i % 3 == 0) d.store(((i * 3) % kGpuPages) * kPerGpuPage + i, i);
+    }
+  });
+
+  pagetable::Smmu& smmu = sys.machine().smmu();
+  pagetable::Gmmu& gmmu = sys.machine().gmmu();
+  for (const pagetable::Tlb* tlb : {&smmu.cpu_tlb(), &smmu.ats_tlb(),
+                                    &gmmu.utlb_gpu(), &gmmu.utlb_sys()}) {
+    ASSERT_EQ(tlb->size(), tlb->capacity());
+    ASSERT_GT(tlb->misses(), tlb->capacity());
+  }
+  // Per-page invalidations, then one range shootdown per TLB.
+  smmu.invalidate(host.va + 9 * kSysPage);
+  gmmu.invalidate_system(host.va + 14 * kSysPage);
+  gmmu.invalidate_gpu_table(dev.va + 3 * kGpuPage);
+  smmu.invalidate_range(host.va + 18 * kSysPage, 4 * kSysPage);
+  gmmu.invalidate_system_range(host.va + 3 * kSysPage, 5 * kSysPage);
+  const std::uint64_t dev_vpn = sys.machine().gpu_pt().vpn(dev.va);
+  gmmu.utlb_gpu().invalidate_range(dev_vpn + 1, dev_vpn + 3);
+  for (const pagetable::Tlb* tlb : {&smmu.cpu_tlb(), &smmu.ats_tlb(),
+                                    &gmmu.utlb_gpu(), &gmmu.utlb_sys()}) {
+    EXPECT_GT(tlb->size(), 0u);
+    EXPECT_LT(tlb->size(), tlb->capacity());
+  }
+
+  const chk::Blob blob = chk::Snapshotter::snapshot(sys);
+  EXPECT_EQ(sim::fnv1a(blob.data(), blob.size()), 0xb6baa55aeebe7590ull);
+  // Restore rebuilds every TLB in the saved order.
+  EXPECT_EQ(chk::Snapshotter::snapshot(*chk::Snapshotter::restore(blob)), blob);
 }
 
 TEST(ChkDonor, HostPointersSurviveRestoreViaDonorAdoption) {

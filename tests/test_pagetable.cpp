@@ -1,5 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <list>
+#include <optional>
+#include <random>
+#include <string>
+#include <unordered_map>
+#include <utility>
+#include <vector>
+
 #include "pagetable/gmmu.hpp"
 #include "pagetable/page_table.hpp"
 #include "pagetable/smmu.hpp"
@@ -255,6 +265,159 @@ TEST(Tlb, InsertUpdatesExistingNode) {
   tlb.insert(5, mem::Node::kGpu);
   EXPECT_EQ(tlb.size(), 1u);
   EXPECT_EQ(tlb.lookup(5), mem::Node::kGpu);
+}
+
+/// The std::list + std::unordered_map LRU that pagetable::Tlb replaced,
+/// kept as the differential oracle for its recency order and counters.
+class ReferenceTlb {
+ public:
+  explicit ReferenceTlb(std::size_t capacity) : capacity_(capacity) {}
+
+  std::optional<mem::Node> lookup(std::uint64_t vpn) {
+    auto it = map_.find(vpn);
+    if (it == map_.end()) {
+      ++misses_;
+      return std::nullopt;
+    }
+    ++hits_;
+    lru_.splice(lru_.begin(), lru_, it->second);
+    return it->second->second;
+  }
+
+  void insert(std::uint64_t vpn, mem::Node node) {
+    if (capacity_ == 0) return;
+    auto it = map_.find(vpn);
+    if (it != map_.end()) {
+      it->second->second = node;
+      lru_.splice(lru_.begin(), lru_, it->second);
+      return;
+    }
+    if (map_.size() >= capacity_ && !lru_.empty()) {
+      map_.erase(lru_.back().first);
+      lru_.pop_back();
+    }
+    lru_.emplace_front(vpn, node);
+    map_[vpn] = lru_.begin();
+  }
+
+  void invalidate(std::uint64_t vpn) {
+    auto it = map_.find(vpn);
+    if (it == map_.end()) return;
+    lru_.erase(it->second);
+    map_.erase(it);
+  }
+
+  void invalidate_range(std::uint64_t first, std::uint64_t last) {
+    if (first >= last) return;
+    for (auto it = lru_.begin(); it != lru_.end();) {
+      if (it->first >= first && it->first < last) {
+        map_.erase(it->first);
+        it = lru_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+  }
+
+  void flush() {
+    lru_.clear();
+    map_.clear();
+  }
+
+  [[nodiscard]] std::size_t size() const { return map_.size(); }
+  [[nodiscard]] std::uint64_t hits() const { return hits_; }
+  [[nodiscard]] std::uint64_t misses() const { return misses_; }
+  [[nodiscard]] std::vector<std::pair<std::uint64_t, mem::Node>> mru_order() const {
+    return {lru_.begin(), lru_.end()};
+  }
+
+ private:
+  using Entry = std::pair<std::uint64_t, mem::Node>;
+  std::size_t capacity_;
+  std::list<Entry> lru_;  // front = most recent
+  std::unordered_map<std::uint64_t, std::list<Entry>::iterator> map_;
+  std::uint64_t hits_ = 0;
+  std::uint64_t misses_ = 0;
+};
+
+std::vector<std::pair<std::uint64_t, mem::Node>> mru_order(const Tlb& tlb) {
+  std::vector<std::pair<std::uint64_t, mem::Node>> out;
+  tlb.for_each_mru(
+      [&out](std::uint64_t vpn, mem::Node node) { out.emplace_back(vpn, node); });
+  return out;
+}
+
+TEST(TlbDifferential, SeededMixMatchesListAndMapReference) {
+  // A fill phase (mostly inserts) takes each TLB through every index
+  // growth step up to its capacity and into eviction; a churn phase then
+  // adds single and range invalidations (empty, partial and whole-range)
+  // and flushes. The VPN range is twice the capacity, so the TLB keeps
+  // refilling and evicting. Everything observable is compared after
+  // every operation.
+  for (const std::size_t cap : {0u, 1u, 2u, 3u, 17u, 1536u, 4096u}) {
+    for (const std::uint64_t stride : {1u, 32u}) {
+      std::mt19937_64 rng{cap * 131 + stride};
+      Tlb tlb{cap};
+      ReferenceTlb ref{cap};
+      const std::uint64_t span = 2 * cap + 16;
+      const std::uint64_t base = (rng() >> 20) * stride;
+      const auto draw_vpn = [&] { return base + (rng() % span) * stride; };
+      const std::size_t fill_ops = 3 * cap + 64;
+      const std::size_t total_ops = fill_ops + 4 * cap + 2000;
+      std::size_t max_size = 0;
+      for (std::size_t op = 0; op < total_ops; ++op) {
+        const std::uint64_t roll = rng() % 1000;
+        const bool churn = op >= fill_ops;
+        const auto node = (rng() & 1) != 0 ? mem::Node::kGpu : mem::Node::kCpu;
+        std::string what;
+        if (roll < (churn ? 380u : 300u)) {
+          const std::uint64_t vpn = draw_vpn();
+          what = "lookup " + std::to_string(vpn);
+          ASSERT_EQ(tlb.lookup(vpn), ref.lookup(vpn)) << what;
+        } else if (roll < (churn ? 760u : 900u)) {
+          const std::uint64_t vpn = draw_vpn();
+          what = "insert " + std::to_string(vpn);
+          tlb.insert(vpn, node);
+          ref.insert(vpn, node);
+        } else if (roll < (churn ? 880u : 950u)) {
+          const std::uint64_t vpn = draw_vpn();
+          what = "invalidate " + std::to_string(vpn);
+          tlb.invalidate(vpn);
+          ref.invalidate(vpn);
+        } else if (roll < 998 || !churn) {
+          // Empty (first >= last), partial (narrower or wider than the
+          // TLB's fill), and, in the churn phase, the whole VPN range.
+          std::uint64_t first = draw_vpn();
+          std::uint64_t last = first;
+          const std::uint64_t kind = rng() % 16;
+          if (kind < 3) {
+            last = first - (kind == 0 ? 0 : rng() % 8 * stride);
+          } else if (kind < 15 || !churn) {
+            last = first + (1 + rng() % (churn ? span / 2 : 8)) * stride;
+          } else {
+            first = base;
+            last = base + span * stride;
+          }
+          what = "invalidate_range " + std::to_string(first) + " " +
+                 std::to_string(last);
+          tlb.invalidate_range(first, last);
+          ref.invalidate_range(first, last);
+        } else {
+          what = "flush";
+          tlb.flush();
+          ref.flush();
+        }
+        ASSERT_EQ(tlb.hits(), ref.hits()) << what;
+        ASSERT_EQ(tlb.misses(), ref.misses()) << what;
+        ASSERT_EQ(tlb.size(), ref.size()) << what;
+        ASSERT_EQ(mru_order(tlb), ref.mru_order())
+            << "capacity " << cap << " stride " << stride << " op " << op << ": "
+            << what;
+        max_size = std::max(max_size, tlb.size());
+      }
+      EXPECT_EQ(max_size, cap) << "the mix never filled capacity " << cap;
+    }
+  }
 }
 
 class SmmuTest : public ::testing::Test {
