@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "apps/qv_gate.hpp"
+
 namespace ghum::apps {
 
 namespace {
@@ -29,27 +31,6 @@ std::array<amp_t, 16> random_unitary(sim::Rng& rng) {
     for (int c = 0; c < 4; ++c) m[r * 4 + c] /= norm;
   }
   return m;
-}
-
-/// Scatters the group index \p g into a statevector index with zero bits
-/// at qubit positions p and q (p < q).
-inline std::uint64_t spread_index(std::uint64_t g, std::uint32_t p, std::uint32_t q) {
-  const std::uint64_t low = g & ((1ull << p) - 1);
-  const std::uint64_t mid = (g >> p) & ((1ull << (q - 1 - p)) - 1);
-  const std::uint64_t high = g >> (q - 1);
-  return low | (mid << (p + 1)) | (high << (q + 1));
-}
-
-inline void apply_u(const std::array<amp_t, 16>& u, amp_t& a0, amp_t& a1, amp_t& a2,
-                    amp_t& a3) {
-  const amp_t b0 = u[0] * a0 + u[1] * a1 + u[2] * a2 + u[3] * a3;
-  const amp_t b1 = u[4] * a0 + u[5] * a1 + u[6] * a2 + u[7] * a3;
-  const amp_t b2 = u[8] * a0 + u[9] * a1 + u[10] * a2 + u[11] * a3;
-  const amp_t b3 = u[12] * a0 + u[13] * a1 + u[14] * a2 + u[15] * a3;
-  a0 = b0;
-  a1 = b1;
-  a2 = b2;
-  a3 = b3;
 }
 
 /// Heavy-output probability from a host-readable statevector buffer: the
@@ -164,34 +145,14 @@ AppCoro qvsim_explicit_chunked_steps(runtime::Runtime& rt, QvConfig cfg,
   for (const GateSpec& g : gates) {
     const sim::Picos gate_start = rt.system().now();
     // Gate qubits above the chunk width couple distinct chunks.
-    std::uint32_t hb[2];
-    std::uint32_t k = 0;
-    if (g.p >= c) hb[k++] = g.p - c;
-    if (g.q >= c) hb[k++] = g.q - c;
-    const std::uint32_t free_low = c - (2 - k);
-    const std::uint64_t kernel_groups = 1ull << free_low;
-    const std::uint64_t group_count = 1ull << (nq - c - k);
+    const ChunkGroups layout{g, nq, c};
+    const std::uint64_t kernel_groups = layout.amp_groups();
+    const std::uint64_t group_count = layout.count();
+    const std::uint32_t members = layout.members();
     cache::KernelTraffic gate_traffic;
 
-    const std::uint32_t members = 1u << k;
-    // Member chunk ids of the group with high index \p ghigh.
-    auto compute_members = [&](std::uint64_t ghigh, std::uint64_t out[4]) {
-      // Chunk-index with zeros at the coupled bit positions.
-      std::uint64_t base_chunk = ghigh;
-      for (std::uint32_t b = 0; b < k; ++b) {
-        const std::uint64_t low = base_chunk & ((1ull << hb[b]) - 1);
-        base_chunk = ((base_chunk >> hb[b]) << (hb[b] + 1)) | low;
-      }
-      for (std::uint32_t m = 0; m < members; ++m) {
-        std::uint64_t idx = base_chunk;
-        if (k >= 1 && (m & 1u)) idx |= 1ull << hb[0];
-        if (k >= 2 && (m & 2u)) idx |= 1ull << hb[1];
-        out[m] = idx;
-      }
-    };
     auto stage_h2d = [&](std::uint64_t ghigh, std::uint32_t set) {
-      std::uint64_t chunks[4];
-      compute_members(ghigh, chunks);
+      const std::array<std::uint64_t, 4> chunks = layout.member_chunks(ghigh);
       for (std::uint32_t m = 0; m < members; ++m) {
         rt.memcpy_async(slots[set][m], host_sv, chunk_bytes,
                         runtime::CopyKind::kHostToDevice, h2d_stream[set], 0,
@@ -210,8 +171,7 @@ AppCoro qvsim_explicit_chunked_steps(runtime::Runtime& rt, QvConfig cfg,
       }
       rt.stream_synchronize(h2d_stream[set]);
 
-      std::uint64_t member_chunk[4];
-      compute_members(ghigh, member_chunk);
+      const std::array<std::uint64_t, 4> member_chunk = layout.member_chunks(ghigh);
       auto record = rt.launch(
           "qv.gate.chunked", static_cast<double>(kernel_groups * members) * 120,
           [&] {
@@ -221,29 +181,9 @@ AppCoro qvsim_explicit_chunked_steps(runtime::Runtime& rt, QvConfig cfg,
                 {rt.system(), slots[set][2], mem::Node::kGpu},
                 {rt.system(), slots[set][3], mem::Node::kGpu},
             };
-            auto slot_of = [&](std::uint64_t chunk) -> runtime::Span<amp_t>& {
-              for (std::uint32_t m = 0; m < members; ++m) {
-                if (member_chunk[m] == chunk) return spans[m];
-              }
-              throw std::logic_error{"qv chunked: index outside staged chunks"};
-            };
-            for (std::uint64_t low = 0; low < kernel_groups; ++low) {
-              const std::uint64_t grp = low | (ghigh << free_low);
-              const std::uint64_t i00 = spread_index(grp, g.p, g.q);
-              const std::uint64_t idx[4] = {i00, i00 | (1ull << g.p),
-                                            i00 | (1ull << g.q),
-                                            i00 | (1ull << g.p) | (1ull << g.q)};
-              amp_t a[4];
-              runtime::Span<amp_t>* sp[4];
-              for (int j = 0; j < 4; ++j) {
-                sp[j] = &slot_of(idx[j] >> c);
-                a[j] = sp[j]->load(idx[j] & (chunk_amps - 1));
-              }
-              apply_u(g.u, a[0], a[1], a[2], a[3]);
-              for (int j = 0; j < 4; ++j) {
-                sp[j]->store(idx[j] & (chunk_amps - 1), a[j]);
-              }
-            }
+            ChunkAmps<runtime::Span<amp_t>> amps{spans, member_chunk, members, c};
+            const std::uint64_t first = layout.first_group(ghigh);
+            apply_gate(g, first, first + kernel_groups, amps);
           });
       gate_traffic += record.traffic;
       for (std::uint32_t m = 0; m < members; ++m) {
@@ -342,26 +282,15 @@ AppCoro qvsim_steps(runtime::Runtime& rt, MemMode mode, QvConfig cfg) {
     if (cfg.prefetch_opt && mode != MemMode::kExplicit) {
       rt.mem_prefetch(sv.device(), 0, bytes, mem::Node::kGpu);
     }
-    const std::uint64_t off01 = 1ull << g.p;
-    const std::uint64_t off10 = 1ull << g.q;
     auto record =
         rt.launch("qv.gate", static_cast<double>(groups) * 120, [&] {
+          // One span per group member, each with its own page cursor.
           auto s00 = rt.device_span<amp_t>(sv.device());
-          auto s01 = rt.device_span<amp_t>(sv.device(), off01);
-          auto s10 = rt.device_span<amp_t>(sv.device(), off10);
-          auto s11 = rt.device_span<amp_t>(sv.device(), off01 + off10);
-          for (std::uint64_t grp = 0; grp < groups; ++grp) {
-            const std::uint64_t i00 = spread_index(grp, g.p, g.q);
-            amp_t a0 = s00.load(i00);
-            amp_t a1 = s01.load(i00);
-            amp_t a2 = s10.load(i00);
-            amp_t a3 = s11.load(i00);
-            apply_u(g.u, a0, a1, a2, a3);
-            s00.store(i00, a0);
-            s01.store(i00, a1);
-            s10.store(i00, a2);
-            s11.store(i00, a3);
-          }
+          auto s01 = rt.device_span<amp_t>(sv.device());
+          auto s10 = rt.device_span<amp_t>(sv.device());
+          auto s11 = rt.device_span<amp_t>(sv.device());
+          LaneAmps<runtime::Span<amp_t>> amps{{&s00, &s01, &s10, &s11}};
+          apply_gate(g, 0, groups, amps);
         });
     report.iteration_s.push_back(sim::to_seconds(record.duration));
     report.iteration_traffic.push_back(record.traffic);
@@ -395,15 +324,9 @@ std::uint64_t qvsim_reference_checksum(const QvConfig& cfg) {
   const std::uint64_t n = 1ull << cfg.qubits;
   std::vector<amp_t> sv(n);
   sv[0] = amp_t{1.0, 0.0};
-  for (const GateSpec& g : qv_circuit(cfg)) {
-    const std::uint64_t off01 = 1ull << g.p;
-    const std::uint64_t off10 = 1ull << g.q;
-    for (std::uint64_t grp = 0; grp < n / 4; ++grp) {
-      const std::uint64_t i00 = spread_index(grp, g.p, g.q);
-      apply_u(g.u, sv[i00], sv[i00 + off01], sv[i00 + off10],
-              sv[i00 + off01 + off10]);
-    }
-  }
+  RawLane lane{sv.data()};
+  LaneAmps<RawLane> amps{{&lane, &lane, &lane, &lane}};
+  for (const GateSpec& g : qv_circuit(cfg)) apply_gate(g, 0, n / 4, amps);
   return digest_statevector(sv.data(), n);
 }
 

@@ -50,16 +50,17 @@ sorted_entries(const Map& m) {
   return v;
 }
 
-/// Reads a node byte, refusing one that names no mem::Node: the machine
+/// Converts a node byte, refusing one that names no mem::Node: the machine
 /// indexes its per-node tables with it.
-mem::Node read_node(Reader& r) {
-  const std::uint8_t node = r.u8();
+mem::Node to_node(std::uint8_t node) {
   if (node > static_cast<std::uint8_t>(mem::Node::kGpu)) {
     throw StatusError{Status::kErrorInvalidValue,
                       "checkpoint: node byte names no memory node"};
   }
   return static_cast<mem::Node>(node);
 }
+
+mem::Node read_node(Reader& r) { return to_node(r.u8()); }
 
 }  // namespace
 
@@ -561,12 +562,18 @@ void Snapshotter::load_state(core::System& sys, Reader& r,
     os::Vma v;
     v.base = r.u64();
     v.size = r.u64();
-    v.kind = static_cast<os::AllocKind>(r.u8());
+    const std::uint8_t kind = r.u8();
+    if (kind > static_cast<std::uint8_t>(os::AllocKind::kPinnedHost)) {
+      throw StatusError{Status::kErrorInvalidValue,
+                        "checkpoint: VMA kind byte names no allocation kind"};
+    }
+    v.kind = static_cast<os::AllocKind>(kind);
     v.label = r.str();
     v.host_registered = r.boolean();
     v.tenant = r.u32();
+    // The preferred location is stored as node + 1, with 0 for none.
     const std::uint8_t pref = r.u8();
-    if (pref != 0) v.preferred_location = static_cast<mem::Node>(pref - 1);
+    if (pref != 0) v.preferred_location = to_node(static_cast<std::uint8_t>(pref - 1));
     v.read_mostly = r.boolean();
     v.poisoned = r.boolean();
     v.resident_cpu_bytes = r.u64();

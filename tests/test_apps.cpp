@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
+#include "apps/qv_gate.hpp"
 #include "benchsupport/scenarios.hpp"
 #include "runtime/runtime.hpp"
 
@@ -225,6 +229,111 @@ TEST(Apps, QvsimStatevectorBytesMatchPaperFormula) {
     }
   }
   EXPECT_TRUE(found);
+}
+
+// --- the shared qvsim gate body, bit for bit -----------------------------------
+//
+// qvsim's checksum samples every (n/64 + 1)-th amplitude, rounded to 1e-7,
+// so it cannot see a reordered sum. These tests compare whole statevectors
+// byte for byte with a naive gate loop that reads every operand through
+// the GateSpec.
+
+constexpr std::uint32_t kGateQubits = 7;
+
+void naive_gate(const apps::GateSpec& g, std::vector<apps::amp_t>& sv) {
+  for (std::uint64_t grp = 0; grp < sv.size() / 4; ++grp) {
+    const std::uint64_t low = grp & ((1ull << g.p) - 1);
+    const std::uint64_t mid = (grp >> g.p) & ((1ull << (g.q - 1 - g.p)) - 1);
+    const std::uint64_t i00 = low | (mid << (g.p + 1)) | ((grp >> (g.q - 1)) << (g.q + 1));
+    apps::amp_t& a0 = sv[i00];
+    apps::amp_t& a1 = sv[i00 | (1ull << g.p)];
+    apps::amp_t& a2 = sv[i00 | (1ull << g.q)];
+    apps::amp_t& a3 = sv[i00 | (1ull << g.p) | (1ull << g.q)];
+    const apps::amp_t b0 = g.u[0] * a0 + g.u[1] * a1 + g.u[2] * a2 + g.u[3] * a3;
+    const apps::amp_t b1 = g.u[4] * a0 + g.u[5] * a1 + g.u[6] * a2 + g.u[7] * a3;
+    const apps::amp_t b2 = g.u[8] * a0 + g.u[9] * a1 + g.u[10] * a2 + g.u[11] * a3;
+    const apps::amp_t b3 = g.u[12] * a0 + g.u[13] * a1 + g.u[14] * a2 + g.u[15] * a3;
+    a0 = b0;
+    a1 = b1;
+    a2 = b2;
+    a3 = b3;
+  }
+}
+
+apps::amp_t random_amp(sim::Rng& rng) {
+  return {rng.next_double(-1.0, 1.0), rng.next_double(-1.0, 1.0)};
+}
+
+/// A random state and a random gate on qubits (p, q); the matrix need not
+/// be unitary for a bitwise comparison.
+std::pair<std::vector<apps::amp_t>, apps::GateSpec> random_case(sim::Rng& rng,
+                                                                std::uint32_t p,
+                                                                std::uint32_t q) {
+  std::vector<apps::amp_t> sv(1ull << kGateQubits);
+  for (auto& a : sv) a = random_amp(rng);
+  apps::GateSpec g{.p = p, .q = q};
+  for (auto& e : g.u) e = random_amp(rng);
+  return {std::move(sv), g};
+}
+
+bool same_bytes(const std::vector<apps::amp_t>& a, const std::vector<apps::amp_t>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(apps::amp_t)) == 0;
+}
+
+TEST(QvGate, SharedGateMatchesNaiveLoopBitForBitOnEveryQubitPair) {
+  sim::Rng rng{2024};
+  for (std::uint32_t q = 1; q < kGateQubits; ++q) {
+    for (std::uint32_t p = 0; p < q; ++p) {
+      auto [sv, g] = random_case(rng, p, q);
+      std::vector<apps::amp_t> expect = sv;
+      naive_gate(g, expect);
+      apps::RawLane lane{sv.data()};
+      apps::LaneAmps<apps::RawLane> amps{{&lane, &lane, &lane, &lane}};
+      apps::apply_gate(g, 0, sv.size() / 4, amps);
+      EXPECT_TRUE(same_bytes(sv, expect)) << "p=" << p << " q=" << q;
+    }
+  }
+}
+
+TEST(QvGate, ChunkedGateMatchesNaiveLoopBitForBit) {
+  // Every chunk width the pipeline can pick for 7 qubits, so that a gate
+  // couples 0, 1 or 2 chunk bits. Each chunk group is staged into lanes of
+  // its own and written back, as the pipeline's copies do.
+  sim::Rng rng{4048};
+  bool coupled_seen[3] = {false, false, false};
+  for (std::uint32_t c = 2; c <= kGateQubits - 2; ++c) {
+    const std::uint64_t chunk_amps = 1ull << c;
+    for (std::uint32_t q = 1; q < kGateQubits; ++q) {
+      for (std::uint32_t p = 0; p < q; ++p) {
+        auto [sv, g] = random_case(rng, p, q);
+        std::vector<apps::amp_t> expect = sv;
+        naive_gate(g, expect);
+        const apps::ChunkGroups layout{g, kGateQubits, c};
+        const std::uint32_t members = layout.members();
+        coupled_seen[members / 2] = true;
+        for (std::uint64_t ghigh = 0; ghigh < layout.count(); ++ghigh) {
+          const std::array<std::uint64_t, 4> chunks = layout.member_chunks(ghigh);
+          std::vector<apps::amp_t> staged[4];
+          apps::RawLane lanes[4];
+          for (std::uint32_t m = 0; m < members; ++m) {
+            const auto from = sv.begin() + static_cast<std::ptrdiff_t>(chunks[m] * chunk_amps);
+            staged[m].assign(from, from + static_cast<std::ptrdiff_t>(chunk_amps));
+            lanes[m].data = staged[m].data();
+          }
+          apps::ChunkAmps<apps::RawLane> amps{lanes, chunks, members, c};
+          const std::uint64_t first = layout.first_group(ghigh);
+          apps::apply_gate(g, first, first + layout.amp_groups(), amps);
+          for (std::uint32_t m = 0; m < members; ++m) {
+            std::copy(staged[m].begin(), staged[m].end(),
+                      sv.begin() + static_cast<std::ptrdiff_t>(chunks[m] * chunk_amps));
+          }
+        }
+        EXPECT_TRUE(same_bytes(sv, expect)) << "c=" << c << " p=" << p << " q=" << q;
+      }
+    }
+  }
+  EXPECT_TRUE(coupled_seen[0] && coupled_seen[1] && coupled_seen[2]);
 }
 
 TEST(Apps, ChecksumsIdenticalAcrossModesAndPageSizes) {

@@ -377,6 +377,45 @@ TEST(ChkValidation, ChecksumValidPteNodeOutsideNodeIsRejected) {
   }
 }
 
+/// A machine with one 1 MiB system allocation labelled "probe", and the
+/// offset of that VMA's record (its base and size) in the machine's blob.
+std::pair<chk::Blob, std::size_t> vma_probe_blob() {
+  core::SystemConfig cfg = chk_cfg();
+  cfg.event_log = false;
+  core::System sys{cfg};
+  const core::Buffer b = sys.sys_malloc(1 << 20, "probe");
+  chk::Blob blob = chk::Snapshotter::snapshot(sys);
+  const std::vector<std::size_t> vma = find_u64_pair(blob, b.va, b.bytes);
+  EXPECT_EQ(vma.size(), 1u);
+  return {std::move(blob), vma.empty() ? 0 : vma[0]};
+}
+
+TEST(ChkValidation, ChecksumValidVmaKindOutsideAllocKindIsRejected) {
+  // The kind byte follows the VMA's base and size; every page resolve
+  // switches on it.
+  const auto [blob, vma_at] = vma_probe_blob();
+  EXPECT_NO_THROW((void)chk::Snapshotter::restore(
+      with_u8(blob, vma_at + 16, static_cast<std::uint8_t>(os::AllocKind::kManaged))));
+  for (const std::uint8_t kind : {std::uint8_t{4}, std::uint8_t{0xff}}) {
+    expect_invalid_value(with_u8(blob, vma_at + 16, kind));
+  }
+}
+
+TEST(ChkValidation, ChecksumValidVmaPreferredNodeOutsideNodeIsRejected) {
+  // After the kind come the label (a u64 length and the 5 bytes of
+  // "probe"), the host-registered flag and the u32 tenant; then the
+  // preferred location, stored as node + 1 with 0 for none.
+  const auto [blob, vma_at] = vma_probe_blob();
+  const std::size_t pref_at = vma_at + 16 + 1 + 8 + 5 + 1 + 4;
+  ASSERT_EQ(blob[pref_at], 0);
+  for (const std::uint8_t pref : {std::uint8_t{1}, std::uint8_t{2}}) {
+    EXPECT_NO_THROW((void)chk::Snapshotter::restore(with_u8(blob, pref_at, pref)));
+  }
+  for (const std::uint8_t pref : {std::uint8_t{3}, std::uint8_t{9}, std::uint8_t{0xff}}) {
+    expect_invalid_value(with_u8(blob, pref_at, pref));
+  }
+}
+
 TEST(ChkValidation, SnapshotInsideOpenKernelThrows) {
   core::System sys{chk_cfg()};
   sys.kernel_begin("k");

@@ -175,5 +175,58 @@ TEST(GoldenGrid, SmallScale4KAccessCountersMatchPinnedValues) {
                 /*access_counters=*/true, kGolden4K);
 }
 
+// qvsim's host reference and both gate kernels apply a gate through one
+// shared body, so the apps tests that compare a run with
+// qvsim_reference_checksum() cannot see a change to that body. These
+// values pin it from outside: they were recorded before the three paths
+// shared it.
+
+TEST(QvGolden, ReferenceChecksumsMatchPinnedValues) {
+  // The configs of QvsimMatchesReference, QvsimExplicitChunkedPipelineMatchesReference
+  // and QvsimExplicitChunkedAcrossChunkWidths.
+  EXPECT_EQ(apps::qvsim_reference_checksum(bs::qv_sim_config(bs::Scale::kSmall, 10)),
+            13469320486134064646ull);
+  EXPECT_EQ(apps::qvsim_reference_checksum({.qubits = 14, .depth = 2, .seed = 5}),
+            2179833198930671442ull);
+  EXPECT_EQ(apps::qvsim_reference_checksum({.qubits = 12, .depth = 3, .seed = 11}),
+            1191817494544091283ull);
+}
+
+struct QvRun {
+  std::uint64_t checksum;
+  sim::Picos sim_end;
+  std::uint64_t event_digest;
+};
+
+QvRun run_qv(core::SystemConfig mc, MemMode mode, const apps::QvConfig& cfg) {
+  mc.event_log = true;
+  core::System sys{mc};
+  runtime::Runtime rt{sys};
+  const std::uint64_t checksum = apps::run_qvsim(rt, mode, cfg).checksum;
+  return {checksum, sys.now(), sys.events().digest(sys.now())};
+}
+
+TEST(QvGolden, ExplicitChunkedRunMatchesPinnedValues) {
+  // The 14-qubit statevector does not fit the 1 MiB of free HBM: Aer's
+  // chunk-exchange pipeline stages it through device chunk buffers.
+  core::SystemConfig mc = bs::qv_config(pagetable::kSystemPage64K, false);
+  mc.hbm_capacity = 2ull << 20;
+  mc.gpu_driver_baseline = 1ull << 20;
+  const QvRun r = run_qv(mc, MemMode::kExplicit, {.qubits = 14, .depth = 2, .seed = 5});
+  EXPECT_EQ(r.checksum, 2179833198930671442ull);
+  EXPECT_EQ(r.sim_end, 10341995922);
+  EXPECT_EQ(r.event_digest, 11847860476401888262ull);
+}
+
+TEST(QvGolden, FleetChaosTemplateMatchesPinnedValues) {
+  // The managed 16-qubit qvsim job of the fleet-chaos catalog, on its node
+  // configuration.
+  const QvRun r = run_qv(bs::rodinia_config(pagetable::kSystemPage64K, false),
+                         MemMode::kManaged, bs::qv_sim_config(bs::Scale::kSmall, 16));
+  EXPECT_EQ(r.checksum, 10702829359926139956ull);
+  EXPECT_EQ(r.sim_end, 8129861736);
+  EXPECT_EQ(r.event_digest, 17260069152380938029ull);
+}
+
 }  // namespace
 }  // namespace ghum
