@@ -69,6 +69,8 @@ void Tlb::to_front(std::uint32_t i) noexcept {
   if (i == head_) return;
   unlink(i);
   push_front(i);
+  streak_ = 1;
+  streak_end_ = entries_[i].vpn + 1;
 }
 
 void Tlb::push_front(std::uint32_t i) noexcept {
@@ -106,6 +108,9 @@ std::uint32_t Tlb::emplace(std::uint64_t vpn, mem::Node node) {
 }
 
 void Tlb::remove(std::uint32_t i) noexcept {
+  // Removing a streak entry cuts the streak to the entries above it.
+  const std::uint64_t above = streak_end_ - 1 - entries_[i].vpn;
+  if (above < streak_) streak_ = above;
   erase_slot(slot_of(entries_[i].vpn));
   unlink(i);
   entries_[i].next = free_;
@@ -113,15 +118,42 @@ void Tlb::remove(std::uint32_t i) noexcept {
   --size_;
 }
 
+void Tlb::enter_window() {
+  ring_.resize(capacity_);
+  lo_ = streak_end_ - capacity_;
+  lo_slot_ = 0;
+  std::size_t k = capacity_;
+  for (std::uint32_t i = head_; i != kNil; i = entries_[i].next) ring_[--k] = entries_[i].node;
+  windowed_ = true;
+}
+
+void Tlb::leave_window() {
+  flush();
+  for (std::size_t k = capacity_; k-- > 0;) push_back(emplace(lo_ + k, ring_[ring_slot(k)]));
+  streak_ = capacity_;
+  streak_end_ = lo_ + capacity_;
+}
+
 std::optional<mem::Node> Tlb::lookup(std::uint64_t vpn) {
+  if (windowed_) {
+    const std::uint64_t k = vpn - lo_;
+    if (k >= capacity_) {
+      count_miss();
+      return std::nullopt;
+    }
+    // A hit on the most recent entry reorders nothing.
+    if (k == capacity_ - 1) {
+      count_hit();
+      return ring_[ring_slot(k)];
+    }
+    leave_window();
+  }
   const std::uint32_t i = find(vpn);
   if (i == kNil) {
-    ++misses_;
-    if (misses_ctr_ != nullptr) misses_ctr_->inc();
+    count_miss();
     return std::nullopt;
   }
-  ++hits_;
-  if (hits_ctr_ != nullptr) hits_ctr_->inc();
+  count_hit();
   to_front(i);
   return entries_[i].node;
 }
@@ -130,6 +162,21 @@ void Tlb::insert(std::uint64_t vpn, mem::Node node) {
   // A zero-capacity TLB caches nothing (no-TLB ablation); the
   // evict-then-insert below needs at least one slot.
   if (capacity_ == 0) return;
+  if (windowed_) {
+    const std::uint64_t k = vpn - lo_;
+    if (k == capacity_) {
+      // The next VPN evicts lo_ and takes its slot.
+      ring_[lo_slot_] = node;
+      lo_slot_ = ring_slot(1);
+      ++lo_;
+      return;
+    }
+    if (k == capacity_ - 1) {
+      ring_[ring_slot(k)] = node;
+      return;
+    }
+    leave_window();
+  }
   if (const std::uint32_t i = find(vpn); i != kNil) {
     entries_[i].node = node;
     to_front(i);
@@ -138,14 +185,26 @@ void Tlb::insert(std::uint64_t vpn, mem::Node node) {
   // Full: the evicted LRU entry's slot is the one emplace() takes back.
   if (size_ >= capacity_) remove(tail_);
   push_front(emplace(vpn, node));
+  streak_ = streak_ != 0 && vpn == streak_end_ ? streak_ + 1 : 1;
+  streak_end_ = vpn + 1;
+  if (streak_ == capacity_) enter_window();
 }
 
 void Tlb::invalidate(std::uint64_t vpn) {
+  if (windowed_) {
+    if (vpn - lo_ >= capacity_) return;
+    leave_window();
+  }
   if (const std::uint32_t i = find(vpn); i != kNil) remove(i);
 }
 
 void Tlb::invalidate_range(std::uint64_t first, std::uint64_t last) {
   if (first >= last || size_ == 0) return;
+  if (windowed_) {
+    // Two ranges overlap iff either one holds the other's first VPN.
+    if (first - lo_ >= capacity_ && lo_ - first >= last - first) return;
+    leave_window();
+  }
   // Removing a set of entries leaves the survivors' order unchanged, so
   // probing each VPN and walking the list give the same TLB.
   if (last - first < size_) {
@@ -160,13 +219,16 @@ void Tlb::invalidate_range(std::uint64_t first, std::uint64_t last) {
 }
 
 void Tlb::flush() {
+  windowed_ = false;
   entries_.clear();
   std::fill(index_.begin(), index_.end(), kNil);
   head_ = tail_ = free_ = kNil;
   size_ = 0;
+  streak_ = 0;
 }
 
 bool Tlb::append_lru(std::uint64_t vpn, mem::Node node) {
+  if (windowed_) leave_window();
   if (find(vpn) != kNil) return false;
   push_back(emplace(vpn, node));
   return true;

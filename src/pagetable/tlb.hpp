@@ -20,6 +20,13 @@
 /// open-addressed table of entry indices finds them by VPN. Both arrays
 /// grow on demand up to the capacity, so a miss allocates nothing once the
 /// TLB has filled.
+///
+/// Streaming window: once a full TLB holds nothing but one unbroken run of
+/// fresh, in-order misses, its LRU list is exactly the VPN range
+/// [lo, lo + capacity), most recent last. The TLB then keeps only that
+/// range and a ring of nodes, and a sequential sweep's lookups, inserts
+/// and evictions are O(1) range compares. Any other change first rebuilds
+/// the list from the range.
 
 namespace ghum::chk {
 class Snapshotter;
@@ -58,6 +65,10 @@ class Tlb {
   /// Calls \p visit(vpn, node) for every entry, most recent first.
   template <typename F>
   void for_each_mru(F&& visit) const {
+    if (windowed_) {
+      for (std::size_t k = capacity_; k-- > 0;) visit(lo_ + k, ring_[ring_slot(k)]);
+      return;
+    }
     for (std::uint32_t i = head_; i != kNil; i = entries_[i].next) {
       visit(entries_[i].vpn, entries_[i].node);
     }
@@ -101,6 +112,24 @@ class Tlb {
   /// Unindexes, unlinks and frees entry \p i.
   void remove(std::uint32_t i) noexcept;
 
+  void count_hit() noexcept {
+    ++hits_;
+    if (hits_ctr_ != nullptr) hits_ctr_->inc();
+  }
+  void count_miss() noexcept {
+    ++misses_;
+    if (misses_ctr_ != nullptr) misses_ctr_->inc();
+  }
+  /// Ring slot of window VPN lo_ + \p k (k < capacity_).
+  [[nodiscard]] std::size_t ring_slot(std::size_t k) const noexcept {
+    const std::size_t s = lo_slot_ + k;
+    return s < capacity_ ? s : s - capacity_;
+  }
+  /// Switches a full TLB whose list is the streak to the window.
+  void enter_window();
+  /// Rebuilds the list and index from the window, in the same order.
+  void leave_window();
+
   /// Restores one checkpointed entry at the LRU end; the caller has kept
   /// the entry count within capacity(). Returns false (and changes
   /// nothing) if the TLB already holds \p vpn.
@@ -114,6 +143,17 @@ class Tlb {
   std::uint32_t tail_ = kNil;         ///< least recent
   std::uint32_t free_ = kNil;         ///< free-list head, linked by next
   std::size_t size_ = 0;
+  /// List mode: the streak_ most recent entries are the VPNs
+  /// streak_end_ - 1, streak_end_ - 2, ... in that order.
+  std::size_t streak_ = 0;
+  std::uint64_t streak_end_ = 0;
+  /// Window mode: the TLB is full and holds exactly [lo_, lo_ + capacity_),
+  /// most recent last; VPN lo_ + k's node is ring_[ring_slot(k)], and
+  /// entries_ and index_ are stale until leave_window().
+  bool windowed_ = false;
+  std::uint64_t lo_ = 0;
+  std::size_t lo_slot_ = 0;
+  std::vector<mem::Node> ring_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   obs::Counter* hits_ctr_ = nullptr;

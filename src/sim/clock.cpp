@@ -4,7 +4,7 @@
 
 namespace ghum::sim {
 
-void Clock::advance(Picos delta) {
+void Clock::advance_observed(Picos delta) {
   if (delta < 0) throw std::invalid_argument{"Clock::advance: negative delta"};
   if (delta == 0) return;
   const Picos before = now_;

@@ -26,7 +26,13 @@ class Clock {
   [[nodiscard]] Picos now() const noexcept { return now_; }
 
   /// Advances simulated time by \p delta (must be >= 0).
-  void advance(Picos delta);
+  void advance(Picos delta) {
+    if (delta > 0 && observers_.empty()) {
+      now_ += delta;
+      return;
+    }
+    advance_observed(delta);
+  }
 
   /// Registers an observer; returns an id usable with remove_observer().
   std::size_t add_observer(Observer fn);
@@ -36,6 +42,9 @@ class Clock {
   void reset() noexcept { now_ = 0; }
 
  private:
+  /// advance() for a zero or negative delta, or with observers to notify.
+  void advance_observed(Picos delta);
+
   Picos now_ = 0;
   std::vector<Observer> observers_;  // empty slots are disabled observers
 

@@ -10,6 +10,7 @@
 
 #include "apps/hotspot.hpp"
 #include "apps/srad.hpp"
+#include "benchsupport/scenarios.hpp"
 #include "chk/snapshot.hpp"
 #include "runtime/runtime.hpp"
 #include "sim/fnv.hpp"
@@ -495,6 +496,93 @@ TEST(ChkGolden, TlbSectionOfAChurnedMachineIsPinned) {
   EXPECT_EQ(chk::Snapshotter::snapshot(*chk::Snapshotter::restore(blob)), blob);
 }
 
+/// One page-granular pass over \p buf from \p origin, as the full-scale
+/// benchmark sweeps it: advance_view inside a residency run, resolve at
+/// run boundaries, one commit per page. Covers pages [first, last).
+void sweep_pages(core::System& sys, const core::Buffer& buf, mem::Node origin,
+                 std::uint64_t first, std::uint64_t last) {
+  const std::uint64_t page = sys.config().system_page_size;
+  core::PageView view;
+  for (std::uint64_t p = first; p < last; ++p) {
+    const std::uint64_t va = buf.va + p * page;
+    if (!sys.advance_view(view, va)) view = sys.resolve(va, origin);
+    const std::uint64_t read = 64 * (1 + p % 7);
+    const std::uint64_t write = 64 * (p % 3);
+    sys.commit(view, read, write, (read + write) / 64, (read + write) / 64);
+  }
+}
+
+TEST(ChkGolden, FullScaleStreamingSweepIsPinned) {
+  // The full-scale benchmark's shape at a few thousand pages: a CPU first
+  // touch, half the buffer prefetched to HBM, then GPU passes and a CPU
+  // read pass, each streaming more sequential misses than any TLB holds,
+  // and last a short backwards GPU read. The checkpoint is taken mid-pass,
+  // with the ATS TLB and the uTLB full of the pass's most recent pages.
+  // The pins were recorded on the list-only TLB: the recency order,
+  // counters, end time and checkpoint bytes must not depend on how a TLB
+  // stores a sequential stream.
+  core::System sys{benchsupport::full_scale()};
+  constexpr std::uint64_t kPages = 7000;  // > 4096, the largest TLB
+  const std::uint64_t page = sys.config().system_page_size;
+  const core::Buffer buf = sys.sys_malloc(kPages * page, "sweep");
+  sweep_pages(sys, buf, mem::Node::kCpu, 0, kPages);
+  sys.prefetch(buf, 0, kPages / 2 * page, mem::Node::kGpu);
+  sys.kernel_begin("pass.0a");
+  sweep_pages(sys, buf, mem::Node::kGpu, 0, 5000);
+  (void)sys.kernel_end();
+
+  const chk::Blob blob = chk::Snapshotter::snapshot(sys);
+  EXPECT_EQ(sim::fnv1a(blob.data(), blob.size()), 0xfaebf095c7fd0179ull);
+  EXPECT_EQ(chk::Snapshotter::snapshot(*chk::Snapshotter::restore(blob)), blob);
+
+  sys.kernel_begin("pass.0b");
+  sweep_pages(sys, buf, mem::Node::kGpu, 5000, kPages);
+  (void)sys.kernel_end();
+  sys.kernel_begin("pass.1");
+  sweep_pages(sys, buf, mem::Node::kGpu, 0, kPages);
+  (void)sys.kernel_end();
+  sys.host_phase_begin("read");
+  sweep_pages(sys, buf, mem::Node::kCpu, 0, kPages);
+  (void)sys.host_phase_end();
+  // The last pages again, backwards: hits, first on the most recent page
+  // and then further down the GPU's TLBs.
+  sys.kernel_begin("tail");
+  for (std::uint64_t p = kPages; p-- > kPages - 100;) {
+    sys.commit(sys.resolve(buf.va + p * page, mem::Node::kGpu), 64, 0, 1, 1);
+  }
+  (void)sys.kernel_end();
+
+  pagetable::Smmu& smmu = sys.machine().smmu();
+  pagetable::Gmmu& gmmu = sys.machine().gmmu();
+  const std::pair<const pagetable::Tlb*, const char*> tlbs[] = {
+      {&smmu.cpu_tlb(), "smmu_cpu"},
+      {&smmu.ats_tlb(), "smmu_ats"},
+      {&gmmu.utlb_gpu(), "gmmu_gpu"},
+      {&gmmu.utlb_sys(), "gmmu_ats"}};
+  std::uint64_t order = sim::kFnvOffset;
+  std::vector<std::uint64_t> counts;
+  for (const auto& [tlb, mmu] : tlbs) {
+    sim::fnv_mix(order, tlb->size());
+    tlb->for_each_mru([&order](std::uint64_t vpn, mem::Node node) {
+      sim::fnv_mix(order, vpn);
+      sim::fnv_mix(order, static_cast<std::uint64_t>(node));
+    });
+    const obs::MetricsRegistry& reg = sys.machine().obs();
+    const obs::Label label{"mmu", mmu};
+    counts.insert(counts.end(),
+                  {tlb->hits(), tlb->misses(),
+                   reg.counter_sum("ghum_tlb_hits_total", &label),
+                   reg.counter_sum("ghum_tlb_misses_total", &label)});
+  }
+  EXPECT_EQ(order, 0x2508c4eeab072cbull);
+  // {hits, misses, registry hits, registry misses} per TLB.
+  EXPECT_EQ(counts, (std::vector<std::uint64_t>{0, 14000, 0, 14000,    // CPU
+                                                0, 14000, 0, 14000,    // ATS
+                                                0, 0, 0, 0,            // GPU table
+                                                100, 14000, 100, 14000}));  // uTLB
+  EXPECT_EQ(sys.now(), 36340181427);
+}
+
 TEST(ChkDonor, HostPointersSurviveRestoreViaDonorAdoption) {
   auto sys = std::make_unique<core::System>(chk_cfg());
   runtime::Runtime rt{*sys};
@@ -596,13 +684,22 @@ TEST_F(ChkFuzz, EveryTruncationIsRejected) {
   }
 }
 
-TEST_F(ChkFuzz, EverySingleByteFlipIsRejected) {
+/// Each flip copies and re-hashes the whole blob, so the flip fuzz runs in
+/// kFlipShards parameterised shards that ctest can run side by side:
+/// shard k takes every kFlipShards-th flip position from the k-th on.
+constexpr std::size_t kFlipShards = 8;
+
+class ChkFuzzByteFlip : public ChkFuzz,
+                        public ::testing::WithParamInterface<std::size_t> {};
+
+TEST_P(ChkFuzzByteFlip, EverySingleByteFlipIsRejected) {
   // Every header byte plus strided payload positions, several flip masks.
   std::vector<std::size_t> positions;
   for (std::size_t i = 0; i < 64 && i < blob_.size(); ++i) positions.push_back(i);
   for (std::size_t i = 64; i < blob_.size(); i += 131) positions.push_back(i);
   positions.push_back(blob_.size() - 1);
-  for (const std::size_t pos : positions) {
+  for (std::size_t n = GetParam(); n < positions.size(); n += kFlipShards) {
+    const std::size_t pos = positions[n];
     for (const std::uint8_t mask : {0x01, 0x80, 0xff}) {
       chk::Blob flipped = blob_;
       flipped[pos] ^= mask;
@@ -612,6 +709,9 @@ TEST_F(ChkFuzz, EverySingleByteFlipIsRejected) {
     }
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(Shards, ChkFuzzByteFlip,
+                         ::testing::Range<std::size_t>(0, kFlipShards));
 
 TEST_F(ChkFuzz, FailedRestoreLeavesTheDonorIntact) {
   const std::uint64_t before = chk::Snapshotter::state_digest(*sys_);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <list>
 #include <optional>
 #include <random>
@@ -417,6 +418,113 @@ TEST(TlbDifferential, SeededMixMatchesListAndMapReference) {
       }
       EXPECT_EQ(max_size, cap) << "the mix never filled capacity " << cap;
     }
+  }
+}
+
+TEST(TlbDifferential, SequentialStreamsMatchReference) {
+  // The seeded mix builds a streak of fresh in-order misses as long as
+  // the capacity, and so reaches the streaming window, only at the
+  // smallest capacities. Here each TLB streams past its capacity, then
+  // every operation is tried at the window's edges (hi = the next VPN of
+  // the stream, lo = hi - capacity): once in the window, and once more
+  // after half a capacity of further streaming, when an operation that
+  // left the window has a partial streak on the list. The stream then
+  // resumes and re-enters the window. Counters and size are compared
+  // after every operation; the full MRU order after every edge operation
+  // and, past 17 entries, every 256th and the last streamed page.
+  for (const std::size_t cap : {1u, 2u, 3u, 17u, 1536u, 4096u}) {
+    Tlb tlb{cap};
+    ReferenceTlb ref{cap};
+    std::uint64_t hi = 1u << 20;
+    std::string what;
+    const auto node_of = [](std::uint64_t vpn) {
+      return vpn % 3 == 0 ? mem::Node::kGpu : mem::Node::kCpu;
+    };
+    const auto check = [&](bool order) {
+      ASSERT_EQ(tlb.hits(), ref.hits()) << "capacity " << cap << ": " << what;
+      ASSERT_EQ(tlb.misses(), ref.misses()) << "capacity " << cap << ": " << what;
+      ASSERT_EQ(tlb.size(), ref.size()) << "capacity " << cap << ": " << what;
+      if (order) {
+        ASSERT_EQ(mru_order(tlb), ref.mru_order()) << "capacity " << cap << ": " << what;
+      }
+    };
+    // A translation's miss path: lookup, then insert on a miss.
+    const auto stream = [&](std::size_t n) {
+      for (std::size_t step = 0; step < n; ++step, ++hi) {
+        what = "stream " + std::to_string(hi);
+        ASSERT_EQ(tlb.lookup(hi), ref.lookup(hi)) << what;
+        tlb.insert(hi, node_of(hi));
+        ref.insert(hi, node_of(hi));
+        check(cap <= 17 || step % 256 == 0 || step + 1 == n);
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    };
+    const auto lookup = [&](std::uint64_t vpn) {
+      what = "lookup " + std::to_string(vpn);
+      ASSERT_EQ(tlb.lookup(vpn), ref.lookup(vpn)) << what;
+    };
+    const auto insert = [&](std::uint64_t vpn) {
+      what = "insert " + std::to_string(vpn);
+      const mem::Node node = mem::other(node_of(vpn));
+      tlb.insert(vpn, node);
+      ref.insert(vpn, node);
+    };
+    const auto invalidate = [&](std::uint64_t vpn) {
+      what = "invalidate " + std::to_string(vpn);
+      tlb.invalidate(vpn);
+      ref.invalidate(vpn);
+    };
+    const auto invalidate_range = [&](std::uint64_t first, std::uint64_t last) {
+      what = "invalidate_range " + std::to_string(first) + " " + std::to_string(last);
+      tlb.invalidate_range(first, last);
+      ref.invalidate_range(first, last);
+    };
+    const auto flush = [&] {
+      what = "flush";
+      tlb.flush();
+      ref.flush();
+    };
+    // Each edge operation, as a function of the stream's next VPN.
+    const std::vector<std::function<void(std::uint64_t)>> edge_ops = {
+        [&](std::uint64_t h) { lookup(h - 1); },
+        [&](std::uint64_t h) { lookup(h - cap); },
+        [&](std::uint64_t h) { lookup(h - 1 - cap / 2); },
+        [&](std::uint64_t h) { lookup(h); },
+        [&](std::uint64_t h) { lookup(h - cap - 1); },
+        [&](std::uint64_t h) { lookup(h + 5); },
+        [&](std::uint64_t h) { insert(h); },
+        [&](std::uint64_t h) { insert(h - 1); },
+        [&](std::uint64_t h) { insert(h - 1 - cap / 2); },
+        [&](std::uint64_t h) { insert(h - cap); },
+        [&](std::uint64_t h) { insert(h - cap - 1); },
+        [&](std::uint64_t h) { insert(h + 7); },
+        [&](std::uint64_t h) { invalidate(h - 1); },
+        [&](std::uint64_t h) { invalidate(h - cap); },
+        [&](std::uint64_t h) { invalidate(h - 1 - cap / 2); },
+        [&](std::uint64_t h) { invalidate(h); },
+        [&](std::uint64_t h) { invalidate(h - cap - 1); },
+        [&](std::uint64_t h) { invalidate_range(h - cap + 1, h - 1); },  // inside
+        [&](std::uint64_t h) { invalidate_range(h - cap - 3, h - cap + 2); },
+        [&](std::uint64_t h) { invalidate_range(h - 2, h + 4); },
+        [&](std::uint64_t h) { invalidate_range(h, h + 10); },       // disjoint
+        [&](std::uint64_t h) { invalidate_range(h - cap - 10, h - cap); },
+        [&](std::uint64_t h) { invalidate_range(h - 1, h - 1); },    // empty
+        [&](std::uint64_t h) { invalidate_range(h - 1, h - 3); },    // reversed
+        [&](std::uint64_t h) { invalidate_range(h - cap - 1, h + 1); },  // all
+        [&](std::uint64_t) { flush(); },
+    };
+    stream(cap + 3);
+    ASSERT_FALSE(::testing::Test::HasFatalFailure());
+    for (const auto& op : edge_ops) {
+      op(hi);
+      check(true);
+      stream(cap / 2);
+      op(hi);
+      check(true);
+      stream(cap + 2);
+      ASSERT_FALSE(::testing::Test::HasFatalFailure());
+    }
+    EXPECT_EQ(tlb.size(), cap);
   }
 }
 
