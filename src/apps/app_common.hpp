@@ -230,9 +230,14 @@ class Digest {
 
 /// Quantize a float so checksums tolerate benign non-associativity
 /// (we keep kernel loops identical across modes, so exact equality holds;
-/// quantization guards reference comparisons).
+/// quantization guards reference comparisons). A NaN or a value outside
+/// the int64 range, which a degenerate input can produce (srad on a single
+/// pixel has zero variance), maps to INT64_MIN, the value x86-64's
+/// truncating conversion gives it, instead of an undefined conversion.
 [[nodiscard]] inline std::int64_t quantize(double v, double scale = 1e6) {
-  return static_cast<std::int64_t>(v * scale);
+  const double q = v * scale;
+  if (!(q >= -0x1p63 && q < 0x1p63)) return INT64_MIN;
+  return static_cast<std::int64_t>(q);
 }
 
 }  // namespace ghum::apps

@@ -1,31 +1,19 @@
 #include "apps/hotspot.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <vector>
+
+#include "apps/kernel_rows.hpp"
 
 namespace ghum::apps {
 
 namespace {
-
-// HotSpot thermal constants (Rodinia defaults, folded).
-constexpr float kCap = 0.5f;
-constexpr float kRxInv = 0.1f;
-constexpr float kRyInv = 0.1f;
-constexpr float kRzInv = 0.0333f;
-constexpr float kAmb = 80.0f;
 
 float init_temp(sim::Rng& rng) {
   return 323.0f + static_cast<float>(rng.next_double()) * 10.0f;
 }
 float init_power(sim::Rng& rng) {
   return static_cast<float>(rng.next_double()) * 0.5f;
-}
-
-inline float step_cell(float c, float n, float s, float w, float e, float p) {
-  const float delta = kCap * (p + (n + s - 2.0f * c) * kRyInv +
-                              (w + e - 2.0f * c) * kRxInv + (kAmb - c) * kRzInv);
-  return c + delta;
 }
 
 }  // namespace
@@ -90,23 +78,22 @@ AppCoro hotspot_steps(runtime::Runtime& rt, MemMode mode, HotspotConfig cfg) {
         const std::uint64_t rs =
             std::uint64_t{r == cfg.rows - 1 ? r : r + 1} * cfg.cols;
         const std::uint64_t rc = std::uint64_t{r} * cfg.cols;
-        const float west0 = center.load(rc);  // clamped west of column 0
+        // Column 0's clamped west: the row function reads it from the row.
+        (void)center.load(rc);
         // Per column: centre, east neighbour (not in the last column), then
         // power, south, north, then the store. Power/south/north is the
-        // right-to-left order in which GCC 12 evaluated these loads as
-        // step_cell() arguments, which the pinned event digests record;
-        // another order moves them.
+        // right-to-left order in which GCC 12 evaluated these loads as the
+        // arguments of the per-element cell call, which the pinned event
+        // digests record; another order moves them.
         const auto [cv, ev, pv, sv, nv, dv] = runtime::account(
             last, center.reads(rc), center.reads(rc + 1), pw.reads(rc), south.reads(rs),
             north.reads(rn), dst.writes(rc));
         (void)runtime::account(1, center.reads(rc + last), pw.reads(rc + last),
                                south.reads(rs + last), north.reads(rn + last),
                                dst.writes(rc + last));
-        for (std::uint32_t c = 0; c < cfg.cols; ++c) {
-          const float cur = cv[c];
-          dv[c] = step_cell(cur, nv[c], sv[c], c == 0 ? west0 : cv[c - 1],
-                            c == last ? cur : ev[c], pv[c]);
-        }
+        // ev is cv + 1; the row reads the east neighbour from cv.
+        (void)ev;
+        hotspot_row(cv, nv, sv, pv, dv, cfg.cols);
       }
     });
     report.iteration_s.push_back(sim::to_seconds(record.duration));
@@ -171,8 +158,8 @@ std::uint64_t hotspot_reference_checksum(const HotspotConfig& cfg) {
       for (std::uint32_t c = 0; c < cfg.cols; ++c) {
         const float cur = (*in)[rc + c];
         const float e = c == cfg.cols - 1 ? cur : (*in)[rc + c + 1];
-        (*out)[rc + c] = step_cell(cur, (*in)[rn + c], (*in)[rs + c], west, e,
-                                   p[rc + c]);
+        (*out)[rc + c] = hotspot_cell(cur, (*in)[rn + c], (*in)[rs + c], west, e,
+                                      p[rc + c]);
         west = cur;
       }
     }

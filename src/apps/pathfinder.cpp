@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <vector>
 
+#include "apps/kernel_rows.hpp"
+
 namespace ghum::apps {
 
 namespace {
@@ -51,30 +53,27 @@ AppCoro pathfinder_steps(runtime::Runtime& rt, MemMode mode, PathfinderConfig cf
       auto w = rt.device_span<int>(wall.device());
       auto d = rt.device_span<int>(*dst);
       const std::uint64_t row_off = std::uint64_t{r} * cfg.cols;
-      // Sliding 3-neighbour window over the previous DP row: its first
-      // three loads, then per column the wall cell, the store, and the
-      // next right neighbour (none for the last two columns).
-      int left = s.load(0);
-      int center = s.load(0);
-      int right = cfg.cols > 1 ? s.load(1) : center;
+      // The accounted loads of a sliding 3-neighbour window over the
+      // previous DP row: element 0 as column 0's clamped left and again as
+      // its centre, then element 1. After them, per column, the wall cell,
+      // the store, and the next right neighbour (none for the last two
+      // columns).
+      const int s0 = s.load(0);
+      (void)s.load(0);
+      const int head[2] = {s0, cfg.cols > 1 ? s.load(1) : s0};
       const std::uint32_t tail = std::min<std::uint32_t>(cfg.cols, 2);
       const std::uint32_t body = cfg.cols - tail;
-      auto relax = [&](const int* wv, int* dv, const int* next, std::uint32_t count) {
-        for (std::uint32_t c = 0; c < count; ++c) {
-          dv[c] = wv[c] + std::min(std::min(left, center), right);
-          left = center;
-          center = right;
-          right = next != nullptr ? next[c] : center;
-        }
-      };
       if (body > 0) {
         const auto [wv, dv, next] =
             runtime::account(body, w.reads(row_off), d.writes(0), s.reads(2));
-        relax(wv, dv, next, body);
+        (void)runtime::account(tail, w.reads(row_off + body), d.writes(body));
+        // The tail's wall cells and stores follow the body's, and next is
+        // element 2 of the previous row.
+        pathfinder_row(next - 2, wv, dv, cfg.cols);
+      } else {
+        const auto [wv, dv] = runtime::account(tail, w.reads(row_off), d.writes(0));
+        pathfinder_row(head, wv, dv, cfg.cols);
       }
-      const auto [wv, dv] =
-          runtime::account(tail, w.reads(row_off + body), d.writes(body));
-      relax(wv, dv, nullptr, tail);
     });
     report.compute_traffic += record.traffic;
     if (first) {

@@ -1,5 +1,7 @@
 #include "apps/srad.hpp"
 
+#include "apps/kernel_rows.hpp"
+
 #include <cmath>
 #include <vector>
 
@@ -167,7 +169,8 @@ AppCoro srad_steps(runtime::Runtime& rt, MemMode mode, SradConfig cfg) {
         const std::uint64_t rs =
             std::uint64_t{r == cfg.rows - 1 ? r : r + 1} * cfg.cols;
         const std::uint64_t rc = std::uint64_t{r} * cfg.cols;
-        const float west0 = jc_s.load(rc);  // clamped west of column 0
+        // Column 0's clamped west: the row function reads it from the row.
+        (void)jc_s.load(rc);
         // Per column: centre, east neighbour (not in the last column),
         // north, south, then the five stores.
         const auto [jc, je, jn, js, vn, vs, vw, ve, cv] = runtime::account(
@@ -178,25 +181,9 @@ AppCoro srad_steps(runtime::Runtime& rt, MemMode mode, SradConfig cfg) {
                                js_s.reads(rs + last), dn_w.writes(rc + last),
                                ds_w.writes(rc + last), dw_w.writes(rc + last),
                                de_w.writes(rc + last), c_w.writes(rc + last));
-        for (std::uint32_t cc = 0; cc < cfg.cols; ++cc) {
-          const float c = jc[cc];
-          const float vdn = jn[cc] - c;
-          const float vds = js[cc] - c;
-          const float vdw = (cc == 0 ? west0 : jc[cc - 1]) - c;
-          const float vde = (cc == last ? c : je[cc]) - c;
-          vn[cc] = vdn;
-          vs[cc] = vds;
-          vw[cc] = vdw;
-          ve[cc] = vde;
-          const float g2 =
-              (vdn * vdn + vds * vds + vdw * vdw + vde * vde) / (c * c);
-          const float l = (vdn + vds + vdw + vde) / c;
-          const float num = 0.5f * g2 - (1.0f / 16.0f) * l * l;
-          const float den = 1.0f + 0.25f * l;
-          const float qsqr = num / (den * den);
-          const float coef = 1.0f / (1.0f + (qsqr - q0sqr) / (q0sqr * (1.0f + q0sqr)));
-          cv[cc] = coef < 0.0f ? 0.0f : (coef > 1.0f ? 1.0f : coef);
-        }
+        // je is jc + 1; the row reads the east neighbour from jc.
+        (void)je;
+        srad1_row(jc, jn, js, vn, vs, vw, ve, cv, cfg.cols, q0sqr);
       }
     });
     iter_traffic += rec1.traffic;
@@ -227,13 +214,11 @@ AppCoro srad_steps(runtime::Runtime& rt, MemMode mode, SradConfig cfg) {
                                ds_r.reads(rc + last), dn_r.reads(rc + last),
                                de_r.reads(rc + last), dw_r.reads(rc + last),
                                j_s.reads(rc + last), j_s.writes(rc + last));
-        for (std::uint32_t cc = 0; cc < cfg.cols; ++cc) {
-          const float c_here = ch[cc];
-          const float c_east = cc == last ? c_here : ce[cc];
-          const float div = cs[cc] * vs[cc] + c_here * vn[cc] + c_east * ve[cc] +
-                            c_here * vw[cc];
-          jw[cc] = jr[cc] + step * div;
-        }
+        // ce is ch + 1, and jr and jw are the same elements of J: the row
+        // reads the east coefficient from ch and updates J in place.
+        (void)ce;
+        (void)jr;
+        srad2_row(ch, cs, vs, vn, ve, vw, jw, cfg.cols, step);
       }
     });
     iter_traffic += rec2.traffic;

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
+#include "apps/kernel_rows.hpp"
 #include "apps/qv_gate.hpp"
 #include "benchsupport/scenarios.hpp"
 #include "runtime/runtime.hpp"
@@ -334,6 +336,189 @@ TEST(QvGate, ChunkedGateMatchesNaiveLoopBitForBit) {
     }
   }
   EXPECT_TRUE(coupled_seen[0] && coupled_seen[1] && coupled_seen[2]);
+}
+
+// --- the stencil and DP kernel rows, bit for bit ------------------------------
+//
+// The apps' checksums sample every 97th or 101st cell, rounded, so they
+// cannot see a lane that computes a cell differently. These tests compare
+// every output of the row functions byte for byte with the per-column
+// loops they replaced, copied here verbatim, at widths where the blocked
+// main loop is empty, one block, or a block followed by a remainder.
+
+constexpr std::uint32_t kRowWidths[] = {1, 2, 3, 4, 15, 16, 17, 18, 33, 100};
+
+std::vector<float> random_floats(sim::Rng& rng, std::uint32_t n, double lo, double hi) {
+  std::vector<float> v(n);
+  for (float& x : v) x = static_cast<float>(rng.next_double(lo, hi));
+  return v;
+}
+
+std::vector<int> random_ints(sim::Rng& rng, std::uint32_t n, std::uint64_t bound) {
+  std::vector<int> v(n);
+  for (int& x : v) x = static_cast<int>(rng.next_below(bound));
+  return v;
+}
+
+template <typename T>
+bool same_bits(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
+// srad1's per-column loop; je is jc + 1 and west0 is jc[0].
+void srad1_per_column(const float* jc, const float* je, const float* jn, const float* js,
+                      float* vn, float* vs, float* vw, float* ve, float* cv, float west0,
+                      std::uint32_t cols, float q0sqr) {
+  const std::uint32_t last = cols - 1;
+  for (std::uint32_t cc = 0; cc < cols; ++cc) {
+    const float c = jc[cc];
+    const float vdn = jn[cc] - c;
+    const float vds = js[cc] - c;
+    const float vdw = (cc == 0 ? west0 : jc[cc - 1]) - c;
+    const float vde = (cc == last ? c : je[cc]) - c;
+    vn[cc] = vdn;
+    vs[cc] = vds;
+    vw[cc] = vdw;
+    ve[cc] = vde;
+    const float g2 =
+        (vdn * vdn + vds * vds + vdw * vdw + vde * vde) / (c * c);
+    const float l = (vdn + vds + vdw + vde) / c;
+    const float num = 0.5f * g2 - (1.0f / 16.0f) * l * l;
+    const float den = 1.0f + 0.25f * l;
+    const float qsqr = num / (den * den);
+    const float coef = 1.0f / (1.0f + (qsqr - q0sqr) / (q0sqr * (1.0f + q0sqr)));
+    cv[cc] = coef < 0.0f ? 0.0f : (coef > 1.0f ? 1.0f : coef);
+  }
+}
+
+// srad2's per-column loop; ce is ch + 1, and jr and jw are the same row.
+void srad2_per_column(const float* ch, const float* cs, const float* ce, const float* vs,
+                      const float* vn, const float* ve, const float* vw, const float* jr,
+                      float* jw, std::uint32_t cols, float step) {
+  const std::uint32_t last = cols - 1;
+  for (std::uint32_t cc = 0; cc < cols; ++cc) {
+    const float c_here = ch[cc];
+    const float c_east = cc == last ? c_here : ce[cc];
+    const float div = cs[cc] * vs[cc] + c_here * vn[cc] + c_east * ve[cc] +
+                      c_here * vw[cc];
+    jw[cc] = jr[cc] + step * div;
+  }
+}
+
+// HotSpot's cell function and per-column loop; ev is cv + 1 and west0 is
+// cv[0].
+float step_cell(float c, float n, float s, float w, float e, float p) {
+  constexpr float kCap = 0.5f;
+  constexpr float kRxInv = 0.1f;
+  constexpr float kRyInv = 0.1f;
+  constexpr float kRzInv = 0.0333f;
+  constexpr float kAmb = 80.0f;
+  const float delta = kCap * (p + (n + s - 2.0f * c) * kRyInv +
+                              (w + e - 2.0f * c) * kRxInv + (kAmb - c) * kRzInv);
+  return c + delta;
+}
+
+void hotspot_per_column(const float* cv, const float* ev, const float* pv, const float* sv,
+                        const float* nv, float* dv, float west0, std::uint32_t cols) {
+  const std::uint32_t last = cols - 1;
+  for (std::uint32_t c = 0; c < cols; ++c) {
+    const float cur = cv[c];
+    dv[c] = step_cell(cur, nv[c], sv[c], c == 0 ? west0 : cv[c - 1],
+                      c == last ? cur : ev[c], pv[c]);
+  }
+}
+
+// pathfinder's sliding window over the previous row s.
+void pathfinder_per_column(const int* s, const int* w, int* d, std::uint32_t cols) {
+  int left = s[0];
+  int center = s[0];
+  int right = cols > 1 ? s[1] : center;
+  const std::uint32_t tail = std::min<std::uint32_t>(cols, 2);
+  const std::uint32_t body = cols - tail;
+  auto relax = [&](const int* wv, int* dv, const int* next, std::uint32_t count) {
+    for (std::uint32_t c = 0; c < count; ++c) {
+      dv[c] = wv[c] + std::min(std::min(left, center), right);
+      left = center;
+      center = right;
+      right = next != nullptr ? next[c] : center;
+    }
+  };
+  if (body > 0) relax(w, d, s + 2, body);
+  relax(w + body, d + body, nullptr, tail);
+}
+
+TEST(KernelRows, Srad1RowsMatchPerColumnLoopBitForBit) {
+  // A negative q0sqr drives the coefficient below 0, a large one (against
+  // smooth rows) above 1; 0 makes every coefficient NaN.
+  sim::Rng rng{2201};
+  std::uint32_t below = 0, above = 0;
+  for (const float q0sqr : {-0.5f, 0.0f, 0.05f, 0.5f, 4.0f}) {
+    for (const std::uint32_t cols : kRowWidths) {
+      SCOPED_TRACE(testing::Message() << "q0sqr=" << q0sqr << " cols=" << cols);
+      const std::vector<float> j = random_floats(rng, cols, 0.5, 3.0);
+      const std::vector<float> jn = random_floats(rng, cols, 0.5, 3.0);
+      const std::vector<float> js = random_floats(rng, cols, 0.5, 3.0);
+      std::vector<float> want[5], got[5];
+      for (int k = 0; k < 5; ++k) want[k] = got[k] = std::vector<float>(cols, -7.0f);
+      srad1_per_column(j.data(), j.data() + 1, jn.data(), js.data(), want[0].data(),
+                       want[1].data(), want[2].data(), want[3].data(), want[4].data(), j[0],
+                       cols, q0sqr);
+      apps::srad1_row(j.data(), jn.data(), js.data(), got[0].data(), got[1].data(),
+                      got[2].data(), got[3].data(), got[4].data(), cols, q0sqr);
+      for (int k = 0; k < 5; ++k) EXPECT_TRUE(same_bits(got[k], want[k])) << "output " << k;
+      below += static_cast<std::uint32_t>(std::count(want[4].begin(), want[4].end(), 0.0f));
+      above += static_cast<std::uint32_t>(std::count(want[4].begin(), want[4].end(), 1.0f));
+    }
+  }
+  EXPECT_GT(below, 0u);
+  EXPECT_GT(above, 0u);
+}
+
+TEST(KernelRows, Srad2RowsMatchPerColumnLoopBitForBit) {
+  sim::Rng rng{2202};
+  for (const std::uint32_t cols : kRowWidths) {
+    SCOPED_TRACE(cols);
+    const std::vector<float> ch = random_floats(rng, cols, 0.0, 1.0);
+    const std::vector<float> cs = random_floats(rng, cols, 0.0, 1.0);
+    std::vector<float> d[4];
+    for (auto& v : d) v = random_floats(rng, cols, -2.0, 2.0);
+    const std::vector<float> j = random_floats(rng, cols, 0.5, 3.0);
+    std::vector<float> want = j, got = j;
+    srad2_per_column(ch.data(), cs.data(), ch.data() + 1, d[0].data(), d[1].data(),
+                     d[2].data(), d[3].data(), want.data(), want.data(), cols, 0.125f);
+    apps::srad2_row(ch.data(), cs.data(), d[0].data(), d[1].data(), d[2].data(), d[3].data(),
+                    got.data(), cols, 0.125f);
+    EXPECT_TRUE(same_bits(got, want));
+  }
+}
+
+TEST(KernelRows, HotspotRowsMatchPerColumnLoopBitForBit) {
+  sim::Rng rng{2203};
+  for (const std::uint32_t cols : kRowWidths) {
+    SCOPED_TRACE(cols);
+    const std::vector<float> t = random_floats(rng, cols, 323.0, 333.0);
+    const std::vector<float> tn = random_floats(rng, cols, 323.0, 333.0);
+    const std::vector<float> ts = random_floats(rng, cols, 323.0, 333.0);
+    const std::vector<float> p = random_floats(rng, cols, 0.0, 0.5);
+    std::vector<float> want(cols, -7.0f), got(cols, -7.0f);
+    hotspot_per_column(t.data(), t.data() + 1, p.data(), ts.data(), tn.data(), want.data(),
+                       t[0], cols);
+    apps::hotspot_row(t.data(), tn.data(), ts.data(), p.data(), got.data(), cols);
+    EXPECT_TRUE(same_bits(got, want));
+  }
+}
+
+TEST(KernelRows, PathfinderRowsMatchPerColumnLoopBitForBit) {
+  sim::Rng rng{2204};
+  for (const std::uint32_t cols : kRowWidths) {
+    SCOPED_TRACE(cols);
+    const std::vector<int> prev = random_ints(rng, cols, 1000);
+    const std::vector<int> wall = random_ints(rng, cols, 10);
+    std::vector<int> want(cols, -7), got(cols, -7);
+    pathfinder_per_column(prev.data(), wall.data(), want.data(), cols);
+    apps::pathfinder_row(prev.data(), wall.data(), got.data(), cols);
+    EXPECT_TRUE(same_bits(got, want));
+  }
 }
 
 TEST(Apps, ChecksumsIdenticalAcrossModesAndPageSizes) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <initializer_list>
 #include <sstream>
 #include <stdexcept>
@@ -89,23 +90,42 @@ const GoldenCell kGolden4K[] = {
 };
 // clang-format on
 
-GoldenCell run_cell(std::string_view app, MemMode mode, std::uint64_t page,
+/// One pinned app run: the label its cells carry and how it runs on a
+/// machine. The machine is qv_config() for the label "qvsim" and
+/// rodinia_config() otherwise.
+struct PinnedRun {
+  std::string_view label;
+  std::function<apps::AppReport(runtime::Runtime&, MemMode)> run;
+};
+
+/// The named app at Scale::kSmall (qvsim at kQubits).
+PinnedRun small_app(std::string_view app) {
+  if (app == "qvsim") {
+    return {app, [](runtime::Runtime& rt, MemMode mode) {
+              return apps::run_qvsim(rt, mode, bs::qv_sim_config(bs::Scale::kSmall, kQubits));
+            }};
+  }
+  for (const bs::NamedApp& a : bs::rodinia_apps()) {
+    if (a.name == app) {
+      return {app, [&a](runtime::Runtime& rt, MemMode mode) {
+                return a.run(rt, mode, bs::Scale::kSmall);
+              }};
+    }
+  }
+  throw std::invalid_argument{"unknown app"};
+}
+
+GoldenCell run_cell(const PinnedRun& app, MemMode mode, std::uint64_t page,
                     bool access_counters) {
-  const bool qv = app == "qvsim";
-  core::SystemConfig cfg = qv ? bs::qv_config(page, access_counters)
-                              : bs::rodinia_config(page, access_counters);
+  core::SystemConfig cfg = app.label == "qvsim"
+                               ? bs::qv_config(page, access_counters)
+                               : bs::rodinia_config(page, access_counters);
   cfg.event_log = true;
   core::System sys{cfg};
   runtime::Runtime rt{sys};
-  const bs::GuardedResult r = bs::guarded_run([&] {
-    if (qv) return apps::run_qvsim(rt, mode, bs::qv_sim_config(bs::Scale::kSmall, kQubits));
-    for (const bs::NamedApp& a : bs::rodinia_apps()) {
-      if (a.name == app) return a.run(rt, mode, bs::Scale::kSmall);
-    }
-    throw std::invalid_argument{"unknown app"};
-  });
+  const bs::GuardedResult r = bs::guarded_run([&] { return app.run(rt, mode); });
   const cache::KernelTraffic t = sys.workload().total("");
-  return GoldenCell{app,
+  return GoldenCell{app.label,
                     mode,
                     r.status,
                     r.report.checksum,
@@ -136,16 +156,16 @@ std::string source_row(const GoldenCell& c) {
   return o.str();
 }
 
-/// Runs \p apps x all three modes at \p page size and compares every cell
+/// Runs \p runs x all three modes at \p page size and compares every cell
 /// with \p pinned, printing the table as it now reads on any mismatch.
 template <std::size_t N>
-void expect_pinned(std::initializer_list<std::string_view> apps, std::uint64_t page,
+void expect_pinned(const std::vector<PinnedRun>& runs, std::uint64_t page,
                    bool access_counters, const GoldenCell (&pinned_cells)[N]) {
   const MemMode kModes[] = {MemMode::kExplicit, MemMode::kManaged, MemMode::kSystem};
   std::vector<GoldenCell> actual;
-  for (const std::string_view app : apps) {
+  for (const PinnedRun& run : runs) {
     for (const MemMode mode : kModes) {
-      actual.push_back(run_cell(app, mode, page, access_counters));
+      actual.push_back(run_cell(run, mode, page, access_counters));
     }
   }
   const std::vector<GoldenCell> pinned(std::begin(pinned_cells), std::end(pinned_cells));
@@ -161,6 +181,15 @@ void expect_pinned(std::initializer_list<std::string_view> apps, std::uint64_t p
   }
 }
 
+/// The named apps at Scale::kSmall.
+template <std::size_t N>
+void expect_pinned(std::initializer_list<std::string_view> apps, std::uint64_t page,
+                   bool access_counters, const GoldenCell (&pinned_cells)[N]) {
+  std::vector<PinnedRun> runs;
+  for (const std::string_view app : apps) runs.push_back(small_app(app));
+  expect_pinned(runs, page, access_counters, pinned_cells);
+}
+
 TEST(GoldenGrid, SmallScaleGridMatchesPinnedValues) {
   expect_pinned({"bfs", "hotspot", "needle", "pathfinder", "srad", "qvsim"},
                 pagetable::kSystemPage64K, /*access_counters=*/false, kGolden);
@@ -173,6 +202,98 @@ TEST(GoldenGrid, SmallScaleGridMatchesPinnedValues) {
 TEST(GoldenGrid, SmallScale4KAccessCountersMatchPinnedValues) {
   expect_pinned({"hotspot", "needle", "pathfinder", "srad"}, pagetable::kSystemPage4K,
                 /*access_counters=*/true, kGolden4K);
+}
+
+// srad, hotspot and pathfinder on shapes made mostly or wholly of clamped
+// edge cells: one cell, one row, one column and a 3x3 block, and
+// pathfinder rows of 1, 2, 3 and 17 columns. Here the first and last
+// columns, where the kernels clamp their neighbours, meet or are the whole
+// row. The values were recorded before the kernels' rows moved into
+// apps/kernel_rows.hpp.
+// clang-format off
+const GoldenCell kGoldenEdgeShapes[] = {
+    {"srad 1x1", MemMode::kExplicit, Status::kSuccess, 12161821475553763397ull, 9277082990, 16320364382752685506ull, 13056, 2016, 1056, 0, 64, 0, 768},
+    {"srad 1x1", MemMode::kManaged, Status::kSuccess, 12161821475553763397ull, 8392202620, 15908599652481614773ull, 13056, 2016, 1056, 0, 64, 0, 768},
+    {"srad 1x1", MemMode::kSystem, Status::kSuccess, 12161821475553763397ull, 8145848185, 13507244039283839216ull, 13056, 1152, 960, 0, 64, 3456, 1152},
+    {"srad 1x17", MemMode::kExplicit, Status::kSuccess, 5302365902372872082ull, 9277085125, 13939299430915955744ull, 13056, 5280, 2448, 0, 128, 0, 768},
+    {"srad 1x17", MemMode::kManaged, Status::kSuccess, 5302365902372872082ull, 8392204304, 10199127488902268302ull, 13952, 5356, 2560, 0, 128, 0, 768},
+    {"srad 1x17", MemMode::kSystem, Status::kSuccess, 5302365902372872082ull, 8145850202, 15779839823839761387ull, 13952, 2832, 2152, 0, 128, 3840, 1152},
+    {"srad 17x1", MemMode::kExplicit, Status::kSuccess, 5302365902372872082ull, 9277085017, 9428106661717549307ull, 13056, 4896, 2448, 0, 128, 0, 768},
+    {"srad 17x1", MemMode::kManaged, Status::kSuccess, 5302365902372872082ull, 8392204197, 6152415359787212915ull, 13952, 4976, 2560, 0, 128, 0, 768},
+    {"srad 17x1", MemMode::kSystem, Status::kSuccess, 5302365902372872082ull, 8145850094, 4899376722424399357ull, 13952, 2448, 2152, 0, 128, 3840, 1152},
+    {"srad 3x3", MemMode::kExplicit, Status::kSuccess, 16958612732656106791ull, 9277083558, 8674916014504935712ull, 13056, 2736, 1296, 0, 64, 0, 768},
+    {"srad 3x3", MemMode::kManaged, Status::kSuccess, 16958612732656106791ull, 8392202988, 15266678051789200980ull, 13952, 2812, 1408, 0, 64, 0, 768},
+    {"srad 3x3", MemMode::kSystem, Status::kSuccess, 16958612732656106791ull, 8145849348, 16455597268172703532ull, 13952, 1440, 1192, 0, 64, 3840, 1152},
+    {"hotspot 1x1", MemMode::kExplicit, Status::kSuccess, 18435129236190670812ull, 8629184092, 13357693059088770092ull, 2560, 512, 128, 0, 128, 0, 0},
+    {"hotspot 1x1", MemMode::kManaged, Status::kSuccess, 18435129236190670812ull, 8315723362, 4673510104099761630ull, 2560, 512, 128, 0, 128, 0, 0},
+    {"hotspot 1x1", MemMode::kSystem, Status::kSuccess, 18435129236190670812ull, 8225170204, 12075230607467804430ull, 2560, 192, 64, 0, 128, 1280, 256},
+    {"hotspot 1x17", MemMode::kExplicit, Status::kSuccess, 7596196951859324962ull, 8629185512, 17162277650108569965ull, 2560, 1360, 272, 0, 256, 0, 0},
+    {"hotspot 1x17", MemMode::kManaged, Status::kSuccess, 7596196951859324962ull, 8315723931, 8908768990292808537ull, 2688, 1380, 272, 0, 256, 0, 0},
+    {"hotspot 1x17", MemMode::kSystem, Status::kSuccess, 7596196951859324962ull, 8225170596, 9779800961301612515ull, 2560, 544, 136, 0, 256, 1280, 256},
+    {"hotspot 17x1", MemMode::kExplicit, Status::kSuccess, 7596196951859324962ull, 8629185512, 17162277650108569965ull, 2560, 1360, 272, 0, 256, 0, 0},
+    {"hotspot 17x1", MemMode::kManaged, Status::kSuccess, 7596196951859324962ull, 8315723932, 12309754245339942429ull, 2688, 1384, 272, 0, 256, 0, 0},
+    {"hotspot 17x1", MemMode::kSystem, Status::kSuccess, 7596196951859324962ull, 8225170596, 9779800961301612515ull, 2560, 544, 136, 0, 256, 1280, 256},
+    {"hotspot 3x3", MemMode::kExplicit, Status::kSuccess, 3077628457603979581ull, 8629184586, 6549269998333240770ull, 2560, 720, 144, 0, 128, 0, 0},
+    {"hotspot 3x3", MemMode::kManaged, Status::kSuccess, 3077628457603979581ull, 8315723431, 5141795757608002934ull, 2688, 740, 144, 0, 128, 0, 0},
+    {"hotspot 3x3", MemMode::kSystem, Status::kSuccess, 3077628457603979581ull, 8225170234, 5026787756149664660ull, 2560, 288, 72, 0, 128, 1280, 256},
+    {"pathfinder c1", MemMode::kExplicit, Status::kSuccess, 4525023903997977743ull, 8857184896, 2256365748387145530ull, 24192, 4032, 2016, 0, 256, 0, 0},
+    {"pathfinder c1", MemMode::kManaged, Status::kSuccess, 4525023903997977743ull, 8547566688, 8683850186207549084ull, 24192, 4032, 2016, 0, 256, 0, 0},
+    {"pathfinder c1", MemMode::kSystem, Status::kSuccess, 4525023903997977743ull, 8462092075, 13037942125144807879ull, 24192, 1984, 2016, 0, 256, 8192, 0},
+    {"pathfinder c2", MemMode::kExplicit, Status::kSuccess, 17461151922250061255ull, 8857186494, 5482920539175585225ull, 24192, 4032, 2016, 0, 512, 0, 0},
+    {"pathfinder c2", MemMode::kManaged, Status::kSuccess, 17461151922250061255ull, 8547567225, 12576008846136807860ull, 24320, 4064, 2016, 0, 512, 0, 0},
+    {"pathfinder c2", MemMode::kSystem, Status::kSuccess, 17461151922250061255ull, 8462092943, 15864195981282143425ull, 24320, 1984, 2016, 0, 512, 8320, 0},
+    {"pathfinder c3", MemMode::kExplicit, Status::kSuccess, 5658920016876080595ull, 8857188128, 5039187380052833690ull, 24704, 4160, 2016, 0, 768, 0, 0},
+    {"pathfinder c3", MemMode::kManaged, Status::kSuccess, 5658920016876080595ull, 8547567798, 8925862793364641532ull, 24960, 4224, 2016, 0, 768, 0, 0},
+    {"pathfinder c3", MemMode::kSystem, Status::kSuccess, 5658920016876080595ull, 8462095175, 9841573108261949177ull, 24960, 1984, 2016, 0, 768, 8960, 0},
+    {"pathfinder c17", MemMode::kExplicit, Status::kSuccess, 2028371410978988223ull, 8857212600, 14025855074683760061ull, 28288, 8820, 4284, 0, 4352, 0, 0},
+    {"pathfinder c17", MemMode::kManaged, Status::kSuccess, 2028371410978988223ull, 8547577289, 11310285914800780279ull, 28544, 8868, 4284, 0, 4352, 0, 0},
+    {"pathfinder c17", MemMode::kSystem, Status::kSuccess, 2028371410978988223ull, 8462113534, 15010646576213577106ull, 28544, 4464, 4284, 0, 4352, 12544, 0},
+};
+// clang-format on
+
+std::vector<PinnedRun> edge_shapes() {
+  std::vector<PinnedRun> runs;
+  const auto srad = [&](std::string_view label, std::uint32_t rows, std::uint32_t cols) {
+    apps::SradConfig cfg = bs::srad_config(bs::Scale::kSmall);
+    cfg.rows = rows;
+    cfg.cols = cols;
+    runs.push_back({label, [cfg](runtime::Runtime& rt, MemMode mode) {
+                      return apps::run_srad(rt, mode, cfg);
+                    }});
+  };
+  const auto hotspot = [&](std::string_view label, std::uint32_t rows, std::uint32_t cols) {
+    apps::HotspotConfig cfg = bs::hotspot_config(bs::Scale::kSmall);
+    cfg.rows = rows;
+    cfg.cols = cols;
+    runs.push_back({label, [cfg](runtime::Runtime& rt, MemMode mode) {
+                      return apps::run_hotspot(rt, mode, cfg);
+                    }});
+  };
+  const auto pathfinder = [&](std::string_view label, std::uint32_t cols) {
+    apps::PathfinderConfig cfg = bs::pathfinder_config(bs::Scale::kSmall);
+    cfg.cols = cols;
+    runs.push_back({label, [cfg](runtime::Runtime& rt, MemMode mode) {
+                      return apps::run_pathfinder(rt, mode, cfg);
+                    }});
+  };
+  srad("srad 1x1", 1, 1);
+  srad("srad 1x17", 1, 17);
+  srad("srad 17x1", 17, 1);
+  srad("srad 3x3", 3, 3);
+  hotspot("hotspot 1x1", 1, 1);
+  hotspot("hotspot 1x17", 1, 17);
+  hotspot("hotspot 17x1", 17, 1);
+  hotspot("hotspot 3x3", 3, 3);
+  pathfinder("pathfinder c1", 1);
+  pathfinder("pathfinder c2", 2);
+  pathfinder("pathfinder c3", 3);
+  pathfinder("pathfinder c17", 17);
+  return runs;
+}
+
+TEST(GoldenGrid, EdgeShapesMatchPinnedValues) {
+  expect_pinned(edge_shapes(), pagetable::kSystemPage64K, /*access_counters=*/false,
+                kGoldenEdgeShapes);
 }
 
 // qvsim's host reference and both gate kernels apply a gate through one
