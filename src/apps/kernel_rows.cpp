@@ -1,5 +1,7 @@
 #include "apps/kernel_rows.hpp"
 
+#include <algorithm>
+
 namespace ghum::apps {
 
 namespace {
@@ -53,6 +55,9 @@ void srad1_row(const float* __restrict j, const float* __restrict jn,
     const float k = 1.0f / (1.0f + (qsqr - q0sqr) / (q0sqr * (1.0f + q0sqr)));
     coef[cc] = k < 0.0f ? 0.0f : (k > 1.0f ? 1.0f : k);
   });
+  // Zero variance makes the formula 0/0; its limit is 1. Set once per row,
+  // not tested per cell, so the loop above stays vectorizable.
+  if (q0sqr == 0.0f) std::fill_n(coef, cols, 1.0f);
 }
 
 void srad2_row(const float* __restrict c, const float* __restrict cs,

@@ -42,7 +42,8 @@ inline constexpr float kHotspotAmb = 80.0f;
 /// and the clamped diffusion coefficient of every pixel. \p j is the row,
 /// \p jn and \p js the rows north and south of it (the row itself at the
 /// image edge); the west of column 0 and the east of the last column are
-/// the pixel itself.
+/// the pixel itself. A zero-variance image (\p q0sqr == 0) gives every
+/// coefficient its limit as q0sqr -> 0+, which is 1.
 void srad1_row(const float* __restrict j, const float* __restrict jn,
                const float* __restrict js, float* __restrict dn, float* __restrict ds,
                float* __restrict dw, float* __restrict de, float* __restrict coef,

@@ -2,6 +2,7 @@
 
 #include "apps/kernel_rows.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -59,6 +60,9 @@ void srad_iteration_ref(std::vector<float>& J, std::vector<float>& c,
       c[idx] = cv < 0.0f ? 0.0f : (cv > 1.0f ? 1.0f : cv);
     }
   }
+  // Zero variance (one pixel, or all pixels equal) makes every coefficient
+  // 0/0; use its limit as q0sqr -> 0+, which is 1 (srad1_row does the same).
+  if (q0sqr == 0.0f) std::fill(c.begin(), c.end(), 1.0f);
   for (std::uint32_t r = 0; r < rows; ++r) {
     const std::uint32_t rs = r == rows - 1 ? r : r + 1;
     for (std::uint32_t cc = 0; cc < cols; ++cc) {

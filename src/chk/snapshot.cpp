@@ -82,7 +82,9 @@ void Snapshotter::save_config(const core::SystemConfig& cfg, Writer& w) {
   w.u64(cfg.cpu_tlb_entries);
   w.u64(cfg.ats_tlb_entries);
   w.u64(cfg.gpu_utlb_entries);
-  w.boolean(cfg.batched_access);
+  // Once the batched-access switch; the byte stays so that v2 images keep
+  // their layout, and it always reads 1.
+  w.boolean(true);
   w.boolean(cfg.event_log);
   w.i64(cfg.profiler_period);
   w.boolean(cfg.profiler_enabled);
@@ -162,7 +164,10 @@ core::SystemConfig Snapshotter::load_config(Reader& r) {
   cfg.cpu_tlb_entries = static_cast<std::size_t>(r.u64());
   cfg.ats_tlb_entries = static_cast<std::size_t>(r.u64());
   cfg.gpu_utlb_entries = static_cast<std::size_t>(r.u64());
-  cfg.batched_access = r.boolean();
+  if (!r.boolean()) {
+    throw StatusError{Status::kErrorInvalidValue,
+                      "checkpoint: image asks for the retired per-access path"};
+  }
   cfg.event_log = r.boolean();
   cfg.profiler_period = r.i64();
   cfg.profiler_enabled = r.boolean();

@@ -642,7 +642,6 @@ bool System::advance_view(PageView& view, std::uint64_t va) {
 
 void System::fill_run_end(PageView& view) {
   view.run_end = view.page_end;
-  if (!m_.config().batched_access) return;
   // The extent map answers "where does this run end" in one O(log n)
   // lookup, so no per-page scan cap is needed: a dense full-scale
   // allocation (millions of pages) publishes its whole run at once.

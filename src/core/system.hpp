@@ -53,7 +53,8 @@ struct PageView {
   /// every page in [page_base, run_end) is mapped on the same node with
   /// the same access semantics, so crossing into the next page inside the
   /// run can skip the VMA lookup (System::advance_view). Equal to
-  /// page_end when no run information is available (legacy path).
+  /// page_end when the page's residency state has no run scan (the
+  /// managed fault and remote paths re-resolve every page).
   std::uint64_t run_end = 0;
   mem::Node node = mem::Node::kCpu;     ///< where the data lives
   mem::Node origin = mem::Node::kCpu;   ///< who is accessing
@@ -300,8 +301,7 @@ class System {
   void resolve_page(PageView& view, std::uint64_t va);
 
   /// Publishes how far the residency run containing view.page_base extends
-  /// (PageView::run_end). Only scans when SystemConfig::batched_access is
-  /// on; otherwise run_end = page_end (legacy behaviour).
+  /// (PageView::run_end).
   void fill_run_end(PageView& view);
 
   Machine m_;

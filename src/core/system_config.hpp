@@ -65,15 +65,6 @@ struct SystemConfig {
   std::size_t ats_tlb_entries = 4096;
   std::size_t gpu_utlb_entries = 4096;
 
-  /// Batched hot access path: Span may account a contiguous run of
-  /// accesses inside one residency interval with bulk arithmetic, and
-  /// resolve() publishes how far the current residency run extends
-  /// (PageView::run_end) so page transitions inside the run skip the VMA
-  /// lookup. Simulated time, traffic counters and the event stream are
-  /// bit-for-bit identical to the legacy per-access path (bench_selfperf
-  /// asserts this); the flag exists for that differential check.
-  bool batched_access = true;
-
   /// Record per-event traces (tests and profile-type benches turn this on;
   /// large runs leave it off).
   bool event_log = false;

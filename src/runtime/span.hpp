@@ -89,7 +89,7 @@ class Span {
  public:
   Span(core::System& sys, const core::Buffer& buf, mem::Node origin,
        std::uint64_t elem_offset = 0, std::uint64_t count = ~0ull)
-      : sys_(&sys), origin_(origin), batched_(sys.config().batched_access) {
+      : sys_(&sys), origin_(origin) {
     // Checked before any pointer arithmetic: an offset past the buffer
     // would otherwise wrap the element count and let load/store run off
     // the host image.
@@ -234,9 +234,7 @@ class Span {
   void reenter(std::uint64_t addr) {
     cursor_.line_len = 0;
     commit_pending();
-    if (!batched_ || !sys_->advance_view(view_, addr)) {
-      view_ = sys_->resolve(addr, origin_);
-    }
+    if (!sys_->advance_view(view_, addr)) view_ = sys_->resolve(addr, origin_);
     line_shift_ = static_cast<unsigned>(std::countr_zero(
         static_cast<std::uint64_t>(view_.line_size)));
     const std::uint64_t lines =
@@ -256,11 +254,11 @@ class Span {
   /// into System: those whose start address lies in the current page view,
   /// at the current epoch (enter_line()'s test). Elements are attributed to
   /// the page holding their start, so one straddling the page end still
-  /// counts. Zero with batching off, and for elements wider than a line,
-  /// whose starts can skip lines; both keep the per-element path.
+  /// counts. Zero for elements wider than a line, whose starts can skip
+  /// lines; those keep the per-element path.
   [[nodiscard]] std::size_t room(std::size_t i) const noexcept {
     const std::uint64_t addr = va_ + i * sizeof(T);
-    if (!batched_ || sizeof(T) > view_.line_size || addr < view_.page_base ||
+    if (sizeof(T) > view_.line_size || addr < view_.page_base ||
         addr >= view_.page_end || sys_->epoch() != view_.epoch) {
       return 0;
     }
@@ -296,7 +294,6 @@ class Span {
   mem::Node origin_;
   std::uint64_t va_ = 0;
   T* ptr_ = nullptr;
-  bool batched_;
   std::size_t n_ = 0;
 
   core::LineCursor cursor_{};  // starts empty: the first access resolves

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <vector>
 
@@ -70,6 +71,22 @@ TEST_P(AppModes, SradMatchesReference) {
     return apps::run_srad(rt, m, cfg);
   });
   EXPECT_EQ(r.checksum, apps::srad_reference_checksum(cfg));
+}
+
+TEST_P(AppModes, SradLeavesAZeroVarianceImageUnchanged) {
+  // One pixel has zero variance (q0sqr == 0): every diffusion coefficient
+  // takes its limit 1 and every derivative is 0, so no iteration changes
+  // the image, which stays finite (a NaN pixel would change the checksum).
+  apps::SradConfig cfg = bs::srad_config(bs::Scale::kSmall);
+  cfg.rows = 1;
+  cfg.cols = 1;
+  apps::SradConfig untouched = cfg;
+  untouched.iterations = 0;
+  const auto r = run_mode(GetParam(), [&](runtime::Runtime& rt, MemMode m) {
+    return apps::run_srad(rt, m, cfg);
+  });
+  EXPECT_EQ(r.checksum, apps::srad_reference_checksum(untouched));
+  EXPECT_EQ(apps::srad_reference_checksum(cfg), apps::srad_reference_checksum(untouched));
 }
 
 TEST_P(AppModes, QvsimMatchesReference) {
@@ -449,7 +466,8 @@ void pathfinder_per_column(const int* s, const int* w, int* d, std::uint32_t col
 
 TEST(KernelRows, Srad1RowsMatchPerColumnLoopBitForBit) {
   // A negative q0sqr drives the coefficient below 0, a large one (against
-  // smooth rows) above 1; 0 makes every coefficient NaN.
+  // smooth rows) above 1. At 0 (a zero-variance image) the per-column
+  // formula is 0/0 and the row gives the limit, 1.
   sim::Rng rng{2201};
   std::uint32_t below = 0, above = 0;
   for (const float q0sqr : {-0.5f, 0.0f, 0.05f, 0.5f, 4.0f}) {
@@ -465,13 +483,33 @@ TEST(KernelRows, Srad1RowsMatchPerColumnLoopBitForBit) {
                        cols, q0sqr);
       apps::srad1_row(j.data(), jn.data(), js.data(), got[0].data(), got[1].data(),
                       got[2].data(), got[3].data(), got[4].data(), cols, q0sqr);
-      for (int k = 0; k < 5; ++k) EXPECT_TRUE(same_bits(got[k], want[k])) << "output " << k;
       below += static_cast<std::uint32_t>(std::count(want[4].begin(), want[4].end(), 0.0f));
       above += static_cast<std::uint32_t>(std::count(want[4].begin(), want[4].end(), 1.0f));
+      if (q0sqr == 0.0f) want[4].assign(cols, 1.0f);
+      for (int k = 0; k < 5; ++k) EXPECT_TRUE(same_bits(got[k], want[k])) << "output " << k;
     }
   }
   EXPECT_GT(below, 0u);
   EXPECT_GT(above, 0u);
+}
+
+TEST(KernelRows, SradOnAConstantImageLeavesItUnchanged) {
+  // A constant image has zero variance (q0sqr == 0) and zero derivatives:
+  // one srad1 + srad2 step must leave every pixel finite and as it was.
+  for (const std::uint32_t cols : kRowWidths) {
+    SCOPED_TRACE(cols);
+    const std::vector<float> j(cols, 1.75f);
+    std::vector<float> d[4], coef(cols, -7.0f);
+    for (auto& v : d) v.assign(cols, -7.0f);
+    apps::srad1_row(j.data(), j.data(), j.data(), d[0].data(), d[1].data(), d[2].data(),
+                    d[3].data(), coef.data(), cols, 0.0f);
+    EXPECT_EQ(coef, std::vector<float>(cols, 1.0f));
+    std::vector<float> out = j;
+    apps::srad2_row(coef.data(), coef.data(), d[1].data(), d[0].data(), d[3].data(),
+                    d[2].data(), out.data(), cols, 0.125f);
+    EXPECT_TRUE(std::all_of(out.begin(), out.end(), [](float v) { return std::isfinite(v); }));
+    EXPECT_EQ(out, j);
+  }
 }
 
 TEST(KernelRows, Srad2RowsMatchPerColumnLoopBitForBit) {

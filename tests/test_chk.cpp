@@ -336,6 +336,18 @@ TEST(ChkValidation, ChecksumValidUnbuildableConfigIsRejected) {
   expect_invalid_value(with_u64(blob, cfg_at[0], std::uint64_t{1} << 40));
 }
 
+TEST(ChkValidation, ChecksumValidRetiredPerAccessPathByteIsRejected) {
+  // The byte after the three TLB capacities once switched off batched
+  // access accounting. Images keep it and always write 1; 0 would ask for
+  // an access path that no longer exists.
+  const chk::Blob blob = tlb_probe_blob();
+  const std::vector<std::size_t> cfg_at = find_u64_pair(blob, 3, kProbeAtsEntries);
+  ASSERT_EQ(cfg_at.size(), 1u);
+  const std::size_t at = cfg_at[0] + 3 * 8;
+  ASSERT_EQ(blob[at], 1);
+  expect_invalid_value(with_u8(blob, at, 0));
+}
+
 TEST(ChkValidation, ChecksumValidTlbRepeatedVpnIsRejected) {
   // A VPN saved twice would leave two recency entries for one key.
   const chk::Blob blob = tlb_probe_blob();

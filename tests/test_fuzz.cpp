@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/hotspot.hpp"
@@ -156,117 +158,227 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<1>(info.param));
     });
 
-/// Differential fuzz for the batched access path: the same randomized
-/// workload runs once with batched accounting and once with the legacy
-/// per-access path, under fault injection that bumps the residency epoch
-/// while Spans hold cached PageViews (ECC retirements evict resident
-/// blocks, denials trigger fallback placement, migrations retry). Any use
-/// of a stale cached run would desync the two timelines; they must agree
-/// bit for bit on simulated end time and on the full event stream.
-TEST(FuzzBatchedDifferential, BatchedAndLegacyShareOneTimelineUnderFaults) {
-  struct Outcome {
-    sim::Picos end = 0;
-    std::uint64_t digest = 0;
-    std::size_t ecc_retirements = 0;
-  };
-  auto run = [](bool batched, std::uint64_t seed) {
-    auto cfg = fuzz_config(pagetable::kSystemPage64K);
-    cfg.batched_access = batched;
-    cfg.event_log = true;
-    cfg.faults.enabled = true;
-    cfg.faults.frame_alloc_denial_prob = 0.02;
-    cfg.faults.migration_batch_fail_prob = 0.05;
-    cfg.faults.ecc_events = {{.time = sim::microseconds(50), .bytes = 2ull << 20},
-                             {.time = sim::microseconds(400), .bytes = 2ull << 20}};
-    cfg.faults.link_degrade = {{.start = sim::microseconds(100),
-                                .duration = sim::microseconds(150),
-                                .bandwidth_factor = 4.0,
-                                .latency_factor = 2.0}};
-    core::System sys{cfg};
-    runtime::Runtime rt{sys};
-    sim::Rng rng{seed};
-    std::vector<core::Buffer> live;
-    live.push_back(rt.malloc_managed(4 << 20));
-    live.push_back(rt.malloc_system(4 << 20));
-    for (int step = 0; step < 60; ++step) {
-      const std::uint64_t op = rng.next_below(6);
-      core::Buffer& b = live[rng.next_below(live.size())];
-      const std::uint64_t n = b.bytes / sizeof(float);
-      if (op == 0) {
-        sys.prefetch(b, 0, b.bytes,
-                     rng.next_below(2) ? mem::Node::kGpu : mem::Node::kCpu);
-      } else if (op < 3) {
-        // Host bulk sweep over a random sub-range.
-        sys.host_phase_begin("h");
-        {
-          runtime::Span<float> s{sys, b, mem::Node::kCpu};
-          const std::uint64_t start = rng.next_below(n);
-          const std::uint64_t count = std::min<std::uint64_t>(n - start, 40'000);
-          if (rng.next_below(2)) {
-            std::fill_n(s.store_run(start, count), count, 1.0f);
-          } else {
-            (void)s.load_run(start, count);
-          }
-        }
-        (void)sys.host_phase_end();
-      } else if (op == 3) {
-        // Host scalar strided sweep: keeps the per-element path in the mix.
-        sys.host_phase_begin("hs");
-        {
-          runtime::Span<float> s{sys, b, mem::Node::kCpu};
-          const std::uint64_t stride = 1 + rng.next_below(32);
-          std::uint64_t touched = 0;
-          for (std::uint64_t i = rng.next_below(n); i < n && touched < 10'000;
-               i += stride, ++touched) {
-            (void)s.load(i);
-          }
-        }
-        (void)sys.host_phase_end();
-      } else {
-        // GPU bulk sweep.
-        sys.kernel_begin("k");
-        {
-          runtime::Span<float> s{sys, b, mem::Node::kGpu};
-          const std::uint64_t start = rng.next_below(n);
-          const std::uint64_t count = std::min<std::uint64_t>(n - start, 40'000);
-          if (rng.next_below(2)) {
-            std::fill_n(s.store_run(start, count), count, 2.0f);
-          } else {
-            (void)s.load_run(start, count);
-          }
-        }
-        (void)sys.kernel_end();
+/// The per-access accountant that runtime::Span's batched page transitions
+/// replaced, kept as their oracle: every element is accounted on its own,
+/// entering a page or seeing the epoch move goes through a full
+/// System::resolve(), and each page visit commits the cachelines it
+/// touched. Span must drive the System exactly as this does.
+template <typename T>
+class ReferenceSpan {
+ public:
+  ReferenceSpan(core::System& sys, const core::Buffer& buf, mem::Node origin)
+      : sys_(&sys), origin_(origin), va_(buf.va), ptr_(reinterpret_cast<T*>(buf.host)) {}
+  ReferenceSpan(const ReferenceSpan&) = delete;
+  ReferenceSpan& operator=(const ReferenceSpan&) = delete;
+  ~ReferenceSpan() { commit(); }
+
+  T load(std::size_t i) {
+    touch(i, false);
+    return ptr_[i];
+  }
+  void store(std::size_t i, T v) {
+    touch(i, true);
+    ptr_[i] = v;
+  }
+  const T* load_run(std::size_t i, std::size_t count) {
+    for (std::size_t k = 0; k < count; ++k) touch(i + k, false);
+    return ptr_ + i;
+  }
+  T* store_run(std::size_t i, std::size_t count) {
+    for (std::size_t k = 0; k < count; ++k) touch(i + k, true);
+    return ptr_ + i;
+  }
+
+ private:
+  void touch(std::size_t i, bool write) {
+    const std::uint64_t addr = va_ + i * sizeof(T);
+    if (addr < view_.page_base || addr >= view_.page_end ||
+        sys_->epoch() != view_.epoch) {
+      commit();
+      view_ = sys_->resolve(addr, origin_);
+      lines_.assign((view_.page_end - view_.page_base + view_.line_size - 1) /
+                        view_.line_size,
+                    false);
+    }
+    const std::uint64_t line = (addr - view_.page_base) / view_.line_size;
+    if (!lines_[line]) {
+      lines_[line] = true;
+      ++pend_lines_;
+    }
+    ++(write ? pend_nw_ : pend_nr_);
+  }
+
+  void commit() {
+    if ((pend_nr_ | pend_nw_) == 0) return;
+    sys_->commit(view_, pend_nr_ * sizeof(T), pend_nw_ * sizeof(T), pend_lines_,
+                 pend_nr_ + pend_nw_);
+    pend_nr_ = pend_nw_ = pend_lines_ = 0;
+  }
+
+  core::System* sys_;
+  mem::Node origin_;
+  std::uint64_t va_;
+  T* ptr_;
+  core::PageView view_{};  // starts invalid (page_base=1 > page_end=0)
+  std::vector<bool> lines_;
+  std::uint64_t pend_nr_ = 0;
+  std::uint64_t pend_nw_ = 0;
+  std::uint64_t pend_lines_ = 0;
+};
+
+/// dst[j + c] = src[i + c] for c in [0, count): one two-stream account()
+/// through Span, where a commit of one stream can move the epoch under the
+/// other's view; element by element, read then write, through the
+/// reference.
+void copy_run(runtime::Span<float>& src, runtime::Span<float>& dst, std::size_t i,
+              std::size_t j, std::size_t count) {
+  const auto [from, to] = runtime::account(count, src.reads(i), dst.writes(j));
+  std::copy_n(from, count, to);
+}
+void copy_run(ReferenceSpan<float>& src, ReferenceSpan<float>& dst, std::size_t i,
+              std::size_t j, std::size_t count) {
+  for (std::size_t c = 0; c < count; ++c) dst.store(j + c, src.load(i + c));
+}
+
+struct SpanOutcome {
+  sim::Picos end = 0;
+  std::uint64_t digest = 0;
+  std::size_t ecc_retirements = 0;
+  std::size_t retirements_under_spans = 0;  ///< serviced while a span was live
+  std::vector<std::pair<std::string, std::uint64_t>> counters;
+  /// Each TLB's entries, most recent first.
+  std::vector<std::vector<std::pair<std::uint64_t, mem::Node>>> tlbs;
+};
+
+/// A seeded workload of bulk and strided sweeps from both sides, two-stream
+/// GPU copies and prefetches, under fault injection that bumps the residency epoch while
+/// spans hold cached page views (ECC retirements evict resident blocks,
+/// denials trigger fallback placement, migrations retry), accounted
+/// through SpanT.
+template <template <typename> class SpanT>
+SpanOutcome run_span_workload(std::uint64_t seed) {
+  auto cfg = fuzz_config(pagetable::kSystemPage64K);
+  cfg.event_log = true;
+  cfg.faults.enabled = true;
+  cfg.faults.frame_alloc_denial_prob = 0.02;
+  cfg.faults.migration_batch_fail_prob = 0.05;
+  // The first CUDA call charges the 8 ms context init, so the spans run
+  // from about 8.1 ms on; the retirements fall due among them, while HBM
+  // is full enough that they evict managed blocks and bump the epoch.
+  for (int k = 0; k < 6; ++k) {
+    cfg.faults.ecc_events.push_back(
+        {.time = sim::microseconds(8300 + 250 * k), .bytes = 1ull << 20});
+  }
+  cfg.faults.link_degrade = {{.start = sim::microseconds(8200),
+                              .duration = sim::microseconds(600),
+                              .bandwidth_factor = 4.0,
+                              .latency_factor = 2.0}};
+  core::System sys{cfg};
+  runtime::Runtime rt{sys};
+  sim::Rng rng{seed};
+  std::vector<core::Buffer> live;
+  live.push_back(rt.malloc_managed(4 << 20));
+  live.push_back(rt.malloc_system(4 << 20));
+  SpanOutcome out;
+  auto retirements = [&sys] { return sys.events().count(sim::EventType::kEccRetirement); };
+  for (int step = 0; step < 60; ++step) {
+    const std::uint64_t op = rng.next_below(7);
+    core::Buffer& b = live[rng.next_below(live.size())];
+    const std::uint64_t n = b.bytes / sizeof(float);
+    if (op == 0) {
+      sys.prefetch(b, 0, b.bytes, rng.next_below(2) ? mem::Node::kGpu : mem::Node::kCpu);
+      continue;
+    }
+    if (op == 6) {
+      // GPU copy between the two buffers, both the same size.
+      sys.kernel_begin("copy");
+      {
+        const std::size_t before = retirements();
+        SpanT<float> src{sys, b, mem::Node::kGpu};
+        SpanT<float> dst{sys, live[&b == &live[0] ? 1 : 0], mem::Node::kGpu};
+        const std::uint64_t i = rng.next_below(n);
+        const std::uint64_t j = rng.next_below(n);
+        copy_run(src, dst, i, j, n - std::max(i, j));
+        out.retirements_under_spans += retirements() - before;
       }
+      (void)sys.kernel_end();
+      continue;
     }
-    for (auto& b : live) rt.free(b);
-    Outcome out;
-    out.end = sys.now();
-    out.ecc_retirements = sys.events().count(sim::EventType::kEccRetirement);
-    std::uint64_t h = 1469598103934665603ull;
-    auto mix = [&h](std::uint64_t v) {
-      h ^= v;
-      h *= 1099511628211ull;
-    };
-    for (const auto& e : sys.events().events()) {
-      mix(static_cast<std::uint64_t>(e.time));
-      mix(static_cast<std::uint64_t>(e.type));
-      mix(e.va);
-      mix(e.bytes);
-      mix(e.aux);
+    const bool gpu = op > 3;
+    if (gpu) {
+      sys.kernel_begin("k");
+    } else {
+      sys.host_phase_begin("h");
     }
-    mix(static_cast<std::uint64_t>(out.end));
-    out.digest = h;
-    return out;
-  };
+    {
+      const std::size_t before = retirements();
+      SpanT<float> s{sys, b, gpu ? mem::Node::kGpu : mem::Node::kCpu};
+      const std::uint64_t start = rng.next_below(n);
+      if (op == 3) {
+        // Host scalar strided sweep: keeps the per-element path in the mix.
+        const std::uint64_t stride = 1 + rng.next_below(32);
+        std::uint64_t touched = 0;
+        for (std::uint64_t i = start; i < n && touched < 10'000; i += stride, ++touched) {
+          (void)s.load(i);
+        }
+      } else if (rng.next_below(2)) {
+        // Bulk sweeps run to the end of the buffer, crossing many pages of
+        // a residency run.
+        std::fill_n(s.store_run(start, n - start), n - start, gpu ? 2.0f : 1.0f);
+      } else {
+        (void)s.load_run(start, n - start);
+      }
+      out.retirements_under_spans += retirements() - before;
+    }
+    if (gpu) {
+      (void)sys.kernel_end();
+    } else {
+      (void)sys.host_phase_end();
+    }
+  }
+  // The TLBs are read before the frees shoot their entries down.
+  // The TLBs are read before the frees shoot their entries down.
+  const pagetable::Smmu& smmu = sys.machine().smmu();
+  const pagetable::Gmmu& gmmu = sys.machine().gmmu();
+  for (const pagetable::Tlb* tlb :
+       {&smmu.cpu_tlb(), &smmu.ats_tlb(), &gmmu.utlb_gpu(), &gmmu.utlb_sys()}) {
+    auto& order = out.tlbs.emplace_back();
+    tlb->for_each_mru([&order](std::uint64_t vpn, mem::Node node) {
+      order.emplace_back(vpn, node);
+    });
+  }
+  for (auto& b : live) rt.free(b);
+  out.end = sys.now();
+  out.digest = sys.events().digest(sys.now());
+  out.ecc_retirements = sys.events().count(sim::EventType::kEccRetirement);
+  for (const auto& [name, value] : sys.stats().snapshot()) {
+    out.counters.emplace_back(name, value);
+  }
+  return out;
+}
+
+/// Differential fuzz for Span's batched accounting: the same faulted
+/// workload runs once through runtime::Span and once through the
+/// per-access ReferenceSpan. Any use of a stale cached run, or any page
+/// visit accounted differently, would desync the two; they must agree on
+/// simulated end time, the full event stream, every counter and the
+/// recency order of every TLB.
+TEST(FuzzSpanDifferential, SpanMatchesPerAccessReferenceUnderFaults) {
   for (std::uint64_t seed : {11ull, 29ull, 63ull}) {
-    const Outcome legacy = run(false, seed);
-    const Outcome fast = run(true, seed);
-    EXPECT_EQ(legacy.end, fast.end) << "seed " << seed;
-    EXPECT_EQ(legacy.digest, fast.digest) << "seed " << seed;
-    // The hazard must actually have been exercised: ECC retirements bumped
-    // the epoch underneath live Spans in both runs.
-    EXPECT_GE(fast.ecc_retirements, 1u) << "seed " << seed;
-    EXPECT_EQ(legacy.ecc_retirements, fast.ecc_retirements) << "seed " << seed;
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    const SpanOutcome ref = run_span_workload<ReferenceSpan>(seed);
+    const SpanOutcome fast = run_span_workload<runtime::Span>(seed);
+    EXPECT_EQ(ref.end, fast.end);
+    EXPECT_EQ(ref.digest, fast.digest);
+    EXPECT_EQ(ref.counters, fast.counters);
+    EXPECT_EQ(ref.tlbs, fast.tlbs);
+    EXPECT_EQ(ref.ecc_retirements, fast.ecc_retirements);
+    // The hazard must actually have been exercised: ECC retirements moved
+    // pages underneath live spans.
+    EXPECT_GE(fast.retirements_under_spans, 1u);
+    EXPECT_EQ(ref.retirements_under_spans, fast.retirements_under_spans);
+    EXPECT_FALSE(fast.tlbs[0].empty());  // the CPU TLB
+    EXPECT_FALSE(fast.tlbs[3].empty());  // the GPU's ATS uTLB
   }
 }
 

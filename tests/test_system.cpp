@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <string>
+
+#include "benchsupport/scenarios.hpp"
 #include "core/system.hpp"
 #include "profile/tracer.hpp"
 
@@ -254,43 +258,61 @@ TEST(System, AutoNumaHintFaultsChargedOncePerScanGeneration) {
   EXPECT_EQ(sys.stats().get("os.numa_hint_faults"), f0 + 1);
 }
 
-TEST(System, HintFaultedPageSplitsBatchedRunBitIdentically) {
+TEST(System, HintFaultedPageSplitsResidencyRun) {
   // A hint fault bumps one page's AutoNUMA generation, which must split
-  // the extent it lived in — the batched run may not coast over a page the
-  // legacy path would hint-fault on. Both paths must stay bit-identical.
-  auto run = [](bool batched) {
-    core::SystemConfig cfg = sys_config();
-    cfg.autonuma_balancing = true;
-    cfg.autonuma_scan_period = sim::milliseconds(1);
-    cfg.batched_access = batched;
-    core::System sys{cfg};
-    core::Buffer b = sys.sys_malloc(1 << 20);
-    const std::uint64_t page = cfg.system_page_size;
-    for (std::uint64_t off = 0; off < b.bytes; off += page) {
-      (void)sys.resolve(b.va + off, mem::Node::kCpu);
-    }
-    const auto& pt = sys.machine().system_pt();
-    EXPECT_EQ(pt.run_count(), 1u);  // uniform generation => one extent
-    // Next scan window: hint-fault only the middle page.
-    sys.advance(sim::milliseconds(2));
-    (void)sys.resolve(b.va + 7 * page, mem::Node::kCpu);
-    EXPECT_EQ(pt.run_count(), 3u);
-    // The batched run from the base stops at the hint-faulted page even
-    // though node and permissions match across the whole allocation.
-    EXPECT_EQ(pt.resident_run_end(b.va, mem::Node::kCpu, b.va + b.bytes, 4096),
-              b.va + 7 * page);
-    // Touching the rest of the window catches the generations up and the
-    // extent heals.
-    for (std::uint64_t off = 0; off < b.bytes; off += page) {
-      (void)sys.resolve(b.va + off, mem::Node::kCpu);
-    }
-    EXPECT_EQ(pt.run_count(), 1u);
-    return std::pair{sys.now(), sys.events().digest(sys.now())};
-  };
-  const auto legacy = run(false);
-  const auto fast = run(true);
-  EXPECT_EQ(legacy.first, fast.first);
-  EXPECT_EQ(legacy.second, fast.second);
+  // the extent it lived in: a residency run may not coast over a page
+  // that a per-page resolve would hint-fault on.
+  core::SystemConfig cfg = sys_config();
+  cfg.autonuma_balancing = true;
+  cfg.autonuma_scan_period = sim::milliseconds(1);
+  core::System sys{cfg};
+  core::Buffer b = sys.sys_malloc(1 << 20);
+  const std::uint64_t page = cfg.system_page_size;
+  for (std::uint64_t off = 0; off < b.bytes; off += page) {
+    (void)sys.resolve(b.va + off, mem::Node::kCpu);
+  }
+  const auto& pt = sys.machine().system_pt();
+  EXPECT_EQ(pt.run_count(), 1u);  // uniform generation => one extent
+  // Next scan window: hint-fault only the middle page.
+  sys.advance(sim::milliseconds(2));
+  (void)sys.resolve(b.va + 7 * page, mem::Node::kCpu);
+  EXPECT_EQ(pt.run_count(), 3u);
+  // The run from the base stops at the hint-faulted page even though node
+  // and permissions match across the whole allocation.
+  EXPECT_EQ(pt.resident_run_end(b.va, mem::Node::kCpu, b.va + b.bytes, 4096),
+            b.va + 7 * page);
+  // Touching the rest of the window catches the generations up and the
+  // extent heals.
+  for (std::uint64_t off = 0; off < b.bytes; off += page) {
+    (void)sys.resolve(b.va + off, mem::Node::kCpu);
+  }
+  EXPECT_EQ(pt.run_count(), 1u);
+}
+
+TEST(System, AdvanceViewReresolvesWhenAFaultMovesPagesUnderIt) {
+  // advance_view() services due faults before it translates. An ECC
+  // retirement serviced there evicts managed blocks of the very run the
+  // view published, so it must hand back to resolve() rather than carry
+  // that run over. The charges of both calls are the same whenever the
+  // allocation is still alive, so no timeline shows a stale run; this
+  // looks at the run itself.
+  core::SystemConfig cfg = sys_config();
+  cfg.faults.enabled = true;
+  cfg.faults.ecc_events = {{.time = sim::milliseconds(500), .bytes = 6ull << 20}};
+  core::System sys{cfg};
+  const core::Buffer b = sys.managed_malloc(2 * pagetable::kGpuPageSize);
+  sys.prefetch(b, 0, b.bytes, mem::Node::kGpu);
+  sys.kernel_begin("k");
+  core::PageView view = sys.resolve(b.va, mem::Node::kGpu);
+  ASSERT_EQ(view.node, mem::Node::kGpu);
+  ASSERT_EQ(view.run_end, b.va + b.bytes);
+  sys.advance(sim::milliseconds(600));  // the retirement falls due
+  const std::uint64_t epoch = sys.epoch();
+  EXPECT_FALSE(sys.advance_view(view, view.page_end));
+  EXPECT_NE(sys.epoch(), epoch);
+  EXPECT_EQ(sys.stats().get("fault.ecc_events"), 1u);
+  EXPECT_EQ(sys.machine().gpu_pt().resident_bytes(mem::Node::kGpu), 0u);
+  (void)sys.kernel_end();
 }
 
 TEST(System, AutoNumaDisabledByDefaultLikeThePaperTestbed) {
@@ -334,6 +356,65 @@ TEST(System, WorkloadRecordsMigrationTrafficSeparately) {
   const auto& rec = sys.kernel_end();
   EXPECT_EQ(rec.traffic.migration_h2d_bytes, 2u << 20);
   EXPECT_EQ(rec.traffic.c2c_read_bytes, 0u);
+}
+
+/// Resident-set size of this process in KiB; 0 where /proc is missing.
+std::uint64_t vmrss_kb() {
+  std::ifstream status{"/proc/self/status"};
+  std::string key;
+  while (status >> key) {
+    if (key == "VmRSS:") {
+      std::uint64_t kb = 0;
+      status >> kb;
+      return kb;
+    }
+  }
+  return 0;
+}
+
+/// One page-granular pass over \p buf from \p origin: advance_view inside a
+/// residency run, resolve at run boundaries, one commit per page.
+void sweep_pages(core::System& sys, const core::Buffer& buf, mem::Node origin) {
+  const std::uint64_t page = sys.config().system_page_size;
+  core::PageView view;
+  for (std::uint64_t va = buf.va; va < buf.va + buf.bytes; va += page) {
+    if (!sys.advance_view(view, va)) view = sys.resolve(va, origin);
+    sys.commit(view, 64, 64, 2, 2);
+  }
+}
+
+TEST(System, FullScaleSweepStaysAFewExtentsInLittleHostMemory) {
+  // The paper's unscaled machine (96 GB HBM / 480 GB LPDDR5X) hosting a
+  // 33-qubit state vector (128 GiB, the largest oversubscribed Section 7
+  // size below the 34-qubit run): CPU first touch, a prefetch until HBM
+  // fills, then two GPU passes, about 6.3 M page visits in all.
+  const std::uint64_t rss_before = vmrss_kb();
+  constexpr std::uint64_t kFootprint = 16ull << 33;  // 2^33 complex<double>
+  core::System sys{benchsupport::full_scale()};
+  const core::Buffer state = sys.sys_malloc(kFootprint, "fullscale.state");
+  sweep_pages(sys, state, mem::Node::kCpu);
+  sys.prefetch(state, 0, kFootprint, mem::Node::kGpu);
+  for (int pass = 0; pass < 2; ++pass) {
+    sys.kernel_begin("fullscale.sweep");
+    sweep_pages(sys, state, mem::Node::kGpu);
+    (void)sys.kernel_end();
+  }
+
+  // A dense allocation split once by the HBM/DDR boundary is a handful of
+  // extents; 64 leaves room for stray fragmentation but not for per-page
+  // state (2 M pages).
+  const auto& pt = sys.machine().system_pt();
+  EXPECT_LE(pt.run_count(), 64u);
+  EXPECT_GT(pt.resident_bytes(mem::Node::kGpu), 0u);
+  EXPECT_EQ(pt.resident_bytes(mem::Node::kGpu) + pt.resident_bytes(mem::Node::kCpu),
+            kFootprint);
+  // Host memory grows by less than footprint/256 (512 MiB): the simulator
+  // does not materialize the machine it models.
+  const std::uint64_t rss_after = vmrss_kb();
+  if (rss_before > 0) {
+    const std::uint64_t growth = rss_after > rss_before ? rss_after - rss_before : 0;
+    EXPECT_LT(growth * 1024, kFootprint / 256);
+  }
 }
 
 }  // namespace

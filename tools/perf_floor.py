@@ -1,0 +1,66 @@
+#!/usr/bin/env python3
+"""Absolute host-throughput floor of the simulator.
+
+    python3 tools/perf_floor.py
+
+Runs `python3 perfbench/run.py --trace 0 --seconds 5` on the paper-grid and
+fullscale-sweep workloads of this checkout and exits 1 if either one's
+throughput_per_s falls below 80% of its floor, or if a run fails. Each floor
+is about a third of a measured median, so that only a real algorithmic
+regression trips it on a slow or shared machine (an O(pages) scan back in
+the residency path, a per-element path back in the kernels), not noise.
+
+Needs only the Python standard library. perfbench/run.py builds the
+benchmark into .bench_build/ on its first run.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# throughput_per_s floors. Medians measured on shared 4-vCPU Xeon
+# containers: paper-grid 9.0-12.3 Fig. 3 cells/s, fullscale-sweep 9.3-16 M
+# page visits/s.
+FLOORS = {
+    "paper-grid": 3.0,
+    "fullscale-sweep": 3.0e6,
+}
+TOLERANCE = 0.8
+
+
+def throughput(workload):
+    """throughput_per_s of one 5 s run, or None if the run failed."""
+    cmd = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
+           "--trace", "0", "--seconds", "5"]
+    proc = subprocess.run(cmd, cwd=ROOT, stdout=subprocess.PIPE, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        print(f"{workload}: perfbench exited with code {proc.returncode}", file=sys.stderr)
+        return None
+    result = json.loads(lines[-1])
+    if result["failed"] > 0:
+        print(f"{workload}: {result['failed']} of {result['attempted']} operations failed",
+              file=sys.stderr)
+        return None
+    return result["metrics"]["throughput_per_s"]["value"]
+
+
+def main():
+    ok = True
+    for workload, floor in FLOORS.items():
+        value = throughput(workload)
+        if value is None:
+            ok = False
+            continue
+        verdict = "ok" if value >= TOLERANCE * floor else "BELOW FLOOR"
+        print(f"{workload}: throughput_per_s {value:.4g} (floor {floor:.4g}, "
+              f"gate {TOLERANCE * floor:.4g}) {verdict}")
+        ok = ok and value >= TOLERANCE * floor
+    sys.exit(0 if ok else 1)
+
+
+if __name__ == "__main__":
+    main()
