@@ -3,7 +3,9 @@
 // open-loop stream of prioritized, deadlined requests over the six-app
 // catalog. Mid-stream, one node is killed outright, one is degraded (and
 // live-migrated onto the spare), and a second node is killed — the fleet
-// must degrade instead of collapsing. Three gates, all enforced (nonzero
+// must degrade instead of collapsing. The storm itself (catalog, solo
+// pass, arrivals, faults) is benchsupport/storm, shared with
+// bench_fleetscope and bench_chaosnet. Three gates, all enforced (nonzero
 // exit on any violation):
 //
 //   (a) bit-for-bit reproducibility: two complete runs of the storm
@@ -22,155 +24,23 @@
 //   --smoke       small problem sizes (the ctest "perf" smoke target)
 //   --out <file>  output JSON path (default BENCH_fleet.json)
 
-#include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "benchsupport/report.hpp"
-#include "benchsupport/scenarios.hpp"
-#include "fleet/arrival.hpp"
-#include "fleet/controller.hpp"
-#include "tenant/scheduler.hpp"
+#include "benchsupport/storm.hpp"
 
 using namespace ghum;
 namespace bs = benchsupport;
 
 namespace {
 
-core::SystemConfig node_config() {
-  core::SystemConfig cfg = bs::rodinia_config(pagetable::kSystemPage64K, false);
-  cfg.event_log = true;
-  return cfg;
-}
-
-/// The fleet's job catalog: the five Rodinia apps plus the quantum-volume
-/// simulator, all in managed mode (the mode that survives co-located
-/// memory pressure by eviction instead of failing).
-std::vector<fleet::JobTemplate> catalog(bs::Scale s) {
-  const apps::MemMode m = apps::MemMode::kManaged;
-  std::vector<fleet::JobTemplate> out;
-  const auto add = [&](std::string name, std::uint64_t footprint,
-                       std::function<apps::AppCoro(runtime::Runtime&)> make) {
-    fleet::JobTemplate t;
-    t.name = std::move(name);
-    t.mode = m;
-    t.make = std::move(make);
-    t.footprint_bytes = footprint;
-    out.push_back(std::move(t));
-  };
-  add("hotspot", 2ull << 20, [s, m](runtime::Runtime& rt) {
-    return apps::hotspot_steps(rt, m, bs::hotspot_config(s));
-  });
-  add("pathfinder", 1ull << 20, [s, m](runtime::Runtime& rt) {
-    return apps::pathfinder_steps(rt, m, bs::pathfinder_config(s));
-  });
-  add("needle", 4ull << 20, [s, m](runtime::Runtime& rt) {
-    return apps::needle_steps(rt, m, bs::needle_config(s));
-  });
-  add("bfs", 2ull << 20, [s, m](runtime::Runtime& rt) {
-    return apps::bfs_steps(rt, m, bs::bfs_config(s));
-  });
-  add("srad", 4ull << 20, [s, m](runtime::Runtime& rt) {
-    return apps::srad_steps(rt, m, bs::srad_config(s));
-  });
-  add("qvsim", 8ull << 20, [s, m](runtime::Runtime& rt) {
-    return apps::qvsim_steps(rt, m, bs::qv_sim_config(s, 16));
-  });
-  return out;
-}
-
-/// Uninterrupted solo runs of one template on a fresh node: the first
-/// incarnation's checksum is gate (b)'s reference, and the *marginal*
-/// cost of the second and third back-to-back runs (one-time GPU context
-/// init amortized away) is the predicted cost the load-balance policy,
-/// the deadline generator, and the offered-load calculation consume.
-void measure_solo(fleet::JobTemplate& t) {
-  core::System sys{node_config()};
-  tenant::SchedulerConfig scfg;
-  scfg.policy = tenant::Policy::kFifo;
-  tenant::Scheduler sched{sys, scfg};
-  const auto spec = [&] {
-    tenant::JobSpec s;
-    s.name = t.name;
-    s.mode = t.mode;
-    s.make = t.make;
-    s.footprint_bytes = t.footprint_bytes;
-    return s;
-  };
-  tenant::TenantId first = tenant::kNoTenant;
-  tenant::TenantId last = tenant::kNoTenant;
-  (void)sched.submit(spec(), &first);
-  (void)sched.submit(spec(), nullptr);
-  (void)sched.submit(spec(), &last);
-  sched.run_all();
-  t.solo_checksum = sched.job(first).report.checksum;
-  t.est_cost = std::max<sim::Picos>(
-      1, (sched.job(last).finished_at - sched.job(first).finished_at) / 2);
-}
-
-struct StormResult {
-  std::uint64_t digest = 0;
-  std::uint64_t finished = 0;
-  std::uint64_t failed = 0;
-  std::uint64_t shed = 0;
-  std::uint64_t migrated = 0;
-  std::uint64_t replayed = 0;
-  std::uint64_t checksum_mismatches = 0;
-  std::vector<fleet::SloSummary> classes;
-  std::vector<fleet::NodeStatus> nodes;
-  std::uint64_t node_losses = 0;
-  std::uint64_t evacuations = 0;
-  sim::Picos makespan = 0;
-};
-
-StormResult run_storm(const fleet::FleetConfig& cfg,
-                      const std::vector<fleet::JobTemplate>& templates,
-                      const std::vector<fleet::JobRequest>& requests,
-                      std::uint32_t classes) {
-  fleet::Controller ctl{cfg, templates};
-  (void)ctl.run(requests);
-
-  StormResult r;
-  r.digest = ctl.digest();
-  for (const fleet::FleetJob& j : ctl.jobs()) {
-    if (j.state == fleet::FleetJobState::kFinished) {
-      ++r.finished;
-      if (j.migrated) ++r.migrated;
-      if (j.replayed_after_loss) ++r.replayed;
-      if (j.checksum != templates[j.req.tmpl].solo_checksum) {
-        ++r.checksum_mismatches;
-      }
-    } else if (j.state == fleet::FleetJobState::kFailed) {
-      ++r.failed;
-    }
-    r.makespan = std::max(r.makespan, j.finished_at);
-  }
-  for (std::uint32_t c = 0; c < classes; ++c) {
-    r.classes.push_back(ctl.slo_summary(c));
-  }
-  for (const fleet::FleetJob& j : ctl.jobs()) {
-    if (!j.slo_violation || j.req.priority != 0) continue;
-    std::printf("  violator job=%llu tmpl=%s arrival=%.3f placed=%.3f "
-                "finished=%.3f deadline=%.3f state=%s status=%s "
-                "placements=%u losses=%u%s%s\n",
-                static_cast<unsigned long long>(j.req.id),
-                templates[j.req.tmpl].name.c_str(),
-                sim::to_milliseconds(j.req.arrival),
-                sim::to_milliseconds(j.first_placed_at),
-                sim::to_milliseconds(j.finished_at),
-                sim::to_milliseconds(j.req.deadline),
-                std::string{to_string(j.state)}.c_str(),
-                std::string{to_string(j.status)}.c_str(), j.placements,
-                j.loss_attempts, j.migrated ? " migrated" : "",
-                j.replayed_after_loss ? " replayed" : "");
-  }
-  r.nodes = ctl.node_status();
-  r.shed = ctl.metrics().counter("ghum_fleet_shed_total").value();
-  r.node_losses = ctl.metrics().counter("ghum_fleet_node_losses_total").value();
-  r.evacuations = ctl.metrics().counter("ghum_fleet_evacuations_total").value();
-  return r;
+bs::storm::Outcome run_storm(const bs::storm::Storm& st) {
+  fleet::Controller ctl{st.fleet, st.templates};
+  (void)ctl.run(st.requests);
+  bs::storm::print_top_violators(ctl);
+  return bs::storm::harvest(ctl, st.arrivals.priority_classes);
 }
 
 }  // namespace
@@ -178,16 +48,7 @@ StormResult run_storm(const fleet::FleetConfig& cfg,
 int main(int argc, char** argv) {
   bs::Scale scale = bs::Scale::kDefault;
   std::string out_path = "BENCH_fleet.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      scale = bs::Scale::kSmall;
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: %s [--smoke] [--out <file>]\n", argv[0]);
-      return 2;
-    }
-  }
+  if (!bs::storm::parse_cli(argc, argv, scale, out_path)) return 2;
 
   bs::print_figure_header(
       "Fleet", "node-kill storm over a simulated superchip fleet",
@@ -198,50 +59,15 @@ int main(int argc, char** argv) {
 
   std::size_t failures = 0;
 
-  // Solo reference pass: per-template cost + checksum.
-  std::vector<fleet::JobTemplate> templates = catalog(scale);
-  std::printf("solo reference runs\n");
-  std::printf("%-12s %12s %12s %18s\n", "app", "cost_ms", "foot_mib",
-              "solo_checksum");
-  sim::Picos mean_cost = 0;
-  for (fleet::JobTemplate& t : templates) {
-    measure_solo(t);
-    mean_cost += t.est_cost;
-    std::printf("%-12s %12.3f %12.1f   %016llx\n", t.name.c_str(),
-                sim::to_milliseconds(t.est_cost),
-                static_cast<double>(t.footprint_bytes) / (1 << 20),
-                static_cast<unsigned long long>(t.solo_checksum));
-  }
-  mean_cost /= static_cast<sim::Picos>(templates.size());
-
-  // Open-loop arrival stream: offered load ~1.0 of the 4-node fleet, so
-  // nodes stay busy (faults catch jobs mid-flight) and losing half the
-  // fleet mid-storm overloads the survivors — the admission controller
-  // has real work to do.
-  fleet::ArrivalConfig acfg;
-  acfg.count = scale == bs::Scale::kSmall ? 48 : 240;
-  acfg.mean_interarrival = mean_cost / 4;
-  acfg.priority_classes = 3;
-  acfg.class_weights = {1, 2, 3};
-  acfg.deadline_floor = sim::milliseconds(64);
-  acfg.top_replicas = 2;
-  const std::vector<fleet::JobRequest> requests =
-      fleet::generate_arrivals(acfg, templates);
+  const bs::storm::Storm st = bs::storm::build(scale);
 
   // Gate (a1): the generator itself is deterministic at scale — two
   // 2000-request streams must be identical.
   {
-    fleet::ArrivalConfig big = acfg;
+    fleet::ArrivalConfig big = st.arrivals;
     big.count = 2000;
-    const auto s1 = fleet::generate_arrivals(big, templates);
-    const auto s2 = fleet::generate_arrivals(big, templates);
-    bool same = s1.size() == s2.size();
-    for (std::size_t i = 0; same && i < s1.size(); ++i) {
-      same = s1[i].arrival == s2[i].arrival && s1[i].tmpl == s2[i].tmpl &&
-             s1[i].priority == s2[i].priority &&
-             s1[i].deadline == s2[i].deadline &&
-             s1[i].replicas == s2[i].replicas;
-    }
+    const bool same = fleet::generate_arrivals(big, st.templates) ==
+                      fleet::generate_arrivals(big, st.templates);
     if (!same) {
       ++failures;
       std::fprintf(stderr, "  arrival stream NOT deterministic\n");
@@ -250,37 +76,16 @@ int main(int argc, char** argv) {
                 same ? "ok" : "FAIL");
   }
 
-  // The storm: kill node 1, degrade node 0 (live migration to the spare),
-  // kill node 2 — survivors are node 3 and the migrated spare.
-  const sim::Picos horizon =
-      acfg.mean_interarrival * static_cast<sim::Picos>(acfg.count);
-  fleet::FleetConfig fcfg;
-  fcfg.nodes = 4;
-  fcfg.spares = 1;
-  fcfg.node_config = node_config();
-  fcfg.scheduler.policy = tenant::Policy::kPriority;
-  fcfg.placement = fleet::PlacementPolicy::kLoadBalance;
-  fcfg.node_footprint_budget = 24ull << 20;
-  fcfg.shed_protect_classes = 1;
-  fcfg.replace_max_retries = 6;
-  fcfg.replace_backoff = sim::milliseconds(2);
-  fcfg.faults.node_loss = {{.time = (horizon * 3) / 10, .node = 1},
-                           {.time = (horizon * 7) / 10, .node = 2}};
-  fcfg.faults.node_degrade = {
-      {.time = horizon / 2, .node = 0, .slow_factor = 4}};
-  fcfg.faults.evacuate_degraded = true;
-
+  const fleet::FleetConfig& fcfg = st.fleet;
   std::printf("\nnode-kill storm: %llu requests over %u nodes (+%u spare), "
               "losses at %.1f/%.1f ms, degrade at %.1f ms\n",
-              static_cast<unsigned long long>(acfg.count), fcfg.nodes,
+              static_cast<unsigned long long>(st.arrivals.count), fcfg.nodes,
               fcfg.spares, sim::to_milliseconds(fcfg.faults.node_loss[0].time),
               sim::to_milliseconds(fcfg.faults.node_loss[1].time),
               sim::to_milliseconds(fcfg.faults.node_degrade[0].time));
 
-  const StormResult a =
-      run_storm(fcfg, templates, requests, acfg.priority_classes);
-  const StormResult b =
-      run_storm(fcfg, templates, requests, acfg.priority_classes);
+  const bs::storm::Outcome a = run_storm(st);
+  const bs::storm::Outcome b = run_storm(st);
 
   // Gate (a2): bit-for-bit storm reproducibility.
   const bool repro_ok = a.digest == b.digest;
@@ -308,7 +113,7 @@ int main(int argc, char** argv) {
   // Sanity: every fault fired, the migration happened, nothing was lost
   // track of (finished + failed == submitted).
   const bool storm_ok = a.node_losses == 2 && a.evacuations == 1 &&
-                        a.finished + a.failed == acfg.count;
+                        a.finished + a.failed == st.arrivals.count;
   if (!storm_ok) {
     ++failures;
     std::fprintf(stderr,
@@ -317,91 +122,25 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(a.node_losses),
                  static_cast<unsigned long long>(a.evacuations),
                  static_cast<unsigned long long>(a.finished + a.failed),
-                 static_cast<unsigned long long>(acfg.count));
+                 static_cast<unsigned long long>(st.arrivals.count));
   }
 
-  std::printf("\n%-7s %9s %9s %7s %10s %10s %10s %10s\n", "class", "submit",
-              "finish", "fail", "violations", "p50_ms", "p95_ms", "p99_ms");
-  for (const fleet::SloSummary& c : a.classes) {
-    std::printf("%-7u %9llu %9llu %7llu %10llu %10.3f %10.3f %10.3f\n",
-                c.priority, static_cast<unsigned long long>(c.submitted),
-                static_cast<unsigned long long>(c.finished),
-                static_cast<unsigned long long>(c.failed),
-                static_cast<unsigned long long>(c.violations),
-                sim::to_milliseconds(c.p50), sim::to_milliseconds(c.p95),
-                sim::to_milliseconds(c.p99));
-    std::printf("data\tslo\t%u\t%llu\t%llu\t%llu\t%llu\n", c.priority,
-                static_cast<unsigned long long>(c.submitted),
-                static_cast<unsigned long long>(c.finished),
-                static_cast<unsigned long long>(c.failed),
-                static_cast<unsigned long long>(c.violations));
-  }
-  std::printf("\nnodes after the storm\n");
-  for (const fleet::NodeStatus& n : a.nodes) {
-    std::printf("  node %u: %-8s local_now=%.3f ms live=%u\n", n.id,
-                std::string{to_string(n.state)}.c_str(),
-                sim::to_milliseconds(n.local_now), n.live_jobs);
-  }
-  std::printf(
-      "\nfinished=%llu failed=%llu shed=%llu migrated=%llu replayed=%llu\n",
-      static_cast<unsigned long long>(a.finished),
-      static_cast<unsigned long long>(a.failed),
-      static_cast<unsigned long long>(a.shed),
-      static_cast<unsigned long long>(a.migrated),
-      static_cast<unsigned long long>(a.replayed));
-  std::printf("gates: repro=%s replay=%s top-slo=%s storm=%s\n",
-              repro_ok ? "ok" : "FAIL", replay_ok ? "ok" : "FAIL",
-              slo_ok ? "ok" : "FAIL", storm_ok ? "ok" : "FAIL");
+  const bs::Gates gates = {{"repro", repro_ok},
+                           {"replay", replay_ok},
+                           {"top-slo", slo_ok},
+                           {"storm", storm_ok}};
+  bs::storm::print_outcome(a);
+  bs::print_gates(gates);
 
-  if (std::FILE* f = std::fopen(out_path.c_str(), "w")) {
-    std::fprintf(f, "{\n  \"bench\": \"fleet\",\n  \"scale\": \"%s\",\n",
-                 scale == bs::Scale::kSmall ? "small" : "default");
-    std::fprintf(f, "  \"requests\": %llu,\n",
-                 static_cast<unsigned long long>(acfg.count));
-    std::fprintf(f,
-                 "  \"finished\": %llu,\n  \"failed\": %llu,\n"
-                 "  \"shed\": %llu,\n  \"migrated\": %llu,\n"
-                 "  \"replayed_after_loss\": %llu,\n",
-                 static_cast<unsigned long long>(a.finished),
-                 static_cast<unsigned long long>(a.failed),
-                 static_cast<unsigned long long>(a.shed),
-                 static_cast<unsigned long long>(a.migrated),
-                 static_cast<unsigned long long>(a.replayed));
-    std::fprintf(f, "  \"makespan_ms\": %.4f,\n",
-                 sim::to_milliseconds(a.makespan));
-    std::fprintf(f, "  \"classes\": [\n");
-    for (std::size_t i = 0; i < a.classes.size(); ++i) {
-      const fleet::SloSummary& c = a.classes[i];
-      std::fprintf(f,
-                   "    {\"class\": %u, \"submitted\": %llu, \"finished\": "
-                   "%llu, \"failed\": %llu, \"violations\": %llu, "
-                   "\"p50_ms\": %.4f, \"p95_ms\": %.4f, \"p99_ms\": %.4f}%s\n",
-                   c.priority, static_cast<unsigned long long>(c.submitted),
-                   static_cast<unsigned long long>(c.finished),
-                   static_cast<unsigned long long>(c.failed),
-                   static_cast<unsigned long long>(c.violations),
-                   sim::to_milliseconds(c.p50), sim::to_milliseconds(c.p95),
-                   sim::to_milliseconds(c.p99),
-                   i + 1 < a.classes.size() ? "," : "");
-    }
-    std::fprintf(f, "  ],\n  \"gates\": {\"repro_ok\": %s, \"replay_ok\": %s, "
-                 "\"top_slo_ok\": %s, \"storm_ok\": %s},\n",
-                 repro_ok ? "true" : "false", replay_ok ? "true" : "false",
-                 slo_ok ? "true" : "false", storm_ok ? "true" : "false");
-    std::fprintf(f, "  \"total_failures\": %zu,\n", failures);
-    std::fprintf(f, "  \"ok\": %s\n", failures == 0 ? "true" : "false");
-    std::fprintf(f, "}\n");
-    std::fclose(f);
-    std::printf("wrote %s\n", out_path.c_str());
-  } else {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
+  if (!bs::write_artifact(out_path, [&](std::FILE* f) {
+        bs::storm::json_head(f, "fleet", st);
+        bs::storm::json_totals(f, a);
+        bs::storm::json_slo(f, a);
+        bs::json_gates(f, gates);
+        bs::json_tail(f, failures);
+      })) {
     return 1;
   }
 
-  if (failures != 0) {
-    std::fprintf(stderr, "FAIL: %zu fleet check failures\n", failures);
-    return 1;
-  }
-  std::printf("all fleet checks passed\n");
-  return 0;
+  return bs::verdict("fleet", failures);
 }

@@ -1,8 +1,9 @@
 // Fleet observability bench (DESIGN.md Section 13). The bench_fleet
-// node-kill storm is re-run with the full observability stack on — the
-// deterministic flight recorder, the SLO alert engine, cross-node causal
-// tracing, and link-flap windows on the fabric — twice, and gates the
-// stack's core promises (nonzero exit on any violation):
+// node-kill storm (benchsupport/storm) is re-run with the full
+// observability stack on — the deterministic flight recorder, the SLO
+// alert engine, cross-node causal tracing, and link-flap windows on the
+// fabric — twice, and gates the stack's core promises (nonzero exit on any
+// violation):
 //
 //   (a) bit-for-bit alerting: the two runs produce identical alert
 //       open/close sequences (engine digests), identical recorder digests,
@@ -24,89 +25,18 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "benchsupport/report.hpp"
-#include "benchsupport/scenarios.hpp"
-#include "fleet/arrival.hpp"
-#include "fleet/controller.hpp"
+#include "benchsupport/storm.hpp"
 #include "obs/json_check.hpp"
-#include "tenant/scheduler.hpp"
 
 using namespace ghum;
 namespace bs = benchsupport;
 
 namespace {
-
-core::SystemConfig node_config() {
-  core::SystemConfig cfg = bs::rodinia_config(pagetable::kSystemPage64K, false);
-  cfg.event_log = true;
-  return cfg;
-}
-
-/// Same six-app managed catalog as bench_fleet — the storm under
-/// observation must be the one the fleet bench already gates.
-std::vector<fleet::JobTemplate> catalog(bs::Scale s) {
-  const apps::MemMode m = apps::MemMode::kManaged;
-  std::vector<fleet::JobTemplate> out;
-  const auto add = [&](std::string name, std::uint64_t footprint,
-                       std::function<apps::AppCoro(runtime::Runtime&)> make) {
-    fleet::JobTemplate t;
-    t.name = std::move(name);
-    t.mode = m;
-    t.make = std::move(make);
-    t.footprint_bytes = footprint;
-    out.push_back(std::move(t));
-  };
-  add("hotspot", 2ull << 20, [s, m](runtime::Runtime& rt) {
-    return apps::hotspot_steps(rt, m, bs::hotspot_config(s));
-  });
-  add("pathfinder", 1ull << 20, [s, m](runtime::Runtime& rt) {
-    return apps::pathfinder_steps(rt, m, bs::pathfinder_config(s));
-  });
-  add("needle", 4ull << 20, [s, m](runtime::Runtime& rt) {
-    return apps::needle_steps(rt, m, bs::needle_config(s));
-  });
-  add("bfs", 2ull << 20, [s, m](runtime::Runtime& rt) {
-    return apps::bfs_steps(rt, m, bs::bfs_config(s));
-  });
-  add("srad", 4ull << 20, [s, m](runtime::Runtime& rt) {
-    return apps::srad_steps(rt, m, bs::srad_config(s));
-  });
-  // A deliberately hostile template name: it flows into trace labels and
-  // must survive the JSON escaping path end to end.
-  add("qv\"sim\\16\n", 8ull << 20, [s, m](runtime::Runtime& rt) {
-    return apps::qvsim_steps(rt, m, bs::qv_sim_config(s, 16));
-  });
-  return out;
-}
-
-void measure_solo(fleet::JobTemplate& t) {
-  core::System sys{node_config()};
-  tenant::SchedulerConfig scfg;
-  scfg.policy = tenant::Policy::kFifo;
-  tenant::Scheduler sched{sys, scfg};
-  const auto spec = [&] {
-    tenant::JobSpec s;
-    s.name = t.name;
-    s.mode = t.mode;
-    s.make = t.make;
-    s.footprint_bytes = t.footprint_bytes;
-    return s;
-  };
-  tenant::TenantId first = tenant::kNoTenant;
-  tenant::TenantId last = tenant::kNoTenant;
-  (void)sched.submit(spec(), &first);
-  (void)sched.submit(spec(), nullptr);
-  (void)sched.submit(spec(), &last);
-  sched.run_all();
-  t.solo_checksum = sched.job(first).report.checksum;
-  t.est_cost = std::max<sim::Picos>(
-      1, (sched.job(last).finished_at - sched.job(first).finished_at) / 2);
-}
 
 /// Label-blind per-name counter sums over one registry.
 std::map<std::string, std::uint64_t> counter_sums(
@@ -119,7 +49,7 @@ std::map<std::string, std::uint64_t> counter_sums(
 }
 
 struct ScopeResult {
-  std::uint64_t fleet_digest = 0;
+  bs::storm::Outcome storm;
   std::uint64_t recorder_digest = 0;
   std::uint64_t alert_digest = 0;
   std::uint64_t alerts_opened = 0;
@@ -128,8 +58,6 @@ struct ScopeResult {
   std::uint64_t trace_events = 0;
   std::uint64_t cross_node_spans = 0;   ///< finished jobs, origin != completion
   std::uint64_t traced_transfers = 0;   ///< fabric messages carrying a span
-  std::uint64_t finished = 0;
-  std::uint64_t failed = 0;
   bool federation_ok = false;
   bool federation_nonzero = false;
   bool expositions_parse = false;
@@ -138,14 +66,13 @@ struct ScopeResult {
   std::string recorder_json;
 };
 
-ScopeResult run_scope(const fleet::FleetConfig& cfg,
-                      const std::vector<fleet::JobTemplate>& templates,
-                      const std::vector<fleet::JobRequest>& requests) {
-  fleet::Controller ctl{cfg, templates};
-  (void)ctl.run(requests);
+ScopeResult run_scope(const bs::storm::Storm& st) {
+  const fleet::FleetConfig& cfg = st.fleet;
+  fleet::Controller ctl{cfg, st.templates};
+  (void)ctl.run(st.requests);
 
   ScopeResult r;
-  r.fleet_digest = ctl.digest();
+  r.storm = bs::storm::harvest(ctl, st.arrivals.priority_classes);
   if (ctl.recorder() != nullptr) {
     r.recorder_digest = ctl.recorder()->digest();
     r.recorder_samples = ctl.recorder()->size();
@@ -162,15 +89,11 @@ ScopeResult run_scope(const fleet::FleetConfig& cfg,
   r.trace_events = ctl.trace_events().size();
 
   for (const fleet::FleetJob& j : ctl.jobs()) {
-    if (j.state == fleet::FleetJobState::kFinished) {
-      ++r.finished;
-      if (j.ctx.traced() && j.ctx.origin_node != obs::TraceContext::kExternal &&
-          j.completion_node != fleet::kNoNode &&
-          j.completion_node != j.ctx.origin_node) {
-        ++r.cross_node_spans;
-      }
-    } else if (j.state == fleet::FleetJobState::kFailed) {
-      ++r.failed;
+    if (j.state == fleet::FleetJobState::kFinished && j.ctx.traced() &&
+        j.ctx.origin_node != obs::TraceContext::kExternal &&
+        j.completion_node != fleet::kNoNode &&
+        j.completion_node != j.ctx.origin_node) {
+      ++r.cross_node_spans;
     }
   }
   for (const net::TransferRecord& t : ctl.fabric()->log()) {
@@ -203,19 +126,7 @@ int main(int argc, char** argv) {
   bs::Scale scale = bs::Scale::kDefault;
   std::string out_path = "BENCH_fleetscope.json";
   std::string trace_path = "trace_fleetscope.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      scale = bs::Scale::kSmall;
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
-      trace_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: %s [--smoke] [--out <file>] [--trace <file>]\n",
-                   argv[0]);
-      return 2;
-    }
-  }
+  if (!bs::storm::parse_cli(argc, argv, scale, out_path, &trace_path)) return 2;
 
   bs::print_figure_header(
       "FleetScope", "fleet-wide observability through a node-kill storm",
@@ -226,50 +137,16 @@ int main(int argc, char** argv) {
 
   std::size_t failures = 0;
 
-  std::vector<fleet::JobTemplate> templates = catalog(scale);
-  std::printf("solo reference runs\n");
-  sim::Picos mean_cost = 0;
-  for (fleet::JobTemplate& t : templates) {
-    measure_solo(t);
-    mean_cost += t.est_cost;
-    std::printf("  %-14s cost=%9.3f ms  foot=%4.1f MiB\n",
-                t.name == templates.back().name ? "qvsim(hostile)"
-                                                : t.name.c_str(),
-                sim::to_milliseconds(t.est_cost),
-                static_cast<double>(t.footprint_bytes) / (1 << 20));
-  }
-  mean_cost /= static_cast<sim::Picos>(templates.size());
+  bs::storm::Storm st = bs::storm::build(scale);
+  // A deliberately hostile template name: it flows into trace labels and
+  // must survive the JSON escaping path end to end. Names are labels only,
+  // so renaming after the solo pass changes no cost or checksum.
+  st.templates.back().name = "qv\"sim\\16\n";
 
-  fleet::ArrivalConfig acfg;
-  acfg.count = scale == bs::Scale::kSmall ? 48 : 240;
-  acfg.mean_interarrival = mean_cost / 4;
-  acfg.priority_classes = 3;
-  acfg.class_weights = {1, 2, 3};
-  acfg.deadline_floor = sim::milliseconds(64);
-  acfg.top_replicas = 2;
-  const std::vector<fleet::JobRequest> requests =
-      fleet::generate_arrivals(acfg, templates);
-
-  // The bench_fleet storm — two losses and one degrade-with-evacuation —
-  // plus a link-flap window over the loss/evacuation stretch, so traced
-  // transfers cross a degraded fabric.
-  const sim::Picos horizon =
-      acfg.mean_interarrival * static_cast<sim::Picos>(acfg.count);
-  fleet::FleetConfig fcfg;
-  fcfg.nodes = 4;
-  fcfg.spares = 1;
-  fcfg.node_config = node_config();
-  fcfg.scheduler.policy = tenant::Policy::kPriority;
-  fcfg.placement = fleet::PlacementPolicy::kLoadBalance;
-  fcfg.node_footprint_budget = 24ull << 20;
-  fcfg.shed_protect_classes = 1;
-  fcfg.replace_max_retries = 6;
-  fcfg.replace_backoff = sim::milliseconds(2);
-  fcfg.faults.node_loss = {{.time = (horizon * 3) / 10, .node = 1},
-                           {.time = (horizon * 7) / 10, .node = 2}};
-  fcfg.faults.node_degrade = {
-      {.time = horizon / 2, .node = 0, .slow_factor = 4}};
-  fcfg.faults.evacuate_degraded = true;
+  // The bench_fleet storm plus a link-flap window over the
+  // loss/evacuation stretch, so traced transfers cross a degraded fabric.
+  const sim::Picos horizon = st.horizon;
+  fleet::FleetConfig& fcfg = st.fleet;
   fcfg.faults.link_flap = {{.start = (horizon * 2) / 10,
                             .duration = horizon / 5,
                             .node_a = 3,
@@ -279,7 +156,8 @@ int main(int argc, char** argv) {
 
   // The observability stack under test.
   fcfg.obs.enabled = true;
-  fcfg.obs.cadence = std::max<sim::Picos>(1, acfg.mean_interarrival / 2);
+  fcfg.obs.cadence =
+      std::max<sim::Picos>(1, st.arrivals.mean_interarrival / 2);
   fcfg.obs.ring_capacity = 8192;
   {
     obs::AlertRule backlog;
@@ -302,7 +180,7 @@ int main(int argc, char** argv) {
 
   std::printf("\nstorm under observation: %llu requests, cadence=%.3f ms, "
               "losses at %.1f/%.1f ms, degrade at %.1f ms, flap %.1f-%.1f ms\n",
-              static_cast<unsigned long long>(acfg.count),
+              static_cast<unsigned long long>(st.arrivals.count),
               sim::to_milliseconds(fcfg.obs.cadence),
               sim::to_milliseconds(fcfg.faults.node_loss[0].time),
               sim::to_milliseconds(fcfg.faults.node_loss[1].time),
@@ -311,11 +189,11 @@ int main(int argc, char** argv) {
               sim::to_milliseconds(fcfg.faults.link_flap[0].start +
                                    fcfg.faults.link_flap[0].duration));
 
-  const ScopeResult a = run_scope(fcfg, templates, requests);
-  const ScopeResult b = run_scope(fcfg, templates, requests);
+  const ScopeResult a = run_scope(st);
+  const ScopeResult b = run_scope(st);
 
   // Gate (a): bit-for-bit alerting + recorder + fleet digest.
-  const bool repro_ok = a.fleet_digest == b.fleet_digest &&
+  const bool repro_ok = a.storm.digest == b.storm.digest &&
                         a.recorder_digest == b.recorder_digest &&
                         a.alert_digest == b.alert_digest &&
                         a.alerts_opened == b.alerts_opened &&
@@ -327,8 +205,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "  NOT reproducible: fleet %016llx/%016llx recorder "
                  "%016llx/%016llx alerts %016llx/%016llx\n",
-                 static_cast<unsigned long long>(a.fleet_digest),
-                 static_cast<unsigned long long>(b.fleet_digest),
+                 static_cast<unsigned long long>(a.storm.digest),
+                 static_cast<unsigned long long>(b.storm.digest),
                  static_cast<unsigned long long>(a.recorder_digest),
                  static_cast<unsigned long long>(b.recorder_digest),
                  static_cast<unsigned long long>(a.alert_digest),
@@ -376,8 +254,8 @@ int main(int argc, char** argv) {
 
   std::printf("\nfinished=%llu failed=%llu samples=%llu trace_events=%llu "
               "alerts=%llu/%llu cross_node_spans=%llu traced_transfers=%llu\n",
-              static_cast<unsigned long long>(a.finished),
-              static_cast<unsigned long long>(a.failed),
+              static_cast<unsigned long long>(a.storm.finished),
+              static_cast<unsigned long long>(a.storm.failed),
               static_cast<unsigned long long>(a.recorder_samples),
               static_cast<unsigned long long>(a.trace_events),
               static_cast<unsigned long long>(a.alerts_opened),
@@ -390,56 +268,33 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(a.alerts_opened),
               static_cast<unsigned long long>(a.cross_node_spans),
               static_cast<unsigned long long>(a.traced_transfers));
-  std::printf("gates: repro=%s alerts=%s federation=%s spans=%s\n",
-              repro_ok ? "ok" : "FAIL", alerts_ok ? "ok" : "FAIL",
-              federation_ok ? "ok" : "FAIL", spans_ok ? "ok" : "FAIL");
+  const bs::Gates gates = {{"repro", repro_ok},
+                           {"alerts", alerts_ok},
+                           {"federation", federation_ok},
+                           {"spans", spans_ok}};
+  bs::print_gates(gates);
 
-  if (std::FILE* f = std::fopen(trace_path.c_str(), "w")) {
-    std::fwrite(a.chrome_trace.data(), 1, a.chrome_trace.size(), f);
-    std::fclose(f);
-    std::printf("wrote %s\n", trace_path.c_str());
-  } else {
-    std::fprintf(stderr, "cannot write %s\n", trace_path.c_str());
+  if (!bs::write_artifact(trace_path, [&](std::FILE* f) {
+        std::fwrite(a.chrome_trace.data(), 1, a.chrome_trace.size(), f);
+      })) {
     return 1;
   }
 
-  if (std::FILE* f = std::fopen(out_path.c_str(), "w")) {
-    std::fprintf(f, "{\n  \"bench\": \"fleetscope\",\n  \"scale\": \"%s\",\n",
-                 scale == bs::Scale::kSmall ? "small" : "default");
-    std::fprintf(f, "  \"requests\": %llu,\n",
-                 static_cast<unsigned long long>(acfg.count));
-    std::fprintf(f,
-                 "  \"finished\": %llu,\n  \"failed\": %llu,\n"
-                 "  \"recorder_samples\": %llu,\n  \"trace_events\": %llu,\n"
-                 "  \"alerts_opened\": %llu,\n  \"alerts_closed\": %llu,\n"
-                 "  \"cross_node_spans\": %llu,\n  \"traced_transfers\": %llu,\n",
-                 static_cast<unsigned long long>(a.finished),
-                 static_cast<unsigned long long>(a.failed),
-                 static_cast<unsigned long long>(a.recorder_samples),
-                 static_cast<unsigned long long>(a.trace_events),
-                 static_cast<unsigned long long>(a.alerts_opened),
-                 static_cast<unsigned long long>(a.alerts_closed),
-                 static_cast<unsigned long long>(a.cross_node_spans),
-                 static_cast<unsigned long long>(a.traced_transfers));
-    std::fprintf(f,
-                 "  \"gates\": {\"repro_ok\": %s, \"alerts_ok\": %s, "
-                 "\"federation_ok\": %s, \"spans_ok\": %s},\n",
-                 repro_ok ? "true" : "false", alerts_ok ? "true" : "false",
-                 federation_ok ? "true" : "false", spans_ok ? "true" : "false");
-    std::fprintf(f, "  \"total_failures\": %zu,\n", failures);
-    std::fprintf(f, "  \"ok\": %s\n", failures == 0 ? "true" : "false");
-    std::fprintf(f, "}\n");
-    std::fclose(f);
-    std::printf("wrote %s\n", out_path.c_str());
-  } else {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
+  if (!bs::write_artifact(out_path, [&](std::FILE* f) {
+        bs::storm::json_head(f, "fleetscope", st);
+        bs::json_counts(f, {{"finished", a.storm.finished},
+                            {"failed", a.storm.failed},
+                            {"recorder_samples", a.recorder_samples},
+                            {"trace_events", a.trace_events},
+                            {"alerts_opened", a.alerts_opened},
+                            {"alerts_closed", a.alerts_closed},
+                            {"cross_node_spans", a.cross_node_spans},
+                            {"traced_transfers", a.traced_transfers}});
+        bs::json_gates(f, gates);
+        bs::json_tail(f, failures);
+      })) {
     return 1;
   }
 
-  if (failures != 0) {
-    std::fprintf(stderr, "FAIL: %zu fleetscope check failures\n", failures);
-    return 1;
-  }
-  std::printf("all fleetscope checks passed\n");
-  return 0;
+  return bs::verdict("fleetscope", failures);
 }

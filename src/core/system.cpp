@@ -641,40 +641,40 @@ bool System::advance_view(PageView& view, std::uint64_t va) {
 }
 
 void System::fill_run_end(PageView& view) {
-  view.run_end = view.page_end;
   // The extent map answers "where does this run end" in one O(log n)
-  // lookup, so no per-page scan cap is needed: a dense full-scale
-  // allocation (millions of pages) publishes its whole run at once.
-  constexpr std::size_t kMaxRunPages = ~std::size_t{0};
-  const std::uint64_t limit = view.vma->end();
+  // lookup, clamped only to the VMA end: a dense full-scale allocation
+  // (millions of pages) publishes its whole run at once.
+  const pagetable::PageTable* pt = nullptr;
+  mem::Node node = view.node;
   switch (view.kind) {
     case os::AllocKind::kGpuOnly:
-      view.run_end = m_.gpu_pt().resident_run_end(view.page_base, mem::Node::kGpu,
-                                                  limit, kMaxRunPages);
+      pt = &m_.gpu_pt();
+      node = mem::Node::kGpu;
       break;
     case os::AllocKind::kPinnedHost:
-      view.run_end = m_.system_pt().resident_run_end(view.page_base, mem::Node::kCpu,
-                                                     limit, kMaxRunPages);
+      pt = &m_.system_pt();
+      node = mem::Node::kCpu;
       break;
     case os::AllocKind::kSystem:
-      view.run_end = m_.system_pt().resident_run_end(view.page_base, view.node,
-                                                     limit, kMaxRunPages);
+      pt = &m_.system_pt();
       break;
     case os::AllocKind::kManaged:
-      // Only table-backed residency states have a cheap run scan; the
+      // Only table-backed residency states have a cheap run lookup; the
       // fault/remote paths must re-resolve every page (driver decisions
       // such as thrash-guard remote mapping are per-fault).
       if (view.origin == mem::Node::kGpu && view.node == mem::Node::kGpu &&
           !view.remote_managed) {
-        view.run_end = m_.gpu_pt().resident_run_end(view.page_base, mem::Node::kGpu,
-                                                    limit, kMaxRunPages);
+        pt = &m_.gpu_pt();
       } else if (view.origin == mem::Node::kCpu && view.node == mem::Node::kCpu) {
-        view.run_end = m_.system_pt().resident_run_end(view.page_base, mem::Node::kCpu,
-                                                       limit, kMaxRunPages);
+        pt = &m_.system_pt();
       }
       break;
   }
-  if (view.run_end < view.page_end) view.run_end = view.page_end;
+  view.run_end = view.page_end;
+  if (pt != nullptr) {
+    view.run_end = std::max(view.page_end,
+                            pt->resident_run_end(view.page_base, node, view.vma->end()));
+  }
 }
 
 void System::resolve_page(PageView& view, std::uint64_t va) {

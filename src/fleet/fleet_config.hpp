@@ -72,6 +72,8 @@ struct JobRequest {
   std::uint32_t priority = 0;  ///< 0 = top class (tighter SLO, never shed)
   sim::Picos deadline = 0;     ///< absolute fleet-time SLO deadline
   std::uint32_t replicas = 1;  ///< anti-affinity: replicas on distinct nodes
+
+  bool operator==(const JobRequest&) const = default;
 };
 
 /// Open-loop (arrivals never wait for completions) deterministic request

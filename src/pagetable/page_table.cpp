@@ -156,8 +156,7 @@ std::uint64_t PageTable::resident_pages_in_range(std::uint64_t va,
 }
 
 std::uint64_t PageTable::resident_run_end(std::uint64_t va, mem::Node node,
-                                          std::uint64_t limit,
-                                          std::size_t max_pages) const {
+                                          std::uint64_t limit) const {
   const std::uint64_t v = vpn(va);
   std::uint64_t end_vpn = v + 1;
   auto it = find_run(v);
@@ -171,7 +170,6 @@ std::uint64_t PageTable::resident_run_end(std::uint64_t va, mem::Node node,
       end_vpn = next->first + next->second.pages;
     }
   }
-  if (end_vpn - v > max_pages) end_vpn = v + max_pages;
   std::uint64_t end = end_vpn << page_shift_;
   const std::uint64_t floor = page_base(va) + page_size_;
   if (end < floor) end = floor;

@@ -120,11 +120,11 @@ class PageTable {
   /// mismatched page the run may still extend across the *next* extent
   /// when it matches \p node. Attribute boundaries (writable, AutoNUMA
   /// generation) terminate the run because extents are attribute-maximal.
-  /// Clamped to \p limit (typically the VMA end) and \p max_pages.
-  /// Returns at least the end of \p va's page.
+  /// Clamped to \p limit (typically the VMA end) only: a dense allocation
+  /// of millions of pages publishes its whole run at once. Returns at
+  /// least the end of \p va's page.
   [[nodiscard]] std::uint64_t resident_run_end(std::uint64_t va, mem::Node node,
-                                               std::uint64_t limit,
-                                               std::size_t max_pages) const;
+                                               std::uint64_t limit) const;
 
   /// Ordered iteration over all extents: fn(first_vpn, pages, pte).
   template <typename F>

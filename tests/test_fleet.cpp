@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 #include <vector>
 
 #include "apps/hotspot.hpp"
+#include "benchsupport/storm.hpp"
 #include "fleet/arrival.hpp"
 #include "fleet/controller.hpp"
 #include "sim/fnv.hpp"
@@ -892,6 +894,36 @@ TEST(FleetGolden, DoublyCorruptEvacuationFallsBackToReplay) {
                     .recorder = 0xaf4314755e967db7ull,
                     .alerts = 0x2211d5b204d9b5b6ull,
                     .trace = 0x0d00560499650c32ull});
+}
+
+// The storm benches gate survivors against the solo pass's checksum (gate
+// (b) of bench_fleet, (c) of bench_chaosnet). Tie that reference to the app
+// itself: every template's solo checksum is what the app's own run_*
+// wrapper computes on a fresh storm node.
+TEST(StormHarness, SoloReferenceIsTheAppsOwnOutput) {
+  namespace bs = benchsupport;
+  const bs::Scale scale = bs::Scale::kSmall;
+  const apps::MemMode mode = apps::MemMode::kManaged;
+  std::vector<fleet::JobTemplate> templates = bs::storm::catalog(scale);
+  ASSERT_EQ(templates.size(), bs::rodinia_apps().size() + 1);
+  for (fleet::JobTemplate& t : templates) {
+    SCOPED_TRACE(t.name);
+    bs::storm::measure_solo(t);
+    core::System sys{bs::storm::node_config()};
+    runtime::Runtime rt{sys};
+    apps::AppReport own;
+    if (t.name == "qvsim") {
+      own = apps::run_qvsim(rt, mode, bs::qv_sim_config(scale, 16));
+    } else {
+      const auto app = std::find_if(
+          bs::rodinia_apps().begin(), bs::rodinia_apps().end(),
+          [&](const bs::NamedApp& a) { return a.name == t.name; });
+      ASSERT_NE(app, bs::rodinia_apps().end());
+      own = app->run(rt, mode, scale);
+    }
+    EXPECT_EQ(t.solo_checksum, own.checksum);
+    EXPECT_GT(t.est_cost, 0);
+  }
 }
 
 }  // namespace

@@ -67,17 +67,32 @@ TEST(PageTable, ResidentRunEndScansContiguousResidency) {
   pt.map(0x5000, Pte{.node = mem::Node::kCpu});
   const std::uint64_t limit = 0x10000;
   // Run stops at the first page on a different node...
-  EXPECT_EQ(pt.resident_run_end(0x0000, mem::Node::kCpu, limit, 256), 0x3000u);
+  EXPECT_EQ(pt.resident_run_end(0x0000, mem::Node::kCpu, limit), 0x3000u);
   // ...starting mid-run still scans forward from the containing page...
-  EXPECT_EQ(pt.resident_run_end(0x1800, mem::Node::kCpu, limit, 256), 0x3000u);
+  EXPECT_EQ(pt.resident_run_end(0x1800, mem::Node::kCpu, limit), 0x3000u);
   // ...a hole ends the run...
-  EXPECT_EQ(pt.resident_run_end(0x3000, mem::Node::kGpu, limit, 256), 0x4000u);
-  // ...and the scan is clamped by max_pages and by the limit.
-  EXPECT_EQ(pt.resident_run_end(0x0000, mem::Node::kCpu, limit, 2), 0x2000u);
-  EXPECT_EQ(pt.resident_run_end(0x0000, mem::Node::kCpu, 0x1800, 256), 0x1800u);
+  EXPECT_EQ(pt.resident_run_end(0x3000, mem::Node::kGpu, limit), 0x4000u);
+  // ...and the run is clamped by the limit.
+  EXPECT_EQ(pt.resident_run_end(0x0000, mem::Node::kCpu, 0x1800), 0x1800u);
   // The first page is never checked (the caller already resolved it), so a
   // scan from the unmapped page 4 still extends across the mapped page 5.
-  EXPECT_EQ(pt.resident_run_end(0x4000, mem::Node::kCpu, limit, 256), 0x6000u);
+  EXPECT_EQ(pt.resident_run_end(0x4000, mem::Node::kCpu, limit), 0x6000u);
+}
+
+TEST(PageTable, ResidentRunEndReturnsALongRunWhole) {
+  // One extent of 1000 pages: the lookup returns all of it, with no
+  // per-call page cap, and still honors the limit.
+  PageTable pt{kSystemPage4K};
+  for (std::uint64_t p = 0; p < 1000; ++p) {
+    pt.map(p * 0x1000, Pte{.node = mem::Node::kGpu});
+  }
+  ASSERT_EQ(pt.run_count(), 1u);
+  EXPECT_EQ(pt.resident_run_end(0x0000, mem::Node::kGpu, 1ull << 40),
+            1000u * 0x1000);
+  EXPECT_EQ(pt.resident_run_end(0x5000, mem::Node::kGpu, 1ull << 40),
+            1000u * 0x1000);
+  EXPECT_EQ(pt.resident_run_end(0x0000, mem::Node::kGpu, 600u * 0x1000),
+            600u * 0x1000);
 }
 
 TEST(PageTable, AdjacentRunsMergeOnSetNode) {
@@ -156,15 +171,15 @@ TEST(PageTable, WritableMismatchTerminatesResidentRun) {
   pt.map_range(0x0000, 6, Pte{.node = mem::Node::kCpu, .writable = true});
   pt.map(0x3000, Pte{.node = mem::Node::kCpu, .writable = false});
   // Same node throughout, but extents are attribute-maximal: the
-  // permission boundary ends the batched run at page 3.
+  // permission boundary ends the run at page 3.
   EXPECT_EQ(pt.run_count(), 3u);
-  EXPECT_EQ(pt.resident_run_end(0x0000, mem::Node::kCpu, 0x10000, 256),
+  EXPECT_EQ(pt.resident_run_end(0x0000, mem::Node::kCpu, 0x10000),
             0x3000u);
   // Restoring write permission re-merges the extent and the run again
   // spans all six pages.
   pt.map(0x3000, Pte{.node = mem::Node::kCpu, .writable = true});
   EXPECT_EQ(pt.run_count(), 1u);
-  EXPECT_EQ(pt.resident_run_end(0x0000, mem::Node::kCpu, 0x10000, 256),
+  EXPECT_EQ(pt.resident_run_end(0x0000, mem::Node::kCpu, 0x10000),
             0x6000u);
 }
 
@@ -174,7 +189,7 @@ TEST(PageTable, NumaGenerationSplitsAndRemerges) {
   // A hint fault bumps one page's generation: the run splits around it.
   pt.set_numa_generation(0x1000, 1);
   EXPECT_EQ(pt.run_count(), 3u);
-  EXPECT_EQ(pt.resident_run_end(0x0000, mem::Node::kCpu, 0x10000, 256),
+  EXPECT_EQ(pt.resident_run_end(0x0000, mem::Node::kCpu, 0x10000),
             0x1000u);
   // Once the scanner catches the neighbours up, the extent re-coalesces.
   pt.set_numa_generation(0x0000, 1);
@@ -197,7 +212,7 @@ TEST(PageTable, SamplingDoesNotScanTheMap) {
   (void)pt.mapped_pages();
   (void)pt.run_count();
   (void)pt.lookup(0x200000);
-  (void)pt.resident_run_end(0x200000, mem::Node::kCpu, ~0ull, 4096);
+  (void)pt.resident_run_end(0x200000, mem::Node::kCpu, ~0ull);
   EXPECT_EQ(pt.scan_steps(), steps_before);
   // Linear walks do advance the counter (that is what it measures).
   pt.for_each_run([](std::uint64_t, std::uint64_t, const Pte&) {});

@@ -279,7 +279,7 @@ TEST(System, HintFaultedPageSplitsResidencyRun) {
   EXPECT_EQ(pt.run_count(), 3u);
   // The run from the base stops at the hint-faulted page even though node
   // and permissions match across the whole allocation.
-  EXPECT_EQ(pt.resident_run_end(b.va, mem::Node::kCpu, b.va + b.bytes, 4096),
+  EXPECT_EQ(pt.resident_run_end(b.va, mem::Node::kCpu, b.va + b.bytes),
             b.va + 7 * page);
   // Touching the rest of the window catches the generations up and the
   // extent heals.
