@@ -256,71 +256,59 @@ int main(int argc, char** argv) {
   const bool repro_ok =
       std::all_of(cells.begin(), cells.end(),
                   [](const HaloCell& c) { return c.repro_ok; });
-  std::printf("\ngates: regimes=%s monotone=%s halo-repro=%s\n",
-              regimes_ok ? "ok" : "FAIL", monotone_ok ? "ok" : "FAIL",
-              repro_ok ? "ok" : "FAIL");
+  const bs::Gates gates = {
+      {"regimes", regimes_ok}, {"monotone", monotone_ok}, {"halo-repro", repro_ok}};
+  std::printf("\n");
+  bs::print_gates(gates);
 
-  if (std::FILE* f = std::fopen(out_path.c_str(), "w")) {
-    std::fprintf(f, "{\n  \"bench\": \"netscope\",\n  \"scale\": \"%s\",\n",
-                 smoke ? "small" : "default");
-    std::fprintf(f, "  \"sweep\": [\n");
-    for (std::size_t i = 0; i < sweep.size(); ++i) {
-      const SweepRow& r = sweep[i];
-      std::fprintf(f,
-                   "    {\"bytes\": %llu, \"host_proto\": \"%s\", "
-                   "\"host_us\": %.4f, \"cuda_proto\": \"%s\", "
-                   "\"cuda_us\": %.4f}%s\n",
-                   static_cast<unsigned long long>(r.bytes),
-                   proto_name(r.host_proto), cost_us(r.host_cost),
-                   proto_name(r.cuda_proto), cost_us(r.cuda_cost),
-                   i + 1 < sweep.size() ? "," : "");
-    }
-    std::fprintf(f, "  ],\n  \"crossovers_host\": [\n");
-    for (std::size_t i = 0; i < host_cross.size(); ++i) {
-      const Crossover& c = host_cross[i];
-      std::fprintf(f,
-                   "    {\"from\": \"%s\", \"to\": \"%s\", \"bytes\": %llu}%s\n",
-                   proto_name(c.from), proto_name(c.to),
-                   static_cast<unsigned long long>(c.bytes),
-                   i + 1 < host_cross.size() ? "," : "");
-    }
-    std::fprintf(f, "  ],\n  \"halo\": [\n");
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      const HaloCell& c = cells[i];
-      std::fprintf(f,
-                   "    {\"app\": \"%s\", \"nodes\": %u, "
-                   "\"makespan_ms\": %.4f, \"net_wait_ms\": %.4f, "
-                   "\"msgs\": %llu, \"bytes\": %llu, \"rndv_handshakes\": "
-                   "%llu, \"digest\": \"%016llx\", \"repro_ok\": %s}%s\n",
-                   c.app, c.nodes, sim::to_milliseconds(c.r.makespan),
-                   sim::to_milliseconds(c.r.net_wait),
-                   static_cast<unsigned long long>(c.r.net.total_msgs()),
-                   static_cast<unsigned long long>(c.r.net.total_bytes()),
-                   static_cast<unsigned long long>(c.r.net.rndv_handshakes),
-                   static_cast<unsigned long long>(c.r.digest),
-                   c.repro_ok ? "true" : "false",
-                   i + 1 < cells.size() ? "," : "");
-    }
-    std::fprintf(f,
-                 "  ],\n  \"gates\": {\"regimes_ok\": %s, \"monotone_ok\": "
-                 "%s, \"halo_repro_ok\": %s},\n",
-                 regimes_ok ? "true" : "false", monotone_ok ? "true" : "false",
-                 repro_ok ? "true" : "false");
-    std::fprintf(f, "  \"protocol_regimes\": %zu,\n", regimes);
-    std::fprintf(f, "  \"total_failures\": %zu,\n", failures);
-    std::fprintf(f, "  \"ok\": %s\n", failures == 0 ? "true" : "false");
-    std::fprintf(f, "}\n");
-    std::fclose(f);
-    std::printf("wrote %s\n", out_path.c_str());
-  } else {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
+  if (!bs::write_artifact(out_path, [&](std::FILE* f) {
+        std::fprintf(f, "{\n  \"bench\": \"netscope\",\n  \"scale\": \"%s\",\n",
+                     smoke ? "small" : "default");
+        std::fprintf(f, "  \"sweep\": [\n");
+        for (std::size_t i = 0; i < sweep.size(); ++i) {
+          const SweepRow& r = sweep[i];
+          std::fprintf(f,
+                       "    {\"bytes\": %llu, \"host_proto\": \"%s\", "
+                       "\"host_us\": %.4f, \"cuda_proto\": \"%s\", "
+                       "\"cuda_us\": %.4f}%s\n",
+                       static_cast<unsigned long long>(r.bytes),
+                       proto_name(r.host_proto), cost_us(r.host_cost),
+                       proto_name(r.cuda_proto), cost_us(r.cuda_cost),
+                       i + 1 < sweep.size() ? "," : "");
+        }
+        std::fprintf(f, "  ],\n  \"crossovers_host\": [\n");
+        for (std::size_t i = 0; i < host_cross.size(); ++i) {
+          const Crossover& c = host_cross[i];
+          std::fprintf(f,
+                       "    {\"from\": \"%s\", \"to\": \"%s\", \"bytes\": %llu}%s\n",
+                       proto_name(c.from), proto_name(c.to),
+                       static_cast<unsigned long long>(c.bytes),
+                       i + 1 < host_cross.size() ? "," : "");
+        }
+        std::fprintf(f, "  ],\n  \"halo\": [\n");
+        for (std::size_t i = 0; i < cells.size(); ++i) {
+          const HaloCell& c = cells[i];
+          std::fprintf(f,
+                       "    {\"app\": \"%s\", \"nodes\": %u, "
+                       "\"makespan_ms\": %.4f, \"net_wait_ms\": %.4f, "
+                       "\"msgs\": %llu, \"bytes\": %llu, \"rndv_handshakes\": "
+                       "%llu, \"digest\": \"%016llx\", \"repro_ok\": %s}%s\n",
+                       c.app, c.nodes, sim::to_milliseconds(c.r.makespan),
+                       sim::to_milliseconds(c.r.net_wait),
+                       static_cast<unsigned long long>(c.r.net.total_msgs()),
+                       static_cast<unsigned long long>(c.r.net.total_bytes()),
+                       static_cast<unsigned long long>(c.r.net.rndv_handshakes),
+                       static_cast<unsigned long long>(c.r.digest),
+                       c.repro_ok ? "true" : "false",
+                       i + 1 < cells.size() ? "," : "");
+        }
+        std::fprintf(f, "  ],\n");
+        bs::json_gates(f, gates);
+        std::fprintf(f, "  \"protocol_regimes\": %zu,\n", regimes);
+        bs::json_tail(f, failures);
+      })) {
     return 1;
   }
 
-  if (failures != 0) {
-    std::fprintf(stderr, "FAIL: %zu netscope check failures\n", failures);
-    return 1;
-  }
-  std::printf("all netscope checks passed\n");
-  return 0;
+  return bs::verdict("netscope", failures);
 }

@@ -579,47 +579,33 @@ int main(int argc, char** argv) {
   total_failures += netf.size();
   std::printf("net co-run: %zu check failures\n", netf.size());
 
-  if (!trace_path.empty()) {
-    if (std::FILE* f = std::fopen(trace_path.c_str(), "w")) {
-      std::fwrite(tenancy.trace.data(), 1, tenancy.trace.size(), f);
-      std::fclose(f);
-      std::printf("wrote %s\n", trace_path.c_str());
-    } else {
-      std::fprintf(stderr, "cannot write %s\n", trace_path.c_str());
-      return 1;
-    }
-  }
-
-  if (std::FILE* f = std::fopen(out_path.c_str(), "w")) {
-    std::fprintf(f, "{\n  \"bench\": \"observability\",\n  \"scale\": \"%s\",\n",
-                 scale == bs::Scale::kSmall ? "small" : "default");
-    std::fprintf(f, "  \"cells\": [\n");
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      const Cell& c = cells[i];
-      std::fprintf(f,
-                   "    {\"app\": \"%s\", \"mode\": \"%s\", \"sim_ms\": %.4f, "
-                   "\"crosscheck_failures\": %zu, \"repro_ok\": %s}%s\n",
-                   c.app.c_str(), c.mode.c_str(), c.sim_ms, c.crosscheck_failures,
-                   c.repro_ok ? "true" : "false", i + 1 < cells.size() ? "," : "");
-    }
-    std::fprintf(f, "  ],\n");
-    std::fprintf(f, "  \"tenancy_failures\": %zu,\n", tenancy.failures.size());
-    std::fprintf(f, "  \"recovery_failures\": %zu,\n", recovery.size());
-    std::fprintf(f, "  \"net_failures\": %zu,\n", netf.size());
-    std::fprintf(f, "  \"total_failures\": %zu,\n", total_failures);
-    std::fprintf(f, "  \"ok\": %s\n", total_failures == 0 ? "true" : "false");
-    std::fprintf(f, "}\n");
-    std::fclose(f);
-    std::printf("wrote %s\n", out_path.c_str());
-  } else {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
+  if (!trace_path.empty() &&
+      !bs::write_artifact(trace_path, [&](std::FILE* f) {
+        std::fwrite(tenancy.trace.data(), 1, tenancy.trace.size(), f);
+      })) {
     return 1;
   }
 
-  if (total_failures != 0) {
-    std::fprintf(stderr, "FAIL: %zu observability check failures\n", total_failures);
+  if (!bs::write_artifact(out_path, [&](std::FILE* f) {
+        std::fprintf(f, "{\n  \"bench\": \"observability\",\n  \"scale\": \"%s\",\n",
+                     scale == bs::Scale::kSmall ? "small" : "default");
+        std::fprintf(f, "  \"cells\": [\n");
+        for (std::size_t i = 0; i < cells.size(); ++i) {
+          const Cell& c = cells[i];
+          std::fprintf(f,
+                       "    {\"app\": \"%s\", \"mode\": \"%s\", \"sim_ms\": %.4f, "
+                       "\"crosscheck_failures\": %zu, \"repro_ok\": %s}%s\n",
+                       c.app.c_str(), c.mode.c_str(), c.sim_ms, c.crosscheck_failures,
+                       c.repro_ok ? "true" : "false", i + 1 < cells.size() ? "," : "");
+        }
+        std::fprintf(f, "  ],\n");
+        std::fprintf(f, "  \"tenancy_failures\": %zu,\n", tenancy.failures.size());
+        std::fprintf(f, "  \"recovery_failures\": %zu,\n", recovery.size());
+        std::fprintf(f, "  \"net_failures\": %zu,\n", netf.size());
+        bs::json_tail(f, total_failures);
+      })) {
     return 1;
   }
-  std::printf("all observability cross-checks passed\n");
-  return 0;
+
+  return bs::verdict("observability", total_failures);
 }

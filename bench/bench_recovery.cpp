@@ -441,48 +441,38 @@ int main(int argc, char** argv) {
     cells.push_back(std::move(c));
   }
 
-  if (std::FILE* f = std::fopen(out_path.c_str(), "w")) {
-    std::fprintf(f, "{\n  \"bench\": \"recovery\",\n  \"scale\": \"%s\",\n",
-                 scale == bs::Scale::kSmall ? "small" : "default");
-    std::fprintf(f, "  \"restore_matrix\": [\n");
-    for (std::size_t i = 0; i < matrix.size(); ++i) {
-      const MatrixCell& c = matrix[i];
-      std::fprintf(f,
-                   "    {\"app\": \"%s\", \"mode\": \"%s\", \"sim_ms\": %.4f, "
-                   "\"steps\": %d, \"cut\": %d, \"snap_kib\": %.1f, "
-                   "\"repro_ok\": %s}%s\n",
-                   c.app.c_str(), c.mode.c_str(), c.sim_ms, c.steps, c.cut,
-                   c.snap_kib, c.repro_ok ? "true" : "false",
-                   i + 1 < matrix.size() ? "," : "");
-    }
-    std::fprintf(f, "  ],\n  \"scenarios\": [\n");
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      const ScenarioCell& c = cells[i];
-      std::fprintf(f,
-                   "    {\"scenario\": \"%s\", \"outcome\": \"%s\", "
-                   "\"restarts\": %u, \"replayed_ms\": %.4f, "
-                   "\"victim_ok\": %s, \"sibling_ok\": %s, \"repro_ok\": %s}%s\n",
-                   c.name.c_str(), c.outcome.c_str(), c.restarts, c.replayed_ms,
-                   c.victim_ok ? "true" : "false",
-                   c.sibling_ok ? "true" : "false",
-                   c.repro_ok ? "true" : "false",
-                   i + 1 < cells.size() ? "," : "");
-    }
-    std::fprintf(f, "  ],\n");
-    std::fprintf(f, "  \"total_failures\": %zu,\n", failures);
-    std::fprintf(f, "  \"ok\": %s\n", failures == 0 ? "true" : "false");
-    std::fprintf(f, "}\n");
-    std::fclose(f);
-    std::printf("wrote %s\n", out_path.c_str());
-  } else {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
+  if (!bs::write_artifact(out_path, [&](std::FILE* f) {
+        std::fprintf(f, "{\n  \"bench\": \"recovery\",\n  \"scale\": \"%s\",\n",
+                     scale == bs::Scale::kSmall ? "small" : "default");
+        std::fprintf(f, "  \"restore_matrix\": [\n");
+        for (std::size_t i = 0; i < matrix.size(); ++i) {
+          const MatrixCell& c = matrix[i];
+          std::fprintf(f,
+                       "    {\"app\": \"%s\", \"mode\": \"%s\", \"sim_ms\": %.4f, "
+                       "\"steps\": %d, \"cut\": %d, \"snap_kib\": %.1f, "
+                       "\"repro_ok\": %s}%s\n",
+                       c.app.c_str(), c.mode.c_str(), c.sim_ms, c.steps, c.cut,
+                       c.snap_kib, c.repro_ok ? "true" : "false",
+                       i + 1 < matrix.size() ? "," : "");
+        }
+        std::fprintf(f, "  ],\n  \"scenarios\": [\n");
+        for (std::size_t i = 0; i < cells.size(); ++i) {
+          const ScenarioCell& c = cells[i];
+          std::fprintf(f,
+                       "    {\"scenario\": \"%s\", \"outcome\": \"%s\", "
+                       "\"restarts\": %u, \"replayed_ms\": %.4f, "
+                       "\"victim_ok\": %s, \"sibling_ok\": %s, \"repro_ok\": %s}%s\n",
+                       c.name.c_str(), c.outcome.c_str(), c.restarts, c.replayed_ms,
+                       c.victim_ok ? "true" : "false",
+                       c.sibling_ok ? "true" : "false",
+                       c.repro_ok ? "true" : "false",
+                       i + 1 < cells.size() ? "," : "");
+        }
+        std::fprintf(f, "  ],\n");
+        bs::json_tail(f, failures);
+      })) {
     return 1;
   }
 
-  if (failures != 0) {
-    std::fprintf(stderr, "FAIL: %zu recovery check failures\n", failures);
-    return 1;
-  }
-  std::printf("all recovery checks passed\n");
-  return 0;
+  return bs::verdict("recovery", failures);
 }

@@ -207,31 +207,28 @@ int main(int argc, char** argv) {
                          throughput, r1.cross_evictions, repro});
   }
 
-  if (std::FILE* f = std::fopen(out_path.c_str(), "w")) {
-    std::fprintf(f, "{\n  \"bench\": \"tenancy\",\n  \"smoke\": %s,\n",
-                 smoke ? "true" : "false");
-    std::fprintf(f, "  \"interference_row\": %zu,\n", interference_row);
-    std::fprintf(f, "  \"interference_cross_tenant_evictions\": %llu,\n",
-                 static_cast<unsigned long long>(interference_evictions));
-    std::fprintf(f, "  \"rows\": [\n");
-    for (std::size_t i = 0; i < json_rows.size(); ++i) {
-      const JsonRow& jr = json_rows[i];
-      std::fprintf(f,
-                   "    {\"tenants\": %zu, \"end_ms\": %.4f, "
-                   "\"avg_slowdown\": %.4f, \"max_slowdown\": %.4f, "
-                   "\"throughput_jobs_per_s\": %.4f, "
-                   "\"cross_tenant_evictions\": %llu, \"repro\": %s}%s\n",
-                   jr.n, jr.end_ms, jr.avg_slowdown, jr.max_slowdown,
-                   jr.throughput,
-                   static_cast<unsigned long long>(jr.cross_evictions),
-                   jr.repro ? "true" : "false",
-                   i + 1 < json_rows.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("wrote %s\n", out_path.c_str());
-  } else {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
+  if (!bs::write_artifact(out_path, [&](std::FILE* f) {
+        std::fprintf(f, "{\n  \"bench\": \"tenancy\",\n  \"smoke\": %s,\n",
+                     smoke ? "true" : "false");
+        std::fprintf(f, "  \"interference_row\": %zu,\n", interference_row);
+        std::fprintf(f, "  \"interference_cross_tenant_evictions\": %llu,\n",
+                     static_cast<unsigned long long>(interference_evictions));
+        std::fprintf(f, "  \"rows\": [\n");
+        for (std::size_t i = 0; i < json_rows.size(); ++i) {
+          const JsonRow& jr = json_rows[i];
+          std::fprintf(f,
+                       "    {\"tenants\": %zu, \"end_ms\": %.4f, "
+                       "\"avg_slowdown\": %.4f, \"max_slowdown\": %.4f, "
+                       "\"throughput_jobs_per_s\": %.4f, "
+                       "\"cross_tenant_evictions\": %llu, \"repro\": %s}%s\n",
+                       jr.n, jr.end_ms, jr.avg_slowdown, jr.max_slowdown,
+                       jr.throughput,
+                       static_cast<unsigned long long>(jr.cross_evictions),
+                       jr.repro ? "true" : "false",
+                       i + 1 < json_rows.size() ? "," : "");
+        }
+        std::fprintf(f, "  ]\n}\n");
+      })) {
     return 1;
   }
 

@@ -32,18 +32,6 @@ double speedup(double baseline_s, double value_s) {
   return value_s > 0 ? baseline_s / value_s : 0.0;
 }
 
-void print_series(std::string_view name, const std::vector<double>& xs,
-                  const std::vector<double>& ys, std::string_view x_label,
-                  std::string_view y_label) {
-  std::printf("data\tseries=%.*s\t%.*s\t%.*s\n", static_cast<int>(name.size()),
-              name.data(), static_cast<int>(x_label.size()), x_label.data(),
-              static_cast<int>(y_label.size()), y_label.data());
-  for (std::size_t i = 0; i < xs.size() && i < ys.size(); ++i) {
-    std::printf("data\t%.*s\t%g\t%g\n", static_cast<int>(name.size()), name.data(),
-                xs[i], ys[i]);
-  }
-}
-
 void print_metric(std::string_view name, double value, std::string_view unit) {
   std::printf("metric\t%.*s\t%g\t%.*s\n", static_cast<int>(name.size()), name.data(),
               value, static_cast<int>(unit.size()), unit.data());

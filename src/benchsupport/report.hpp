@@ -32,11 +32,6 @@ void print_report_table_header();
 /// better, relative to the explicit version).
 [[nodiscard]] double speedup(double baseline_s, double value_s);
 
-/// Prints a named numeric series as one TSV block row per element.
-void print_series(std::string_view name, const std::vector<double>& xs,
-                  const std::vector<double>& ys, std::string_view x_label,
-                  std::string_view y_label);
-
 /// Key-value result line benches use for single numbers.
 void print_metric(std::string_view name, double value, std::string_view unit);
 

@@ -1,16 +1,23 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <stdexcept>
 #include <string>
-#include <string_view>
+#include <utility>
 #include <vector>
 
+#include "fault/status.hpp"
+#include "mem/node.hpp"
+#include "os/address_space.hpp"
+#include "sim/event_log.hpp"
+
 /// \file io.hpp
-/// Dependency-free little-endian serialization primitives for the
-/// checkpoint subsystem (DESIGN.md Section 10). The blob format is a
-/// versioned header followed by a flat payload:
+/// Little-endian serialization primitives for the checkpoint subsystem
+/// (DESIGN.md Section 10). The blob format is a versioned header followed
+/// by a flat payload:
 ///
 ///   offset 0  : u64 magic "GHUMCHK\0" (little-endian constant)
 ///   offset 8  : u32 format version
@@ -18,10 +25,20 @@
 ///   offset 20 : u64 payload size in bytes
 ///   offset 28 : payload
 ///
-/// Fixed-width fields are written explicitly (no struct memcpy) so the
-/// format is identical across compilers; Reader throws StatusError-free
-/// std::out_of_range on truncation so corruption is detected before any
-/// machine state is mutated.
+/// The payload is a sequence of fields with no tags or padding: u8, u32,
+/// u64, i64, f64 (IEEE-754 bits as a u64), bool (one byte), string (u64
+/// length, then the bytes), the machine's enums as one byte each (a
+/// memory node, a VMA's allocation kind, an event type; an optional node
+/// is node + 1, with 0 for none), and containers as a u64 count followed
+/// by their elements (maps and sets in ascending key order). Writer and
+/// Reader share one field interface — `ar(a, b, ...)`, seq(), map() and
+/// set() — so snapshot.cpp names each section's fields once, in a
+/// template over the archive. Fixed-width fields are written explicitly
+/// (no struct memcpy) so the format is identical across compilers.
+///
+/// Reader throws std::out_of_range when the blob ends early, and
+/// StatusError{kErrorInvalidValue} for a byte that names no value of its
+/// enum, so a corrupt image is refused before it indexes anything.
 
 namespace ghum::chk {
 
@@ -40,28 +57,74 @@ inline constexpr std::uint32_t kFormatVersion = 3;
 /// state_digest() ever produced is stamped with it, so it stays.
 inline constexpr std::uint64_t kDigestSeed = 1469598103934665603ull;
 
+/// The config byte that once switched batched access accounting off.
+/// Images keep it and always carry 1; Reader refuses 0, which would ask
+/// for an access path that no longer exists.
+struct RetiredSwitch {};
+inline constexpr RetiredSwitch kRetiredSwitch{};
+
 class Writer {
  public:
-  void u8(std::uint8_t v) { buf_.push_back(v); }
-  void u32(std::uint32_t v) {
+  /// Writes each field in order (the field interface shared with Reader).
+  template <typename... Fields>
+  void operator()(const Fields&... fields) {
+    (field(fields), ...);
+  }
+
+  void field(std::uint8_t v) { buf_.push_back(v); }
+  void field(std::uint32_t v) {
     for (int i = 0; i < 4; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
   }
-  void u64(std::uint64_t v) {
+  void field(std::uint64_t v) {
     for (int i = 0; i < 8; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
   }
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void f64(double v) {
+  void field(std::int64_t v) { field(static_cast<std::uint64_t>(v)); }
+  void field(double v) {
     std::uint64_t bits;
     std::memcpy(&bits, &v, sizeof bits);
-    u64(bits);
+    field(bits);
   }
-  void boolean(bool v) { u8(v ? 1 : 0); }
-  void str(std::string_view s) {
-    u64(s.size());
+  void field(bool v) { buf_.push_back(v ? 1 : 0); }
+  void field(const std::string& s) {
+    field(std::uint64_t{s.size()});
     buf_.insert(buf_.end(), s.begin(), s.end());
   }
+  void field(mem::Node n) { field(static_cast<std::uint8_t>(n)); }
+  void field(const std::optional<mem::Node>& n) {
+    field(n ? static_cast<std::uint8_t>(static_cast<std::uint8_t>(*n) + 1)
+            : std::uint8_t{0});
+  }
+  void field(os::AllocKind k) { field(static_cast<std::uint8_t>(k)); }
+  void field(sim::EventType t) { field(static_cast<std::uint8_t>(t)); }
+  void field(RetiredSwitch) { field(std::uint8_t{1}); }
+
+  /// A counted sequence: its size, then \p each(element) per element.
+  template <typename Seq, typename Each>
+  void seq(const Seq& s, Each each) {
+    field(std::uint64_t{s.size()});
+    for (const auto& e : s) each(e);
+  }
+  /// A map (ordered or not), in ascending key order: its size, then
+  /// \p each(key, value) per entry.
+  template <typename Map, typename Each>
+  void map(const Map& m, Each each) {
+    std::vector<std::pair<typename Map::key_type, typename Map::mapped_type>> v{
+        m.begin(), m.end()};
+    std::sort(v.begin(), v.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    seq(v, [&each](const auto& kv) { each(kv.first, kv.second); });
+  }
+  /// A set of u64 keys (ordered or not), in ascending order.
+  template <typename Set>
+  void set(const Set& s) {
+    std::vector<std::uint64_t> v{s.begin(), s.end()};
+    std::sort(v.begin(), v.end());
+    seq(v, [this](std::uint64_t k) { field(k); });
+  }
+
+  /// A length-prefixed byte run.
   void bytes(const std::uint8_t* data, std::size_t size) {
-    u64(size);
+    field(std::uint64_t{size});
     buf_.insert(buf_.end(), data, data + size);
   }
 
@@ -75,6 +138,71 @@ class Writer {
 class Reader {
  public:
   Reader(const std::uint8_t* data, std::size_t size) : data_(data), size_(size) {}
+
+  /// Reads each field in order (the field interface shared with Writer).
+  template <typename... Fields>
+  void operator()(Fields&... fields) {
+    (field(fields), ...);
+  }
+
+  void field(std::uint8_t& v) { v = u8(); }
+  void field(std::uint32_t& v) { v = u32(); }
+  void field(std::uint64_t& v) { v = u64(); }
+  void field(std::int64_t& v) { v = i64(); }
+  void field(double& v) {
+    const std::uint64_t bits = u64();
+    std::memcpy(&v, &bits, sizeof v);
+  }
+  void field(bool& v) { v = boolean(); }
+  void field(std::string& s) { s = str(); }
+  void field(mem::Node& n) { n = node(); }
+  void field(std::optional<mem::Node>& n) {
+    const std::uint8_t b = u8();
+    n = b == 0 ? std::nullopt
+               : std::optional<mem::Node>{to_node(static_cast<std::uint8_t>(b - 1))};
+  }
+  void field(os::AllocKind& k) {
+    const std::uint8_t b = u8();
+    if (b > static_cast<std::uint8_t>(os::AllocKind::kPinnedHost)) {
+      throw StatusError{Status::kErrorInvalidValue,
+                        "checkpoint: VMA kind byte names no allocation kind"};
+    }
+    k = static_cast<os::AllocKind>(b);
+  }
+  void field(sim::EventType& t) { t = static_cast<sim::EventType>(u8()); }
+  void field(RetiredSwitch) {
+    if (!boolean()) {
+      throw StatusError{Status::kErrorInvalidValue,
+                        "checkpoint: image asks for the retired per-access path"};
+    }
+  }
+
+  /// A counted sequence into \p v: each element is appended and read by
+  /// \p each, so a corrupt count fails on the blob's end instead of sizing
+  /// an allocation.
+  template <typename T, typename Each>
+  void seq(std::vector<T>& v, Each each) {
+    v.clear();
+    for (std::uint64_t i = 0, n = u64(); i < n; ++i) each(v.emplace_back());
+  }
+  /// A map: \p each(key, value) reads each entry; a repeated key keeps its
+  /// last value.
+  template <typename Map, typename Each>
+  void map(Map& m, Each each) {
+    m.clear();
+    for (std::uint64_t i = 0, n = u64(); i < n; ++i) {
+      typename Map::key_type k{};
+      typename Map::mapped_type v{};
+      each(k, v);
+      m.insert_or_assign(k, v);
+    }
+  }
+  /// A set of u64 keys.
+  template <typename Set>
+  void set(Set& s) {
+    s.clear();
+    for (std::uint64_t i = 0, n = u64(); i < n; ++i) s.insert(u64());
+  }
 
   [[nodiscard]] std::uint8_t u8() {
     need(1);
@@ -93,13 +221,8 @@ class Reader {
     return v;
   }
   [[nodiscard]] std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-  [[nodiscard]] double f64() {
-    const std::uint64_t bits = u64();
-    double v;
-    std::memcpy(&v, &bits, sizeof v);
-    return v;
-  }
   [[nodiscard]] bool boolean() { return u8() != 0; }
+  [[nodiscard]] mem::Node node() { return to_node(u8()); }
   /// Reads a record count and checks that that many records of at least
   /// \p min_record_bytes each still fit in the blob, so a corrupt count
   /// fails here instead of sizing an allocation.
@@ -131,6 +254,15 @@ class Reader {
   [[nodiscard]] std::size_t remaining() const noexcept { return size_ - pos_; }
 
  private:
+  /// Converts a node byte, refusing one that names no mem::Node: the
+  /// machine indexes its per-node tables with it.
+  [[nodiscard]] static mem::Node to_node(std::uint8_t node) {
+    if (node > static_cast<std::uint8_t>(mem::Node::kGpu)) {
+      throw StatusError{Status::kErrorInvalidValue,
+                        "checkpoint: node byte names no memory node"};
+    }
+    return static_cast<mem::Node>(node);
+  }
   void need(std::uint64_t n) const {
     if (size_ - pos_ < n) throw std::out_of_range{"chk: truncated checkpoint blob"};
   }

@@ -72,10 +72,27 @@ class Snapshotter {
   [[nodiscard]] static bool verify(const Blob& blob) noexcept;
 
  private:
-  static void save_config(const core::SystemConfig& cfg, Writer& w);
-  [[nodiscard]] static core::SystemConfig load_config(Reader& r);
-  static void save_state(core::System& sys, Writer& w);
-  static void load_state(core::System& sys, Reader& r, core::System* donor);
+  /// The config and machine-state sections of a snapshot taken now;
+  /// \p caller names the refusing call inside an open kernel/phase.
+  [[nodiscard]] static Writer payload(core::System& sys, const char* caller);
+
+  /// Every machine-state section in payload order, over a Writer or a
+  /// Reader (snapshot.cpp). \p donor is only read by the VMA loader.
+  template <typename Ar>
+  static void state(Ar& ar, core::System& sys, core::System* donor);
+
+  // The sections restore rebuilds through their owner's own interface
+  // instead of mirroring fields: one save and one load overload each.
+  static void page_table(Writer& w, pagetable::PageTable& pt);
+  static void page_table(Reader& r, pagetable::PageTable& pt);
+  static void tlb(Writer& w, pagetable::Tlb& tlb);
+  static void tlb(Reader& r, pagetable::Tlb& tlb);
+  static void vmas(Writer& w, os::AddressSpace& as, core::System* donor);
+  static void vmas(Reader& r, os::AddressSpace& as, core::System* donor);
+  static void registry(Writer& w, obs::MetricsRegistry& reg);
+  static void registry(Reader& r, obs::MetricsRegistry& reg);
+  static void managed_lru(Writer& w, driver::ManagedEngine& me);
+  static void managed_lru(Reader& r, driver::ManagedEngine& me);
 };
 
 }  // namespace ghum::chk

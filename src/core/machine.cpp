@@ -80,24 +80,6 @@ bool Machine::map_system_page(os::Vma& vma, std::uint64_t va, mem::Node node) {
   return true;
 }
 
-void Machine::unmap_system_page(os::Vma& vma, std::uint64_t va) {
-  const std::uint64_t page_va = system_pt_.page_base(va);
-  const pagetable::Pte* pte = system_pt_.lookup(page_va);
-  if (pte == nullptr) throw std::logic_error{"unmap_system_page: not mapped"};
-  const mem::Node node = pte->node;
-  const std::uint64_t bytes = system_page_bytes();
-  system_pt_.unmap(page_va);
-  frames(node).release(bytes);
-  const auto delta = -static_cast<std::int64_t>(bytes);
-  as_.note_resident_delta(vma, node == mem::Node::kCpu ? delta : 0,
-                          node == mem::Node::kGpu ? delta : 0);
-  attribution_.note_resident_delta(vma.tenant, node == mem::Node::kCpu ? delta : 0,
-                                   node == mem::Node::kGpu ? delta : 0);
-  smmu_.invalidate(page_va);
-  gmmu_.invalidate_system(page_va);
-  bump_epoch();
-}
-
 bool Machine::move_system_page(os::Vma& vma, std::uint64_t va, mem::Node to) {
   const std::uint64_t page_va = system_pt_.page_base(va);
   const pagetable::Pte* pte = system_pt_.lookup(page_va);

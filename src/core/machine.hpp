@@ -192,9 +192,6 @@ class Machine {
   /// the node's frames are exhausted (caller decides the fallback policy).
   [[nodiscard]] bool map_system_page(os::Vma& vma, std::uint64_t va, mem::Node node);
 
-  /// Unmaps a present system page, releasing its frame.
-  void unmap_system_page(os::Vma& vma, std::uint64_t va);
-
   /// Moves a present system page to \p to. Returns false when frames on
   /// \p to are exhausted (page stays put).
   [[nodiscard]] bool move_system_page(os::Vma& vma, std::uint64_t va, mem::Node to);

@@ -107,7 +107,7 @@ class FaultInjector {
   core::Machine* m_;
   FaultConfig cfg_;
   sim::Rng rng_;
-  int suppress_ = 0;
+  std::int64_t suppress_ = 0;
 
   std::vector<LinkDegradeWindow> windows_;  ///< sorted by start
   std::size_t next_window_ = 0;

@@ -9,7 +9,7 @@
 namespace ghum::fleet {
 
 void Controller::trace(obs::FleetTraceEvent e) {
-  if (obs_on() && cfg_.obs.record_trace) trace_.push_back(std::move(e));
+  if (obs_on()) trace_.push_back(std::move(e));
 }
 
 void Controller::setup_obs() {
@@ -78,29 +78,27 @@ void Controller::setup_obs() {
                return term == 0 ? 1000 : ok * 1000 / term;
              });
   }
-  if (cfg_.obs.track_links) {
-    ts_->add("fabric.total_bytes", [this] {
-      return static_cast<std::int64_t>(fabric_->totals().total_bytes());
-    });
-    // Per-directed-link cumulative bytes — every machine pair plus the
-    // external-source and control-plane endpoints. Bounded to small
-    // fleets; a 480-node fleet keeps just the total above.
-    const std::uint32_t eps = fabric_->endpoints();
-    if (eps <= 16) {
-      for (std::uint32_t s = 0; s < eps; ++s) {
-        for (std::uint32_t d = 0; d < eps; ++d) {
-          if (s == d) continue;
-          ts_->add("link." + std::to_string(s) + "-" + std::to_string(d) +
-                       ".bytes",
-                   [this, s, d] {
-                     return static_cast<std::int64_t>(
-                         fabric_->link_bytes_moved(s, d));
-                   });
-        }
+  ts_->add("fabric.total_bytes", [this] {
+    return static_cast<std::int64_t>(fabric_->totals().total_bytes());
+  });
+  // Per-directed-link cumulative bytes — every machine pair plus the
+  // external-source and control-plane endpoints. Bounded to small
+  // fleets; a 480-node fleet keeps just the total above.
+  const std::uint32_t eps = fabric_->endpoints();
+  if (eps <= 16) {
+    for (std::uint32_t s = 0; s < eps; ++s) {
+      for (std::uint32_t d = 0; d < eps; ++d) {
+        if (s == d) continue;
+        ts_->add("link." + std::to_string(s) + "-" + std::to_string(d) +
+                     ".bytes",
+                 [this, s, d] {
+                   return static_cast<std::int64_t>(
+                       fabric_->link_bytes_moved(s, d));
+                 });
       }
     }
   }
-  if (cfg_.obs.record_trace) fabric_->set_log_enabled(true);
+  fabric_->set_log_enabled(true);
   alert_engine_ = std::make_unique<obs::AlertEngine>(*ts_, cfg_.obs.alerts);
 }
 

@@ -112,12 +112,6 @@ struct FleetObsConfig {
   sim::Picos cadence = sim::milliseconds(1);
   /// Samples retained per series (ring capacity).
   std::size_t ring_capacity = 4096;
-  /// Sample per-directed-link fabric byte counters (one series per link
-  /// that ever moved traffic plus the fleet total).
-  bool track_links = true;
-  /// Record FleetTraceEvents (arrivals, placements, faults, evacuations,
-  /// transfers, alerts) for export_fleet_trace().
-  bool record_trace = true;
   /// Declarative SLO alert rules; instruments name recorder series.
   std::vector<obs::AlertRule> alerts;
 };
@@ -169,11 +163,10 @@ struct FleetConfig {
   sim::Picos replace_backoff = sim::microseconds(100);
 
   /// Admission control: priority classes below this index are never shed
-  /// and never cancelled while running — the protected SLO tier.
+  /// and never cancelled while running — the protected SLO tier. Running
+  /// jobs of the other classes that blew past their deadline are
+  /// cancelled, freeing capacity for jobs that can still meet theirs.
   std::uint32_t shed_protect_classes = 1;
-  /// Cancel running jobs (unprotected classes only) that blew past their
-  /// deadline, freeing capacity for jobs that can still meet theirs.
-  bool cancel_overdue = true;
 
   /// Controller-side per-node footprint budget for placement decisions.
   /// 0 = the machine's physical capacity (HBM + DDR).

@@ -166,7 +166,7 @@ void Controller::expire_and_cancel_overdue(sim::Picos now) {
       if (j.req.arrival <= now && j.req.deadline < now) {
         fail_job(j, Status::kErrorDeadlineExceeded, now);
       }
-    } else if (cfg_.cancel_overdue && j.state == FleetJobState::kPlaced) {
+    } else if (j.state == FleetJobState::kPlaced) {
       // A running job is overdue once every node executing it is past the
       // deadline — it can no longer finish in time anywhere.
       bool overdue = !j.replicas.empty();

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <string_view>
 #include <vector>
@@ -53,10 +52,6 @@ enum class EventType : std::uint8_t {
                           ///< checkpoint and replays it (aux = cause Status)
 };
 
-/// Number of EventType values (for per-type aggregation arrays).
-inline constexpr std::size_t kEventTypeCount =
-    static_cast<std::size_t>(EventType::kJobRestart) + 1;
-
 [[nodiscard]] std::string_view to_string(EventType t) noexcept;
 
 struct Event {
@@ -100,9 +95,6 @@ class EventLog {
     e.tenant = tenant_;
     e.span = span_;
     events_.push_back(e);
-    const auto t = static_cast<std::size_t>(e.type);
-    ++counts_[t];
-    bytes_[t] += e.bytes;
   }
 
   [[nodiscard]] const std::vector<Event>& events() const noexcept { return events_; }
@@ -127,29 +119,12 @@ class EventLog {
     return h;
   }
 
-  /// Per-type totals, maintained as running counters at record() time so
-  /// hot-path callers never rescan the event vector.
-  [[nodiscard]] std::size_t count(EventType t) const noexcept {
-    return counts_[static_cast<std::size_t>(t)];
-  }
-  [[nodiscard]] std::uint64_t total_bytes(EventType t) const noexcept {
-    return bytes_[static_cast<std::size_t>(t)];
-  }
-
-  void clear() {
-    events_.clear();
-    counts_.fill(0);
-    bytes_.fill(0);
-  }
-
  private:
   bool enabled_ = false;
   std::uint32_t tenant_ = 0;
   std::uint32_t span_ = 0;
   std::uint32_t span_seq_ = 0;
   std::vector<Event> events_;
-  std::array<std::size_t, kEventTypeCount> counts_{};
-  std::array<std::uint64_t, kEventTypeCount> bytes_{};
 
   friend class ghum::chk::Snapshotter;
 };

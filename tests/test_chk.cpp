@@ -9,11 +9,13 @@
 #include <vector>
 
 #include "apps/hotspot.hpp"
+#include "apps/qvsim.hpp"
 #include "apps/srad.hpp"
 #include "benchsupport/scenarios.hpp"
 #include "chk/snapshot.hpp"
 #include "runtime/runtime.hpp"
 #include "sim/fnv.hpp"
+#include "tenant/scheduler.hpp"
 
 /// Checkpoint/restore tests (DESIGN.md Section 10): blob round trips, header
 /// validation, and the core replay-equivalence guarantee — a run snapshotted
@@ -593,6 +595,95 @@ TEST(ChkGolden, FullScaleStreamingSweepIsPinned) {
                                                 0, 0, 0, 0,            // GPU table
                                                 100, 14000, 100, 14000}));  // uTLB
   EXPECT_EQ(sys.now(), 36340181427);
+}
+
+tenant::JobSpec qvsim_tenant(std::uint32_t qubits) {
+  tenant::JobSpec spec;
+  spec.name = "qvsim";
+  spec.mode = apps::MemMode::kManaged;
+  spec.footprint_bytes = 8ull << 20;
+  spec.make = [qubits](runtime::Runtime& rt) {
+    apps::QvConfig q;
+    q.qubits = qubits;
+    q.depth = 2;
+    return apps::qvsim_steps(rt, apps::MemMode::kManaged, q);
+  };
+  return spec;
+}
+
+TEST(ChkGolden, EverySectionOfABusyMachineIsPinned) {
+  // A machine that leaves no section at its defaults: 4 KiB pages, access
+  // counters, AutoNUMA and the event log on, a renamed node, a fault
+  // schedule with degrade windows, ECC events and a GPU reset (the first
+  // window and ECC event consumed, the rest still ahead of the clock), two
+  // tenants that evicted each other, a read-mostly replica left by a
+  // prefetch that also protected a resident block (the protected set is
+  // empty again once the prefetch returns), and both access-counter maps
+  // holding counts below the threshold. The pin was recorded on the
+  // mirrored save_*/load_* code; a field written in another order or width
+  // changes it.
+  core::SystemConfig cfg = chk_cfg();
+  cfg.name = "busy-node";
+  cfg.system_page_size = pagetable::kSystemPage4K;
+  cfg.hbm_capacity = 6ull << 20;
+  cfg.autonuma_balancing = true;
+  cfg.counter_region_bytes = 64ull << 10;
+  cfg.access_counter_threshold = 1u << 20;
+  cfg.faults.enabled = true;
+  cfg.faults.seed = 0x5eed'c0deull;
+  cfg.faults.link_degrade = {
+      {.start = 0, .duration = sim::milliseconds(1), .bandwidth_factor = 3.0,
+       .latency_factor = 1.5},
+      {.start = sim::seconds(100), .duration = sim::seconds(1)}};
+  cfg.faults.ecc_events = {{.time = sim::microseconds(10), .bytes = 64ull << 10},
+                           {.time = sim::seconds(100)}};
+  cfg.faults.gpu_resets = {{.time = sim::seconds(100)}};
+  cfg.faults.ecc_retirement_budget = 1ull << 20;
+  core::System sys{cfg};
+  {
+    tenant::Scheduler sched{sys};
+    (void)sched.submit(qvsim_tenant(18));
+    (void)sched.submit(qvsim_tenant(18));
+    sched.run_all();
+    ASSERT_EQ(sched.job(1).state, tenant::JobState::kFinished);
+    ASSERT_EQ(sched.job(2).state, tenant::JobState::kFinished);
+  }
+  ASSERT_GT(sys.attribution().cross_tenant_evictions(), 0u);
+
+  runtime::Runtime rt{sys};
+  constexpr std::uint64_t kBytes = 1ull << 20;
+  const core::Buffer ro = rt.malloc_managed(kBytes, "read-mostly");
+  const core::Buffer host = rt.malloc_system(kBytes, "counted");
+  const core::Buffer gpu_first = rt.malloc_system(kBytes, "gpu-first");
+  rt.host_phase("init", 0.0, [&] {
+    runtime::Span<std::uint64_t> r{sys, ro, mem::Node::kCpu};
+    runtime::Span<std::uint64_t> h{sys, host, mem::Node::kCpu};
+    for (std::uint64_t i = 0; i < kBytes / 8; i += 512) {
+      r.store(i, i);
+      h.store(i, i);
+    }
+  });
+  rt.mem_advise(ro, core::System::MemAdvice::kReadMostly);
+  rt.mem_prefetch(ro, 0, kBytes / 2, mem::Node::kGpu);
+  rt.mem_prefetch(ro, 0, kBytes, mem::Node::kGpu);
+  rt.launch("count", 0.0, [&] {
+    runtime::Span<std::uint64_t> h{sys, host, mem::Node::kGpu};
+    runtime::Span<std::uint64_t> g{sys, gpu_first, mem::Node::kGpu};
+    for (std::uint64_t i = 0; i < kBytes / 8; i += 64) {
+      (void)h.load(i);
+      g.store(i, i);
+    }
+  });
+  rt.host_phase("read-back", 0.0, [&] {
+    runtime::Span<std::uint64_t> g{sys, gpu_first, mem::Node::kCpu};
+    for (std::uint64_t i = 0; i < kBytes / 8; i += 128) (void)g.load(i);
+  });
+  ASSERT_GT(sys.managed_engine().replica_count(), 0u);
+  ASSERT_EQ(rt.get_last_error(), Status::kSuccess);
+
+  const chk::Blob blob = chk::Snapshotter::snapshot(sys);
+  EXPECT_EQ(sim::fnv1a(blob.data(), blob.size()), 0xb643cf4dcdeaeb8aull);
+  EXPECT_EQ(chk::Snapshotter::snapshot(*chk::Snapshotter::restore(blob)), blob);
 }
 
 TEST(ChkDonor, HostPointersSurviveRestoreViaDonorAdoption) {

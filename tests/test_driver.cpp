@@ -4,6 +4,7 @@
 #include "driver/managed_engine.hpp"
 #include "driver/migration_engine.hpp"
 #include "driver/prefetcher.hpp"
+#include "event_counts.hpp"
 #include "os/page_fault.hpp"
 
 namespace ghum {
@@ -48,7 +49,7 @@ TEST_F(DriverTest, MigrationMovesOnlyCpuResidentPagesUpToBudget) {
       mig.migrate_system_range_to_gpu(v, v.base, v.size, 256 << 10);
   EXPECT_EQ(moved, 256u << 10);  // budget-limited
   EXPECT_EQ(v.resident_gpu_bytes, 256u << 10);
-  EXPECT_EQ(m.events().count(sim::EventType::kMigrationH2D), 1u);
+  EXPECT_EQ(count_events(m.events(), sim::EventType::kMigrationH2D), 1u);
 }
 
 TEST_F(DriverTest, MigrationStopsWhenGpuFull) {
@@ -78,7 +79,7 @@ TEST_F(DriverTest, AccessCounterFiresAtThreshold) {
   EXPECT_EQ(ac.notifications(), 1u);
   // The whole 2 MiB region migrated.
   EXPECT_EQ(ac.migrated_h2d_bytes(), 2u << 20);
-  EXPECT_EQ(m.events().count(sim::EventType::kCounterNotification), 1u);
+  EXPECT_EQ(count_events(m.events(), sim::EventType::kCounterNotification), 1u);
 }
 
 TEST_F(DriverTest, AccessCounterDisabledDoesNothing) {
@@ -167,8 +168,8 @@ TEST_F(ManagedTest, CpuResidentBlockMigratesOnGpuFault) {
   (void)managed.gpu_fault(v, v.base, 1);
   EXPECT_EQ(v.resident_cpu_bytes, 0u);
   EXPECT_EQ(v.resident_gpu_bytes, 2u << 20);
-  EXPECT_EQ(m.events().count(sim::EventType::kMigrationH2D), 1u);
-  EXPECT_EQ(m.events().total_bytes(sim::EventType::kMigrationH2D), 128u << 10);
+  EXPECT_EQ(count_events(m.events(), sim::EventType::kMigrationH2D), 1u);
+  EXPECT_EQ(event_bytes(m.events(), sim::EventType::kMigrationH2D), 128u << 10);
 }
 
 TEST_F(ManagedTest, CpuFaultOnGpuBlockMigratesBack) {
@@ -178,7 +179,7 @@ TEST_F(ManagedTest, CpuFaultOnGpuBlockMigratesBack) {
   EXPECT_EQ(v.resident_gpu_bytes, 0u);
   EXPECT_EQ(v.resident_cpu_bytes, 2u << 20);
   EXPECT_EQ(managed.resident_blocks(), 0u);
-  EXPECT_EQ(m.events().count(sim::EventType::kMigrationD2H), 1u);
+  EXPECT_EQ(count_events(m.events(), sim::EventType::kMigrationD2H), 1u);
 }
 
 TEST_F(ManagedTest, LruEvictionUnderPressure) {
@@ -192,7 +193,7 @@ TEST_F(ManagedTest, LruEvictionUnderPressure) {
   managed.touch_gpu_block(v.base, 2);
   (void)managed.gpu_fault(v, v.base + (std::uint64_t{2} << 20) * 4, 2);
   EXPECT_EQ(managed.evictions(), 1u);
-  EXPECT_EQ(m.events().count(sim::EventType::kEviction), 1u);
+  EXPECT_EQ(count_events(m.events(), sim::EventType::kEviction), 1u);
   // Block 1 was evicted; its pages are CPU-resident system pages now.
   EXPECT_EQ(v.resident_cpu_bytes, 2u << 20);
 }
@@ -221,7 +222,7 @@ TEST_F(ManagedTest, ExplicitPrefetchMigratesAndRearms) {
   EXPECT_EQ(v.resident_gpu_bytes, 4u << 20);
   EXPECT_EQ(v.resident_cpu_bytes, 0u);
   EXPECT_FALSE(managed.remote_mode(v));
-  EXPECT_EQ(m.events().count(sim::EventType::kExplicitPrefetch), 1u);
+  EXPECT_EQ(count_events(m.events(), sim::EventType::kExplicitPrefetch), 1u);
   // Prefetch back to CPU.
   managed.prefetch(v, v.base, v.size, mem::Node::kCpu);
   EXPECT_EQ(v.resident_gpu_bytes, 0u);

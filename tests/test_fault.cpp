@@ -9,6 +9,7 @@
 #include "benchsupport/scenarios.hpp"
 #include "core/system.hpp"
 #include "driver/migration_engine.hpp"
+#include "event_counts.hpp"
 #include "fault/fault_injector.hpp"
 #include "fault/status.hpp"
 #include "os/page_fault.hpp"
@@ -57,7 +58,7 @@ TEST(RuntimeStatus, MallocDeviceReportsOomWithoutThrowing) {
   EXPECT_EQ(rt.get_last_error(), Status::kErrorMemoryAllocation);
   EXPECT_EQ(rt.get_last_error(), Status::kSuccess);
   EXPECT_GE(sys.stats().get("runtime.oom.gpu_malloc"), 1u);
-  EXPECT_GE(sys.events().count(sim::EventType::kOutOfMemory), 1u);
+  EXPECT_GE(count_events(sys.events(), sim::EventType::kOutOfMemory), 1u);
   // The machine is still usable after the failure.
   core::Buffer ok;
   EXPECT_EQ(rt.malloc_device(1ull << 20, ok, "small"), Status::kSuccess);
@@ -95,7 +96,7 @@ TEST(Injection, DenialFallsBackToCpuPlacement) {
   sys.kernel_end();
   EXPECT_GE(sys.stats().get("fault.alloc_denials"), 1u);
   EXPECT_GE(sys.stats().get("os.fault.fallback"), 1u);
-  EXPECT_GE(sys.events().count(sim::EventType::kFallbackPlacement), 1u);
+  EXPECT_GE(count_events(sys.events(), sim::EventType::kFallbackPlacement), 1u);
 }
 
 // --- migration-batch failures --------------------------------------------------
@@ -122,8 +123,8 @@ TEST(Injection, MigrationRetryIsBoundedAndCharged) {
             static_cast<std::uint64_t>(cfg.faults.migration_max_retries));
   EXPECT_EQ(m.stats().get("fault.migration_aborts"), 1u);
   EXPECT_GT(m.clock().now(), t0);  // retry backoff is simulated time
-  EXPECT_GE(m.events().count(sim::EventType::kFaultMigrationRetry), 1u);
-  EXPECT_EQ(m.events().count(sim::EventType::kFaultMigrationAbort), 1u);
+  EXPECT_GE(count_events(m.events(), sim::EventType::kFaultMigrationRetry), 1u);
+  EXPECT_EQ(count_events(m.events(), sim::EventType::kFaultMigrationAbort), 1u);
 }
 
 // --- NVLink-C2C degradation windows -------------------------------------------
@@ -155,7 +156,7 @@ TEST(Injection, LinkDegradeWindowSlowsMigration) {
   }
   EXPECT_GT(slow.now(), clean.now());
   EXPECT_EQ(slow.stats().get("fault.link_degrade_windows"), 1u);
-  EXPECT_GE(slow.events().count(sim::EventType::kLinkDegradeBegin), 1u);
+  EXPECT_GE(count_events(slow.events(), sim::EventType::kLinkDegradeBegin), 1u);
 }
 
 // --- ECC uncorrectable errors ---------------------------------------------------
@@ -172,7 +173,7 @@ TEST(Injection, EccRetirementShrinksHbm) {
   EXPECT_EQ(gpu.capacity(), 6ull << 20);  // 8 MiB - 2 MiB retired
   EXPECT_EQ(sys.stats().get("fault.ecc_events"), 1u);
   EXPECT_EQ(sys.stats().get("fault.ecc_retired_bytes"), 2ull << 20);
-  EXPECT_EQ(sys.events().count(sim::EventType::kEccRetirement), 1u);
+  EXPECT_EQ(count_events(sys.events(), sim::EventType::kEccRetirement), 1u);
   // The shrunken HBM still serves allocations.
   core::Buffer b;
   EXPECT_EQ(sys.gpu_malloc_status(2ull << 20, b), Status::kSuccess);
@@ -199,7 +200,7 @@ TEST(Injection, EccRetirementEvictsManagedToVacateFrames) {
   EXPECT_EQ(sys.machine().frames(mem::Node::kGpu).retired_bytes(), 2ull << 20);
   EXPECT_EQ(sys.stats().get("fault.ecc_retired_bytes"), 2ull << 20);
   EXPECT_EQ(sys.stats().get("fault.ecc_unretired_bytes"), 0u);
-  EXPECT_GE(sys.events().count(sim::EventType::kEviction), 1u);
+  EXPECT_GE(count_events(sys.events(), sim::EventType::kEviction), 1u);
   // The run survives: the evicted data is CPU-resident, not lost.
   const os::Vma* vma = sys.machine().address_space().find(b.va);
   ASSERT_NE(vma, nullptr);

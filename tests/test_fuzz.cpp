@@ -8,6 +8,7 @@
 
 #include "apps/hotspot.hpp"
 #include "chk/snapshot.hpp"
+#include "event_counts.hpp"
 #include "net/halo.hpp"
 #include "runtime/runtime.hpp"
 #include "sim/rng.hpp"
@@ -280,7 +281,9 @@ SpanOutcome run_span_workload(std::uint64_t seed) {
   live.push_back(rt.malloc_managed(4 << 20));
   live.push_back(rt.malloc_system(4 << 20));
   SpanOutcome out;
-  auto retirements = [&sys] { return sys.events().count(sim::EventType::kEccRetirement); };
+  auto retirements = [&sys] {
+    return count_events(sys.events(), sim::EventType::kEccRetirement);
+  };
   for (int step = 0; step < 60; ++step) {
     const std::uint64_t op = rng.next_below(7);
     core::Buffer& b = live[rng.next_below(live.size())];
@@ -350,7 +353,7 @@ SpanOutcome run_span_workload(std::uint64_t seed) {
   for (auto& b : live) rt.free(b);
   out.end = sys.now();
   out.digest = sys.events().digest(sys.now());
-  out.ecc_retirements = sys.events().count(sim::EventType::kEccRetirement);
+  out.ecc_retirements = count_events(sys.events(), sim::EventType::kEccRetirement);
   for (const auto& [name, value] : sys.stats().snapshot()) {
     out.counters.emplace_back(name, value);
   }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "apps/hotspot.hpp"
+#include "event_counts.hpp"
 #include "tenant/scheduler.hpp"
 
 /// Recovery-ladder tests: GPU-reset crash faults under the co-scheduler,
@@ -77,7 +78,7 @@ TEST(RecoveryGpuReset, WithoutRecoveryTheJobFailsWithGpuReset) {
   sched.run_all();
   EXPECT_EQ(sched.job(id).state, tenant::JobState::kFailed);
   EXPECT_EQ(sched.job(id).status, Status::kErrorGpuReset);
-  EXPECT_EQ(sys.events().count(sim::EventType::kGpuReset), 1u);
+  EXPECT_EQ(count_events(sys.events(), sim::EventType::kGpuReset), 1u);
 }
 
 TEST(RecoveryGpuReset, RestartReplaysTheJobToTheSameResult) {
@@ -106,7 +107,7 @@ TEST(RecoveryGpuReset, RestartReplaysTheJobToTheSameResult) {
   EXPECT_EQ(j.report.checksum, want);
   EXPECT_EQ(j.restarts, 1u);
   EXPECT_GT(j.replayed, 0);
-  EXPECT_EQ(sys.events().count(sim::EventType::kJobRestart), 1u);
+  EXPECT_EQ(count_events(sys.events(), sim::EventType::kJobRestart), 1u);
   EXPECT_EQ(sys.machine()
                 .obs()
                 .counter("ghum_recovery_restarts_total",
@@ -207,7 +208,7 @@ TEST(RecoveryBudget, ZeroRestartBudgetFailsGracefullyOnTheFirstCrash) {
   // "crashed with no budget" from "crashed once, fatal by nature".
   EXPECT_EQ(j.status, Status::kErrorUnrecoverable);
   EXPECT_EQ(j.restarts, 0u);
-  EXPECT_EQ(sys.events().count(sim::EventType::kJobRestart), 0u);
+  EXPECT_EQ(count_events(sys.events(), sim::EventType::kJobRestart), 0u);
   EXPECT_EQ(sys.stats().get("recovery.restarts"), 0u);
   EXPECT_EQ(sys.stats().get("recovery.failed_jobs"), 1u);
 }

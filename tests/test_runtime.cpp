@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "apps/qvsim.hpp"
+#include "event_counts.hpp"
 #include "runtime/runtime.hpp"
 
 namespace ghum {
@@ -203,7 +204,7 @@ TEST_F(RuntimeTest, StreamTimelineCrossingLinkDegradeWindow) {
     const sim::Picos t0 = sys.now();
     rt.memcpy(d, h, 8 << 20, runtime::CopyKind::kHostToDevice);
     return std::tuple{issue_at, ready, sys.now() - t0,
-                      sys.events().count(sim::EventType::kLinkDegradeBegin)};
+                      count_events(sys.events(), sim::EventType::kLinkDegradeBegin)};
   };
   // Probe run (clean) to place the window strictly between the async
   // copy's issue point and its stream completion time.

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "event_counts.hpp"
 #include "sim/clock.hpp"
 #include "sim/event_log.hpp"
 #include "sim/rng.hpp"
@@ -88,10 +89,10 @@ TEST(EventLog, CountsAndBytesByType) {
   log.record(Event{.time = 1, .type = EventType::kMigrationH2D, .va = 0, .bytes = 64});
   log.record(Event{.time = 2, .type = EventType::kMigrationH2D, .va = 0, .bytes = 36});
   log.record(Event{.time = 3, .type = EventType::kEviction, .va = 0, .bytes = 100});
-  EXPECT_EQ(log.count(EventType::kMigrationH2D), 2u);
-  EXPECT_EQ(log.total_bytes(EventType::kMigrationH2D), 100u);
-  EXPECT_EQ(log.count(EventType::kEviction), 1u);
-  EXPECT_EQ(log.count(EventType::kMigrationD2H), 0u);
+  EXPECT_EQ(count_events(log, EventType::kMigrationH2D), 2u);
+  EXPECT_EQ(event_bytes(log, EventType::kMigrationH2D), 100u);
+  EXPECT_EQ(count_events(log, EventType::kEviction), 1u);
+  EXPECT_EQ(count_events(log, EventType::kMigrationD2H), 0u);
 }
 
 TEST(EventLog, EveryTypeHasAName) {
