@@ -114,8 +114,8 @@ RowOutcome run_row(std::size_t n, const std::vector<TenantKind>& mix) {
     out.tenants.push_back({j.spec.name, j.status, j.finished_at - j.started_at,
                            u.evictions_suffered, u.evictions_caused});
   }
-  out.cross_evictions = at.cross_tenant_evictions();
-  out.cross_evicted_bytes = at.cross_tenant_evicted_bytes();
+  out.cross_evictions = at.cross_tenant().count;
+  out.cross_evicted_bytes = at.cross_tenant().bytes;
   out.matrix = at.to_table();
   return out;
 }

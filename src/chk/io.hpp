@@ -44,24 +44,28 @@ namespace ghum::chk {
 
 inline constexpr std::uint64_t kMagic = 0x004b'4843'4d55'4847ull;  // "GHUMCHK\0"
 
-/// The one blob format written and read: page tables as extents
-/// (first_vpn, pages, pte), a has-data flag before each VMA's bytes,
-/// materialize_backing after the config's name field, and every event
-/// counter in the metrics-registry section only (no string-keyed stats
-/// section, no engine tallies). Versions 1 and 2 are no longer read;
-/// restore() rejects every other version.
-inline constexpr std::uint32_t kFormatVersion = 3;
+/// The one blob format written and read. Version 4 carries each fact of
+/// the machine once, and nothing restore can rebuild:
+///  - no per-call state, which is empty wherever snapshot() is legal: a
+///    prefetch's protected blocks, the open causal span and the fault
+///    suppression depth (snapshot() refuses to run inside the last two);
+///  - no derived copy: the current tenant lives in the event log only;
+///    frame capacities and baselines follow from the config and the
+///    retired frames, the RSS from the VMAs, TLB hit/miss counts from the
+///    registry, the link's degrade factors from the open link window, the
+///    cross-tenant eviction sums from the eviction matrix and the
+///    context-init charge from the context flag;
+///  - no state that is never read after a snapshot: the access-counter
+///    engine's per-kernel limiter (the next GPU note names a newer kernel);
+///  - no retired config byte.
+/// Versions 1 to 3 are no longer read; restore() rejects every other
+/// version.
+inline constexpr std::uint32_t kFormatVersion = 4;
 
 /// Starting value of the payload digest (sim::fnv1a's \p h). It is one
 /// decimal digit short of the FNV offset basis, and every blob and
 /// state_digest() ever produced is stamped with it, so it stays.
 inline constexpr std::uint64_t kDigestSeed = 1469598103934665603ull;
-
-/// The config byte that once switched batched access accounting off.
-/// Images keep it and always carry 1; Reader refuses 0, which would ask
-/// for an access path that no longer exists.
-struct RetiredSwitch {};
-inline constexpr RetiredSwitch kRetiredSwitch{};
 
 class Writer {
  public:
@@ -96,7 +100,6 @@ class Writer {
   }
   void field(os::AllocKind k) { field(static_cast<std::uint8_t>(k)); }
   void field(sim::EventType t) { field(static_cast<std::uint8_t>(t)); }
-  void field(RetiredSwitch) { field(std::uint8_t{1}); }
 
   /// A counted sequence: its size, then \p each(element) per element.
   template <typename Seq, typename Each>
@@ -159,23 +162,11 @@ class Reader {
   void field(std::optional<mem::Node>& n) {
     const std::uint8_t b = u8();
     n = b == 0 ? std::nullopt
-               : std::optional<mem::Node>{to_node(static_cast<std::uint8_t>(b - 1))};
+               : std::optional<mem::Node>{
+                     enumerator(static_cast<std::uint8_t>(b - 1), mem::Node::kGpu)};
   }
-  void field(os::AllocKind& k) {
-    const std::uint8_t b = u8();
-    if (b > static_cast<std::uint8_t>(os::AllocKind::kPinnedHost)) {
-      throw StatusError{Status::kErrorInvalidValue,
-                        "checkpoint: VMA kind byte names no allocation kind"};
-    }
-    k = static_cast<os::AllocKind>(b);
-  }
-  void field(sim::EventType& t) { t = static_cast<sim::EventType>(u8()); }
-  void field(RetiredSwitch) {
-    if (!boolean()) {
-      throw StatusError{Status::kErrorInvalidValue,
-                        "checkpoint: image asks for the retired per-access path"};
-    }
-  }
+  void field(os::AllocKind& k) { k = enumerator(u8(), os::AllocKind::kPinnedHost); }
+  void field(sim::EventType& t) { t = enumerator(u8(), sim::EventType::kJobRestart); }
 
   /// A counted sequence into \p v: each element is appended and read by
   /// \p each, so a corrupt count fails on the blob's end instead of sizing
@@ -222,7 +213,7 @@ class Reader {
   }
   [[nodiscard]] std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
   [[nodiscard]] bool boolean() { return u8() != 0; }
-  [[nodiscard]] mem::Node node() { return to_node(u8()); }
+  [[nodiscard]] mem::Node node() { return enumerator(u8(), mem::Node::kGpu); }
   /// Reads a record count and checks that that many records of at least
   /// \p min_record_bytes each still fit in the blob, so a corrupt count
   /// fails here instead of sizing an allocation.
@@ -253,16 +244,19 @@ class Reader {
 
   [[nodiscard]] std::size_t remaining() const noexcept { return size_ - pos_; }
 
- private:
-  /// Converts a node byte, refusing one that names no mem::Node: the
-  /// machine indexes its per-node tables with it.
-  [[nodiscard]] static mem::Node to_node(std::uint8_t node) {
-    if (node > static_cast<std::uint8_t>(mem::Node::kGpu)) {
+  /// Converts byte \p b to an enumerator of E, whose last enumerator is
+  /// \p last, refusing a byte that names none: the machine switches on
+  /// these values and indexes its tables with them.
+  template <typename E>
+  [[nodiscard]] static E enumerator(std::uint8_t b, E last) {
+    if (b > static_cast<std::uint8_t>(last)) {
       throw StatusError{Status::kErrorInvalidValue,
-                        "checkpoint: node byte names no memory node"};
+                        "checkpoint: an enum byte names no enumerator"};
     }
-    return static_cast<mem::Node>(node);
+    return static_cast<E>(b);
   }
+
+ private:
   void need(std::uint64_t n) const {
     if (size_ - pos_ < n) throw std::out_of_range{"chk: truncated checkpoint blob"};
   }

@@ -16,14 +16,14 @@
 ///   1. SystemConfig (incl. CostModel and FaultConfig — the blob is
 ///      self-describing; restore rebuilds the System from it)
 ///   2. Clock
-///   3. EventLog (full event stream)
+///   3. EventLog (incl. the machine's current tenant; full event stream)
 ///   4. FrameAllocators (GPU then CPU)
-///   5. NvlinkC2C (degrade factors + traffic counters)
+///   5. NvlinkC2C (traffic counters)
 ///   6. PageTables (system then GPU; extents in VPN order)
 ///   7. TLBs (SMMU cpu/ats, GMMU gpu/sys; most recent entry first)
 ///   8. AddressSpace (VMAs with their real backing bytes, each prefixed by
 ///      a has-data flag so non-materialized VMAs carry no byte image)
-///   9. Machine epoch / current tenant
+///   9. Machine epoch
 ///  10. MetricsRegistry (slots in exposition order) — every event counter
 ///      of the machine and its engines lives here, so no later section
 ///      repeats a tally
@@ -32,6 +32,9 @@
 ///  13. AccessCounterEngine
 ///  14. ManagedEngine (LRU front-to-back, per-VMA driver state)
 ///  15. FaultInjector (RNG words + schedule cursors)
+///
+/// Nothing restore can recompute travels (io.hpp lists it); restore()
+/// rebuilds it after the sections are read.
 ///
 /// config_fields() and state() name every section once, as templates over
 /// the archive, so save and restore cannot disagree on a field's order or
@@ -53,7 +56,7 @@ void config_fields(Ar& ar, Cfg& cfg) {
      cfg.counter_min_interval, cfg.counter_migrations_per_kernel,
      cfg.managed_prefetch, cfg.autonuma_balancing, cfg.autonuma_scan_period,
      cfg.cpu_tlb_entries, cfg.ats_tlb_entries, cfg.gpu_utlb_entries,
-     kRetiredSwitch, cfg.event_log, cfg.profiler_period,
+     cfg.event_log, cfg.profiler_period,
      cfg.profiler_enabled, cfg.link_monitor, cfg.link_monitor_window);
 
   auto& c = cfg.costs;
@@ -135,22 +138,20 @@ void Snapshotter::state(Ar& ar, core::System& sys, core::System* donor) {
   // contain everything they would have done.
   ar(m.clock_.now_);
 
-  // [3] EventLog.
+  // [3] EventLog; its tenant is the machine's one copy.
   sim::EventLog& el = m.events_;
-  ar(el.enabled_, el.tenant_, el.span_, el.span_seq_);
+  ar(el.enabled_, el.tenant_, el.span_seq_);
   ar.seq(el.events_, [&ar](auto& e) {
     ar(e.time, e.type, e.va, e.bytes, e.aux, e.tenant, e.span);
   });
 
-  // [4] Frame allocators.
+  // [4] Frame allocators (capacity and baseline follow from the config).
   for (mem::FrameAllocator* fa : {&m.gpu_fa_, &m.cpu_fa_}) {
-    ar(fa->capacity_, fa->used_, fa->baseline_, fa->retired_,
-       fa->total_allocated_, fa->peak_used_);
+    ar(fa->used_, fa->retired_, fa->total_allocated_, fa->peak_used_);
   }
 
-  // [5] NVLink-C2C.
-  ar(m.c2c_.bw_factor_, m.c2c_.lat_factor_, m.c2c_.bytes_[0],
-     m.c2c_.bytes_[1], m.c2c_.atomics_);
+  // [5] NVLink-C2C (its degrade factors are the open link window's).
+  ar(m.c2c_.bytes_[0], m.c2c_.bytes_[1], m.c2c_.atomics_);
 
   // [6] Page tables.
   page_table(ar, m.system_pt_);
@@ -164,11 +165,11 @@ void Snapshotter::state(Ar& ar, core::System& sys, core::System* donor) {
 
   // [8] Address space.
   os::AddressSpace& as = m.as_;
-  ar(as.next_va_, as.rss_, as.current_tenant_);
+  ar(as.next_va_);
   vmas(ar, as, donor);
 
-  // [9] Machine epoch / tenant.
-  ar(m.epoch_, m.tenant_);
+  // [9] Machine epoch.
+  ar(m.epoch_);
 
   // [10] Metrics registry.
   registry(ar, m.obs_);
@@ -184,22 +185,21 @@ void Snapshotter::state(Ar& ar, core::System& sys, core::System* donor) {
   ar.map(at.matrix_, [&ar](auto& pair, auto& cell) {
     ar(pair.first, pair.second, cell.count, cell.bytes);
   });
-  ar(at.cross_tenant_evictions_, at.cross_tenant_evicted_bytes_);
 
   // [12] System execution state. in_kernel_/in_phase_ are rejected by
   // snapshot(), so phase-local fields need no section.
-  ar(sys.ctx_init_, sys.ctx_charged_, sys.kernel_seq_);
+  ar(sys.ctx_init_, sys.kernel_seq_);
   ar.set(sys.freed_bases_);
 
-  // [13] Access-counter engine.
+  // [13] Access-counter engine. Its per-kernel limiter stays behind: the
+  // first GPU note after a snapshot names a newer kernel and resets it.
   driver::AccessCounterEngine& ac = sys.ac_;
   const auto region_count = [&ar](auto& region, auto& count) {
     ar(region, count);
   };
   ar.map(ac.gpu_counts_, region_count);
   ar.map(ac.cpu_counts_, region_count);
-  ar(ac.next_notification_allowed_, ac.current_kernel_,
-     ac.fired_this_kernel_, ac.h2d_, ac.d2h_);
+  ar(ac.next_notification_allowed_, ac.h2d_, ac.d2h_);
 
   // [14] Managed engine.
   driver::ManagedEngine& me = sys.managed_;
@@ -207,15 +207,13 @@ void Snapshotter::state(Ar& ar, core::System& sys, core::System* donor) {
   ar.map(me.vma_state_, [&ar](auto& base, auto& vs) {
     ar(base, vs.evicted_bytes, vs.migrated_blocks, vs.remote_mode);
   });
-  ar.set(me.prefetch_protected_);
   ar.set(me.replicas_);
 
   // [15] Fault injector. Schedules are rebuilt from the config; only the
   // RNG words and consumption cursors travel.
   fault::FaultInjector& fi = sys.fi_;
   for (std::uint64_t& s : fi.rng_.s_) ar(s);
-  ar(fi.suppress_, fi.next_window_, fi.active_window_, fi.next_ecc_,
-     fi.next_reset_);
+  ar(fi.next_window_, fi.active_window_, fi.next_ecc_, fi.next_reset_);
 }
 
 // --- rebuilt sections -------------------------------------------------------
@@ -244,16 +242,12 @@ void Snapshotter::page_table(Reader& r, pagetable::PageTable& pt) {
 
 // [7] TLBs, LRU front-to-back (most to least recent).
 void Snapshotter::tlb(Writer& w, pagetable::Tlb& tlb) {
-  w(tlb.hits_, tlb.misses_, std::uint64_t{tlb.size()});
+  w(std::uint64_t{tlb.size()});
   tlb.for_each_mru([&w](std::uint64_t vpn, mem::Node node) { w(vpn, node); });
 }
 
-// hits_/misses_ are set directly — the bound registry counters are
-// restored with the registry section, so going through the public
-// interface would double count. Entries arrive most recent first, so each
-// one is appended at the LRU end.
+// Entries arrive most recent first, so each one is appended at the LRU end.
 void Snapshotter::tlb(Reader& r, pagetable::Tlb& tlb) {
-  r(tlb.hits_, tlb.misses_);
   tlb.flush();
   const std::uint64_t n = r.count(9);  // a u64 VPN and a node byte
   if (n > tlb.capacity()) {
@@ -312,63 +306,59 @@ void Snapshotter::vmas(Reader& r, os::AddressSpace& as, core::System* donor) {
 }
 
 // [10] Metrics registry (slots_ map iterates in exposition order).
+template <typename Ar>
+void Snapshotter::slot_value(Ar& ar, obs::MetricsRegistry& reg,
+                             const obs::MetricsRegistry::Slot& slot) {
+  switch (slot.kind) {
+    case obs::MetricsRegistry::Kind::kCounter:
+      ar(reg.counters_[slot.index].value_);
+      break;
+    case obs::MetricsRegistry::Kind::kGauge:
+      ar(reg.gauges_[slot.index].value_);
+      break;
+    case obs::MetricsRegistry::Kind::kHistogram: {
+      obs::Histogram& h = reg.histograms_[slot.index];
+      for (std::uint64_t& b : h.buckets_) ar(b);
+      ar(h.count_, h.sum_, h.min_, h.max_);
+      break;
+    }
+  }
+}
+
 void Snapshotter::registry(Writer& w, obs::MetricsRegistry& reg) {
   w(std::uint64_t{reg.slots_.size()});
   for (const auto& [key, slot] : reg.slots_) {
     w(static_cast<std::uint8_t>(slot.kind), slot.name,
       std::uint64_t{slot.labels.size()});
     for (const obs::Label& l : slot.labels) w(l.key, l.value);
-    switch (slot.kind) {
-      case obs::MetricsRegistry::Kind::kCounter:
-        w(reg.counters_[slot.index].value_);
-        break;
-      case obs::MetricsRegistry::Kind::kGauge:
-        w(reg.gauges_[slot.index].value_);
-        break;
-      case obs::MetricsRegistry::Kind::kHistogram: {
-        const obs::Histogram& h = reg.histograms_[slot.index];
-        for (std::uint64_t b : h.buckets_) w(b);
-        w(h.count_, h.sum_, h.min_, h.max_);
-        break;
-      }
-    }
+    slot_value(w, reg, slot);
   }
 }
 
 // Find-or-create by (name, labels) — the fresh Machine constructor already
 // registered the memsys families, this overwrites their values and
-// creates anything beyond them.
+// creates anything beyond them. A kind that differs from it is refused.
 void Snapshotter::registry(Reader& r, obs::MetricsRegistry& reg) {
   for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    const auto kind = static_cast<obs::MetricsRegistry::Kind>(r.u8());
+    const auto kind = Reader::enumerator(r.u8(), obs::MetricsRegistry::Kind::kHistogram);
     std::string name = r.str();
     std::vector<obs::Label> labels(r.count(16));  // two length prefixes
     for (obs::Label& l : labels) r(l.key, l.value);
-    switch (kind) {
-      case obs::MetricsRegistry::Kind::kCounter:
-        r(reg.counter(name, labels).value_);
-        break;
-      case obs::MetricsRegistry::Kind::kGauge:
-        r(reg.gauge(name, labels).value_);
-        break;
-      case obs::MetricsRegistry::Kind::kHistogram: {
-        obs::Histogram& h = reg.histogram(name, labels);
-        for (std::uint64_t& b : h.buckets_) r(b);
-        r(h.count_, h.sum_, h.min_, h.max_);
-        break;
-      }
+    const obs::MetricsRegistry::Slot* slot = nullptr;
+    try {
+      slot = &reg.slot(name, labels, kind);
+    } catch (const std::logic_error&) {
+      throw StatusError{Status::kErrorInvalidValue,
+                        "checkpoint: metric slot changes its kind"};
     }
+    slot_value(r, reg, *slot);
   }
 }
 
-// [14] Managed LRU, front (MRU) to back with each block's info, so
-// restore rebuilds list and map in one pass.
+// [14] Managed LRU, front (MRU) to back, so restore rebuilds list and
+// map in one pass.
 void Snapshotter::managed_lru(Writer& w, driver::ManagedEngine& me) {
-  w(std::uint64_t{me.lru_.size()});
-  for (std::uint64_t block : me.lru_) {
-    const auto& info = me.blocks_.at(block);
-    w(block, info.vma_base, info.last_kernel);
-  }
+  w.seq(me.lru_, [&w](std::uint64_t block) { w(block); });
 }
 
 void Snapshotter::managed_lru(Reader& r, driver::ManagedEngine& me) {
@@ -377,18 +367,20 @@ void Snapshotter::managed_lru(Reader& r, driver::ManagedEngine& me) {
   for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
     const std::uint64_t block = r.u64();
     me.lru_.push_back(block);
-    auto& info = me.blocks_[block];
-    info.lru_it = std::prev(me.lru_.end());
-    r(info.vma_base, info.last_kernel);
+    if (!me.blocks_.emplace(block, std::prev(me.lru_.end())).second) {
+      throw StatusError{Status::kErrorInvalidValue,
+                        "checkpoint: managed LRU repeats a block"};
+    }
   }
 }
 
 // --- public API -------------------------------------------------------------
 
 Writer Snapshotter::payload(core::System& sys, const char* caller) {
-  if (sys.in_kernel_ || sys.in_phase_) {
+  if (sys.in_kernel_ || sys.in_phase_ || sys.m_.events_.current_span() != 0 ||
+      sys.fi_.suppressed()) {
     throw StatusError{Status::kErrorInvalidValue,
-                      std::string{caller} + " inside an open kernel/phase"};
+                      std::string{caller} + " inside an open kernel/phase/span"};
   }
   Writer w;
   config_fields(w, sys.config());
@@ -422,13 +414,32 @@ std::unique_ptr<core::System> Snapshotter::restore(const Blob& blob,
                         "checkpoint: configuration cannot build a machine"};
     }
     state(r, *sys, donor);
-    sys->m_.drop_cursors();
+    core::Machine& m = sys->m_;
+    for (mem::FrameAllocator* fa : {&m.gpu_fa_, &m.cpu_fa_}) {
+      if (fa->retired_ > fa->configured_ || fa->used_ > fa->capacity()) {
+        throw StatusError{Status::kErrorInvalidValue,
+                          "checkpoint: frames used exceed capacity"};
+      }
+    }
+    // Each TLB's hit and miss counts are its registry counters.
+    for (pagetable::Tlb* tlb : {&m.smmu_.cpu_tlb(), &m.smmu_.ats_tlb(),
+                                &m.gmmu_.utlb_gpu(), &m.gmmu_.utlb_sys()}) {
+      tlb->hits_ = tlb->hits_ctr_->value();
+      tlb->misses_ = tlb->misses_ctr_->value();
+    }
+    fault::FaultInjector& fi = sys->fi_;
+    if (fi.active_window_ >= std::ssize(fi.windows_)) {
+      throw StatusError{Status::kErrorInvalidValue,
+                        "checkpoint: open link window names no window"};
+    }
+    // Construction may have opened a window at time 0.
+    fi.active_window_ >= 0 ? fi.degrade_link() : m.c2c_.clear_degrade();
+    m.drop_cursors();
     // With a donor, the ECC/reset cursors never rewind below the donor's:
     // a scheduled fault the crashed attempt already consumed must not fire
     // again on the replay, or recovery would crash deterministically
     // forever.
     if (donor != nullptr) {
-      fault::FaultInjector& fi = sys->fi_;
       fi.next_ecc_ = std::max(fi.next_ecc_, donor->fi_.next_ecc_);
       fi.next_reset_ = std::max(fi.next_reset_, donor->fi_.next_reset_);
     }

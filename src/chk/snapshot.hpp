@@ -38,10 +38,11 @@ using Blob = std::vector<std::uint8_t>;
 
 class Snapshotter {
  public:
-  /// Serializes \p sys into a fresh blob. Must be called between phases:
-  /// an open kernel/host phase holds un-serializable mid-flight state, so
-  /// snapshotting there throws StatusError{kErrorInvalidValue}. The blob
-  /// is always format kFormatVersion (io.hpp).
+  /// Serializes \p sys into a fresh blob. Must be called between phases,
+  /// outside any causal span or fault suppression: those hold mid-flight
+  /// state of a call still on the stack, so snapshotting there throws
+  /// StatusError{kErrorInvalidValue}. The blob is always format
+  /// kFormatVersion (io.hpp).
   [[nodiscard]] static Blob snapshot(core::System& sys);
 
   /// Validates the blob (magic, version, payload digest) and reconstructs
@@ -73,7 +74,7 @@ class Snapshotter {
 
  private:
   /// The config and machine-state sections of a snapshot taken now;
-  /// \p caller names the refusing call inside an open kernel/phase.
+  /// \p caller names the refusing call inside an open kernel/phase/span.
   [[nodiscard]] static Writer payload(core::System& sys, const char* caller);
 
   /// Every machine-state section in payload order, over a Writer or a
@@ -91,6 +92,9 @@ class Snapshotter {
   static void vmas(Reader& r, os::AddressSpace& as, core::System* donor);
   static void registry(Writer& w, obs::MetricsRegistry& reg);
   static void registry(Reader& r, obs::MetricsRegistry& reg);
+  template <typename Ar>
+  static void slot_value(Ar& ar, obs::MetricsRegistry& reg,
+                         const obs::MetricsRegistry::Slot& slot);
   static void managed_lru(Writer& w, driver::ManagedEngine& me);
   static void managed_lru(Reader& r, driver::ManagedEngine& me);
 };

@@ -12,6 +12,7 @@ namespace ghum::core {
 void Machine::sync_obs_gauges() {
   const auto i64 = [](std::uint64_t v) { return static_cast<std::int64_t>(v); };
   obs_.gauge("ghum_gpu_used_bytes").set(i64(gpu_used_bytes()));
+  // Sums the VMAs' per-VMA resident counters: O(#VMAs), never a page scan.
   obs_.gauge("ghum_cpu_rss_bytes").set(i64(cpu_rss_bytes()));
   obs_.gauge("ghum_frames_free_bytes", {{"node", "gpu"}})
       .set(i64(gpu_fa_.free_bytes()));

@@ -159,12 +159,10 @@ class Machine {
   /// core::System) around each resume; kNoTenant for single-app runs. New
   /// VMAs and logged events are stamped with it, and eviction attribution
   /// treats it as the perpetrator.
-  void set_current_tenant(tenant::TenantId t) noexcept {
-    tenant_ = t;
-    events_.set_current_tenant(t);
-    as_.set_current_tenant(t);
+  void set_current_tenant(tenant::TenantId t) noexcept { events_.set_current_tenant(t); }
+  [[nodiscard]] tenant::TenantId current_tenant() const noexcept {
+    return events_.current_tenant();
   }
-  [[nodiscard]] tenant::TenantId current_tenant() const noexcept { return tenant_; }
 
   /// Per-tenant resource ledger (frames, faults, migrations, evictions),
   /// fed by the transition helpers below and the policy layers.
@@ -273,7 +271,6 @@ class Machine {
   fault::FaultInjector* fi_ = nullptr;
   std::uint64_t epoch_ = 0;
   LineCursor* cursors_ = nullptr;
-  tenant::TenantId tenant_ = tenant::kNoTenant;
   tenant::AttributionTable attribution_;
 
   void drop_cursors() noexcept {

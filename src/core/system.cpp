@@ -72,7 +72,8 @@ Status System::gpu_malloc_status(std::uint64_t bytes, Buffer& out,
   service_faults();
   const auto& costs = m_.config().costs;
   os::Vma& vma = m_.address_space().create(bytes, os::AllocKind::kGpuOnly,
-                                           pagetable::kGpuPageSize, std::move(label));
+                                           pagetable::kGpuPageSize, std::move(label),
+                                           m_.current_tenant());
   const std::uint64_t blocks =
       (bytes + pagetable::kGpuPageSize - 1) / pagetable::kGpuPageSize;
   m_.clock().advance(costs.gpu_alloc_base +
@@ -398,7 +399,6 @@ sim::Picos System::memcpy_cost_and_copy(const Buffer& dst, std::uint64_t dst_off
 void System::ensure_gpu_context() {
   if (ctx_init_) return;
   ctx_init_ = true;
-  ctx_charged_ = m_.config().costs.context_init;
   m_.clock().advance(m_.config().costs.context_init);
   if (m_.events().enabled()) {
     m_.events().record(sim::Event{.time = m_.clock().now(),
@@ -743,7 +743,7 @@ void System::resolve_page(PageView& view, std::uint64_t va) {
           view.node = mem::Node::kGpu;
           gpu_block_bounds(va);
         } else {
-          const auto r = managed_.gpu_fault(*vma, va, kernel_seq_);
+          const auto r = managed_.gpu_fault(*vma, va);
           ++traffic_.managed_faults;
           view.node = r.node;
           view.remote_managed = r.remote_mapped;
@@ -811,7 +811,7 @@ void System::commit(const PageView& view, std::uint64_t read_bytes,
       }
     }
     if (view.kind == os::AllocKind::kManaged && view.node == mem::Node::kGpu) {
-      managed_.touch_gpu_block(view.page_base, kernel_seq_);
+      managed_.touch_gpu_block(view.page_base);
       // A write to a read-duplicated block collapses the GPU replica (the
       // next access re-resolves via the epoch bump).
       if (write_bytes > 0 && managed_.is_replica(view.page_base)) {

@@ -193,7 +193,7 @@ class System {
   /// Section 4 observation that the system version pays it inside the
   /// first kernel.
   [[nodiscard]] sim::Picos context_init_charged() const noexcept {
-    return ctx_charged_;
+    return ctx_init_ ? m_.config().costs.context_init : 0;
   }
 
   /// Begins a GPU kernel: charges launch overhead, starts a traffic record.
@@ -316,7 +316,6 @@ class System {
   obs::LinkMonitor link_mon_;
 
   bool ctx_init_ = false;
-  sim::Picos ctx_charged_ = 0;
   bool in_kernel_ = false;
   bool in_phase_ = false;
   std::uint64_t kernel_seq_ = 0;

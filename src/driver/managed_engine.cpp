@@ -15,7 +15,7 @@ constexpr std::uint64_t kBlock = pagetable::kGpuPageSize;
 os::Vma& ManagedEngine::allocate(std::uint64_t bytes, std::string label) {
   const auto& costs = m_->config().costs;
   os::Vma& vma = m_->address_space().create(bytes, os::AllocKind::kManaged, kBlock,
-                                            std::move(label));
+                                            std::move(label), m_->current_tenant());
   // VA-range bookkeeping happens at system-page granularity (the managed
   // range is registered with the OS too), which is where managed memory's
   // small but measurable 4 KiB allocation overhead comes from (Figure 8's
@@ -48,8 +48,7 @@ void ManagedEngine::release_gpu_blocks(os::Vma& vma) {
   vma_state_.erase(vma.base);
 }
 
-ManagedResolution ManagedEngine::gpu_fault(os::Vma& vma, std::uint64_t va,
-                                           std::uint64_t kernel_id) {
+ManagedResolution ManagedEngine::gpu_fault(os::Vma& vma, std::uint64_t va) {
   // The replayable fault is a causal root: migrations, evictions and
   // retries triggered while servicing it inherit its span.
   sim::SpanScope span{m_->events()};
@@ -96,8 +95,8 @@ ManagedResolution ManagedEngine::gpu_fault(os::Vma& vma, std::uint64_t va,
 
   // cudaMemAdvise interactions.
   if (vma.read_mostly) {
-    if (make_replica(vma, block_base)) {
-      touch_gpu_block(block_base, kernel_id);
+    if (make_replica(vma, block_base, /*protect=*/{})) {
+      touch_gpu_block(block_base);
       return ManagedResolution{.node = mem::Node::kGpu, .remote_mapped = false};
     }
     return remote_resolve();
@@ -128,7 +127,7 @@ ManagedResolution ManagedEngine::gpu_fault(os::Vma& vma, std::uint64_t va,
     // access remotely this time instead of failing the kernel.
     return remote_resolve();
   }
-  touch_gpu_block(block_base, kernel_id);
+  touch_gpu_block(block_base);
   return ManagedResolution{.node = mem::Node::kGpu, .remote_mapped = false};
 }
 
@@ -159,7 +158,7 @@ mem::Node ManagedEngine::cpu_fault(os::Vma& vma, std::uint64_t va) {
     if ((m_->frames(mem::Node::kGpu).free_bytes() >= need ||
          ensure_gpu_room(need, block_base)) &&
         block_to_gpu(vma, block_base, /*via_fault=*/true)) {
-      touch_gpu_block(block_base, 0);
+      touch_gpu_block(block_base);
       return mem::Node::kGpu;
     }
     // No room at the preferred location: fall back to CPU placement.
@@ -170,11 +169,12 @@ mem::Node ManagedEngine::cpu_fault(os::Vma& vma, std::uint64_t va) {
   return mem::Node::kCpu;
 }
 
-bool ManagedEngine::make_replica(os::Vma& vma, std::uint64_t block_base) {
+bool ManagedEngine::make_replica(os::Vma& vma, std::uint64_t block_base,
+                                 const std::set<std::uint64_t>& protect) {
   const auto& costs = m_->config().costs;
   const std::uint64_t need = m_->gpu_block_bytes(vma, block_base);
   if (m_->frames(mem::Node::kGpu).free_bytes() < need &&
-      !ensure_gpu_room(need, block_base)) {
+      !ensure_gpu_room(need, block_base, protect)) {
     return false;
   }
   // The CPU copy stays authoritative; untouched pages materialize on the
@@ -196,7 +196,7 @@ bool ManagedEngine::make_replica(os::Vma& vma, std::uint64_t block_base) {
       costs.managed_fault_batch +
       mig_->bulk_copy_time(interconnect::Direction::kCpuToGpu, bytes);
   m_->clock().advance(dt);
-  register_block(vma, block_base);
+  register_block(block_base);
   replicas_.insert(block_base);
   auto& met = m_->metrics();
   met.replicas_created->inc();
@@ -229,12 +229,10 @@ void ManagedEngine::collapse_all_replicas(os::Vma& vma) {
   }
 }
 
-void ManagedEngine::touch_gpu_block(std::uint64_t block_base, std::uint64_t kernel_id) {
+void ManagedEngine::touch_gpu_block(std::uint64_t block_base) {
   auto it = blocks_.find(block_base);
-  if (it == blocks_.end()) return;
-  if (it->second.last_kernel == kernel_id && it->second.lru_it == lru_.begin()) return;
-  it->second.last_kernel = kernel_id;
-  lru_.splice(lru_.begin(), lru_, it->second.lru_it);
+  if (it == blocks_.end() || it->second == lru_.begin()) return;
+  lru_.splice(lru_.begin(), lru_, it->second);
 }
 
 void ManagedEngine::prefetch(os::Vma& vma, std::uint64_t base, std::uint64_t len,
@@ -243,6 +241,8 @@ void ManagedEngine::prefetch(os::Vma& vma, std::uint64_t base, std::uint64_t len
   sim::SpanScope span{m_->events()};
   const auto& costs = m_->config().costs;
   m_->clock().advance(costs.memcpy_base);
+  // Blocks this call holds; making room for its later blocks spares them.
+  std::set<std::uint64_t> protect;
   const std::uint64_t start = m_->gpu_pt().page_base(std::max(base, vma.base));
   const std::uint64_t stop = std::min(base + len, vma.end());
   std::uint64_t moved = 0;
@@ -253,23 +253,23 @@ void ManagedEngine::prefetch(os::Vma& vma, std::uint64_t base, std::uint64_t len
       if (on_gpu) {
         // Prefetching a range never evicts already-resident parts of that
         // same range to make room for its tail.
-        prefetch_protected_.insert(block);
+        protect.insert(block);
         continue;
       }
       if (vma.read_mostly) {
         // Prefetch of a read-mostly range creates replicas (CUDA
         // semantics: the CPU copy stays valid).
-        if (!make_replica(vma, block)) {
+        if (!make_replica(vma, block, protect)) {
           fully_resident = false;
           break;
         }
-        prefetch_protected_.insert(block);
+        protect.insert(block);
         moved += m_->gpu_block_bytes(vma, block);
         continue;
       }
       const std::uint64_t need = m_->gpu_block_bytes(vma, block);
       if (m_->frames(mem::Node::kGpu).free_bytes() < need &&
-          !ensure_gpu_room(need, block)) {
+          !ensure_gpu_room(need, block, protect)) {
         // GPU exhausted (everything evictable is protected by this very
         // call): prefetch what fits and leave the rest CPU-resident.
         fully_resident = false;
@@ -279,8 +279,8 @@ void ManagedEngine::prefetch(os::Vma& vma, std::uint64_t base, std::uint64_t len
         fully_resident = false;
         break;
       }
-      touch_gpu_block(block, 0);
-      prefetch_protected_.insert(block);
+      touch_gpu_block(block);
+      protect.insert(block);
       moved += need;
     } else {
       if (!on_gpu) continue;
@@ -288,7 +288,6 @@ void ManagedEngine::prefetch(os::Vma& vma, std::uint64_t base, std::uint64_t len
       moved += m_->gpu_block_bytes(vma, block);
     }
   }
-  prefetch_protected_.clear();
   if (dst == mem::Node::kGpu && fully_resident) {
     // A fully satisfied hint re-arms migration for this allocation; a
     // partial prefetch keeps the thrash guard engaged so the non-resident
@@ -313,12 +312,13 @@ bool ManagedEngine::remote_mode(const os::Vma& vma) const {
   return it != vma_state_.end() && it->second.remote_mode;
 }
 
-bool ManagedEngine::ensure_gpu_room(std::uint64_t bytes, std::uint64_t keep_block) {
+bool ManagedEngine::ensure_gpu_room(std::uint64_t bytes, std::uint64_t keep_block,
+                                    const std::set<std::uint64_t>& protect) {
   std::size_t skipped = 0;
   while (m_->frames(mem::Node::kGpu).free_bytes() < bytes) {
     if (lru_.size() <= skipped) return false;
     std::uint64_t victim = lru_.back();
-    if (victim == keep_block || prefetch_protected_.contains(victim)) {
+    if (victim == keep_block || protect.contains(victim)) {
       // Never evict the block being serviced or a block the in-flight
       // prefetch just brought in.
       ++skipped;
@@ -483,7 +483,7 @@ bool ManagedEngine::block_to_gpu(os::Vma& vma, std::uint64_t block_base,
   }
   m_->clock().advance(t);
 
-  register_block(vma, block_base);
+  register_block(block_base);
   auto& met = m_->metrics();
   if (via_fault) met.faults_gpu_managed->inc();
   if (moved_bytes > 0) {
@@ -515,17 +515,16 @@ bool ManagedEngine::block_to_gpu(os::Vma& vma, std::uint64_t block_base,
   return true;
 }
 
-void ManagedEngine::register_block(os::Vma& vma, std::uint64_t block_base) {
+void ManagedEngine::register_block(std::uint64_t block_base) {
   lru_.push_front(block_base);
-  blocks_[block_base] = BlockInfo{.lru_it = lru_.begin(), .vma_base = vma.base,
-                                  .last_kernel = 0};
+  blocks_[block_base] = lru_.begin();
 }
 
 void ManagedEngine::forget_block(std::uint64_t block_base) {
   replicas_.erase(block_base);
   auto it = blocks_.find(block_base);
   if (it == blocks_.end()) return;
-  lru_.erase(it->second.lru_it);
+  lru_.erase(it->second);
   blocks_.erase(it);
 }
 

@@ -63,7 +63,7 @@ class ManagedEngine {
   /// Resolves a faulting GPU access (page absent from the GPU page table).
   /// Honours cudaMemAdvise state: a CPU preferred location remote-maps
   /// instead of migrating; read-mostly ranges get a GPU read replica.
-  ManagedResolution gpu_fault(os::Vma& vma, std::uint64_t va, std::uint64_t kernel_id);
+  ManagedResolution gpu_fault(os::Vma& vma, std::uint64_t va);
 
   /// Resolves a faulting CPU access (page absent from the system page
   /// table): plain CPU first-touch, migration of a GPU block back, or —
@@ -83,8 +83,8 @@ class ManagedEngine {
   void collapse_all_replicas(os::Vma& vma);
   [[nodiscard]] std::size_t replica_count() const noexcept { return replicas_.size(); }
 
-  /// LRU bookkeeping: the GPU touched a resident block during \p kernel_id.
-  void touch_gpu_block(std::uint64_t block_base, std::uint64_t kernel_id);
+  /// LRU bookkeeping: the GPU touched a resident block.
+  void touch_gpu_block(std::uint64_t block_base);
 
   /// cudaMemPrefetchAsync-style explicit migration of [base, base+len).
   void prefetch(os::Vma& vma, std::uint64_t base, std::uint64_t len, mem::Node dst);
@@ -112,21 +112,17 @@ class ManagedEngine {
   }
 
  private:
-  struct BlockInfo {
-    std::list<std::uint64_t>::iterator lru_it;
-    std::uint64_t vma_base = 0;
-    std::uint64_t last_kernel = 0;
-  };
   struct VmaState {
     std::uint64_t evicted_bytes = 0;
     std::uint64_t migrated_blocks = 0;  ///< prefetcher warm-up state
     bool remote_mode = false;
   };
 
-  /// Evicts LRU blocks (excluding \p keep_block and blocks protected by an
-  /// in-flight prefetch) until \p bytes fit on the GPU. Returns false if
-  /// pressure cannot be relieved.
-  bool ensure_gpu_room(std::uint64_t bytes, std::uint64_t keep_block);
+  /// Evicts LRU blocks (excluding \p keep_block and the blocks in
+  /// \p protect, which an in-flight prefetch holds) until \p bytes fit on
+  /// the GPU. Returns false if pressure cannot be relieved.
+  bool ensure_gpu_room(std::uint64_t bytes, std::uint64_t keep_block,
+                       const std::set<std::uint64_t>& protect = {});
 
   /// Thrash-guard entry: models UVM's thrashing mitigation, which pins the
   /// range to system memory — remaining GPU-resident blocks of \p vma are
@@ -149,12 +145,13 @@ class ManagedEngine {
   [[nodiscard]] bool block_to_gpu(os::Vma& vma, std::uint64_t block_base,
                                   bool via_fault);
 
-  void register_block(os::Vma& vma, std::uint64_t block_base);
+  void register_block(std::uint64_t block_base);
   void forget_block(std::uint64_t block_base);
 
-  /// Builds a GPU read replica of a (CPU-resident) read-mostly block.
-  /// Returns false when GPU room cannot be made.
-  bool make_replica(os::Vma& vma, std::uint64_t block_base);
+  /// Builds a GPU read replica of a (CPU-resident) read-mostly block. Returns
+  /// false when GPU room cannot be made without evicting \p protect.
+  bool make_replica(os::Vma& vma, std::uint64_t block_base,
+                    const std::set<std::uint64_t>& protect);
 
   core::Machine* m_;
   MigrationEngine* mig_;
@@ -162,11 +159,9 @@ class ManagedEngine {
   Prefetcher prefetcher_;
 
   std::list<std::uint64_t> lru_;  ///< GPU-resident managed block bases; front = MRU
-  std::unordered_map<std::uint64_t, BlockInfo> blocks_;
+  /// Each resident block's place in lru_.
+  std::unordered_map<std::uint64_t, std::list<std::uint64_t>::iterator> blocks_;
   std::unordered_map<std::uint64_t, VmaState> vma_state_;  ///< keyed by vma.base
-  /// Blocks brought in by the prefetch call currently executing; they must
-  /// not be evicted to make room for later blocks of the same call.
-  std::set<std::uint64_t> prefetch_protected_;
   /// GPU read replicas of read-mostly blocks (the system page table keeps
   /// the authoritative CPU copy while these exist).
   std::set<std::uint64_t> replicas_;

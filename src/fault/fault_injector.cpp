@@ -44,6 +44,12 @@ bool FaultInjector::fail_migration_batch() {
   return rng_.next_double() < cfg_.migration_batch_fail_prob;
 }
 
+void FaultInjector::degrade_link() {
+  const LinkDegradeWindow& w = windows_[static_cast<std::size_t>(active_window_)];
+  m_->c2c().set_degrade(std::max(1.0, w.bandwidth_factor),
+                        std::max(1.0, w.latency_factor));
+}
+
 void FaultInjector::on_time_advance(sim::Picos now) {
   if (windows_.empty()) return;
   auto& c2c = m_->c2c();
@@ -68,10 +74,8 @@ void FaultInjector::on_time_advance(sim::Picos now) {
     m_->metrics().link_windows_skipped->inc();
   }
   if (next_window_ < windows_.size() && now >= windows_[next_window_].start) {
-    const LinkDegradeWindow& w = windows_[next_window_];
-    c2c.set_degrade(std::max(1.0, w.bandwidth_factor),
-                    std::max(1.0, w.latency_factor));
     active_window_ = static_cast<std::ptrdiff_t>(next_window_++);
+    degrade_link();
     m_->metrics().link_degrade_begins->inc();
     if (m_->events().enabled()) {
       m_->events().record(sim::Event{.time = now,

@@ -104,6 +104,9 @@ class FaultInjector {
   }
 
  private:
+  /// Gives the link the open window's factors (each at least 1).
+  void degrade_link();
+
   core::Machine* m_;
   FaultConfig cfg_;
   sim::Rng rng_;

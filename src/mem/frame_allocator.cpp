@@ -6,7 +6,7 @@
 namespace ghum::mem {
 
 void FrameAllocator::check_invariant() const {
-  if (used_ > capacity_) {
+  if (used_ > capacity()) {
     throw std::logic_error{"FrameAllocator: used exceeds capacity"};
   }
 }
@@ -19,9 +19,9 @@ void FrameAllocator::reserve_baseline(std::uint64_t bytes) {
 }
 
 bool FrameAllocator::allocate(std::uint64_t bytes) {
-  // Compare against the remaining headroom: `used_ + bytes > capacity_`
+  // Compare against the remaining headroom: `used_ + bytes > capacity()`
   // wraps for huge requests and would admit them.
-  if (bytes > capacity_ - used_) return false;
+  if (bytes > free_bytes()) return false;
   used_ += bytes;
   total_allocated_ += bytes;
   if (used_ > peak_used_) peak_used_ = used_;
@@ -31,9 +31,8 @@ bool FrameAllocator::allocate(std::uint64_t bytes) {
 
 std::uint64_t FrameAllocator::retire(std::uint64_t bytes) {
   const std::uint64_t take = std::min(bytes, free_bytes());
-  capacity_ -= take;
   retired_ += take;
-  if (peak_used_ > capacity_) peak_used_ = capacity_;
+  if (peak_used_ > capacity()) peak_used_ = capacity();
   check_invariant();
   return take;
 }

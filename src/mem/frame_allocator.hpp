@@ -21,12 +21,13 @@ namespace ghum::mem {
 class FrameAllocator {
  public:
   FrameAllocator(Node node, std::uint64_t capacity_bytes)
-      : node_(node), capacity_(capacity_bytes) {}
+      : node_(node), configured_(capacity_bytes) {}
 
   [[nodiscard]] Node node() const noexcept { return node_; }
-  [[nodiscard]] std::uint64_t capacity() const noexcept { return capacity_; }
+  /// The configured capacity less the retired frames.
+  [[nodiscard]] std::uint64_t capacity() const noexcept { return configured_ - retired_; }
   [[nodiscard]] std::uint64_t used() const noexcept { return used_; }
-  [[nodiscard]] std::uint64_t free_bytes() const noexcept { return capacity_ - used_; }
+  [[nodiscard]] std::uint64_t free_bytes() const noexcept { return capacity() - used_; }
 
   /// A permanently resident baseline (the ~600 MB GPU-driver footprint the
   /// paper's profiler observes via nvidia-smi, scaled). Counts toward used().
@@ -51,14 +52,14 @@ class FrameAllocator {
 
  private:
   Node node_;
-  std::uint64_t capacity_ = 0;
+  std::uint64_t configured_;
   std::uint64_t used_ = 0;
   std::uint64_t baseline_ = 0;
   std::uint64_t retired_ = 0;
   std::uint64_t total_allocated_ = 0;
   std::uint64_t peak_used_ = 0;
 
-  /// used_ <= capacity_ must hold after every mutation; free_bytes() and
+  /// used_ <= capacity() must hold after every mutation; free_bytes() and
   /// peak_used() are derived from it and silently corrupt reports if it
   /// ever breaks (e.g. a retire() racing a stale free_bytes() reading).
   void check_invariant() const;

@@ -16,7 +16,8 @@ std::string_view to_string(AllocKind k) noexcept {
 }
 
 Vma& AddressSpace::create(std::uint64_t size, AllocKind kind,
-                          std::uint64_t alignment, std::string label) {
+                          std::uint64_t alignment, std::string label,
+                          tenant::TenantId tenant) {
   if (size == 0) throw std::invalid_argument{"AddressSpace::create: zero size"};
   if (alignment == 0 || !std::has_single_bit(alignment)) {
     throw std::invalid_argument{"AddressSpace::create: bad alignment"};
@@ -29,7 +30,7 @@ Vma& AddressSpace::create(std::uint64_t size, AllocKind kind,
   vma.size = size;
   vma.kind = kind;
   vma.label = std::move(label);
-  vma.tenant = current_tenant_;
+  vma.tenant = tenant;
   if (materialize_) vma.data = std::make_unique<std::byte[]>(size);
 
   auto [it, inserted] = vmas_.emplace(base, std::move(vma));
@@ -40,7 +41,6 @@ Vma& AddressSpace::create(std::uint64_t size, AllocKind kind,
 void AddressSpace::destroy(std::uint64_t base) {
   auto it = vmas_.find(base);
   if (it == vmas_.end()) throw std::invalid_argument{"AddressSpace::destroy: no such VMA"};
-  rss_ -= it->second.resident_cpu_bytes;
   vmas_.erase(it);
 }
 
@@ -69,7 +69,6 @@ void AddressSpace::note_resident_delta(Vma& vma, std::int64_t cpu_delta,
       static_cast<std::int64_t>(vma.resident_cpu_bytes) + cpu_delta);
   vma.resident_gpu_bytes = static_cast<std::uint64_t>(
       static_cast<std::int64_t>(vma.resident_gpu_bytes) + gpu_delta);
-  rss_ = static_cast<std::uint64_t>(static_cast<std::int64_t>(rss_) + cpu_delta);
 }
 
 }  // namespace ghum::os

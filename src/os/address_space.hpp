@@ -78,11 +78,11 @@ struct Vma {
 
 class AddressSpace {
  public:
-  /// Creates a VMA of \p size bytes aligned to \p alignment (power of two).
-  /// The VA range includes a trailing guard gap so adjacent VMAs never
-  /// share a page at any supported page size.
+  /// Creates a VMA of \p size bytes aligned to \p alignment (power of two),
+  /// owned by \p tenant. The VA range includes a trailing guard gap so
+  /// adjacent VMAs never share a page at any supported page size.
   Vma& create(std::uint64_t size, AllocKind kind, std::uint64_t alignment,
-              std::string label);
+              std::string label, tenant::TenantId tenant);
 
   /// Destroys the VMA starting at \p base (throws if absent).
   void destroy(std::uint64_t base);
@@ -98,7 +98,11 @@ class AddressSpace {
 
   /// Sum of resident bytes on the CPU across all VMAs — the process RSS
   /// as the paper's profiler reads from /proc/<pid>/smaps_rollup.
-  [[nodiscard]] std::uint64_t rss_bytes() const noexcept { return rss_; }
+  [[nodiscard]] std::uint64_t rss_bytes() const noexcept {
+    std::uint64_t rss = 0;
+    for (const auto& [base, vma] : vmas_) rss += vma.resident_cpu_bytes;
+    return rss;
+  }
 
   /// Residency aggregates are maintained through these (Machine calls them
   /// whenever pages are mapped/unmapped/migrated).
@@ -109,13 +113,6 @@ class AddressSpace {
   /// Vma::data stays null and only page-granular accounting is simulated.
   void set_materialize(bool m) noexcept { materialize_ = m; }
   [[nodiscard]] bool materialize() const noexcept { return materialize_; }
-
-  /// Tenant stamped on subsequently created VMAs (set by core::Machine when
-  /// a scheduler quantum begins; kNoTenant otherwise).
-  void set_current_tenant(tenant::TenantId t) noexcept { current_tenant_ = t; }
-  [[nodiscard]] tenant::TenantId current_tenant() const noexcept {
-    return current_tenant_;
-  }
 
   /// Iteration support (ordered by base address).
   [[nodiscard]] auto begin() const { return vmas_.begin(); }
@@ -129,9 +126,7 @@ class AddressSpace {
 
   std::map<std::uint64_t, Vma> vmas_;  // keyed by base
   std::uint64_t next_va_ = kVaStart;
-  std::uint64_t rss_ = 0;
   bool materialize_ = true;
-  tenant::TenantId current_tenant_ = tenant::kNoTenant;
 
   friend class ghum::chk::Snapshotter;
 };

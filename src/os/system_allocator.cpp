@@ -13,7 +13,7 @@ Vma& SystemAllocator::allocate(std::uint64_t bytes, std::string label) {
   const std::uint64_t pages = (bytes + page - 1) / page;
   Vma& vma = m_->address_space().create(bytes, AllocKind::kSystem,
                                         std::max<std::uint64_t>(page, 64 << 10),
-                                        std::move(label));
+                                        std::move(label), m_->current_tenant());
   m_->clock().advance(costs.malloc_base +
                       costs.alloc_per_page * static_cast<sim::Picos>(pages));
   auto& events = m_->events();
@@ -32,7 +32,7 @@ Vma& SystemAllocator::allocate_pinned(std::uint64_t bytes, std::string label) {
   const std::uint64_t page = m_->system_pt().page_size();
   Vma& vma = m_->address_space().create(bytes, AllocKind::kPinnedHost,
                                         std::max<std::uint64_t>(page, 64 << 10),
-                                        std::move(label));
+                                        std::move(label), m_->current_tenant());
   m_->clock().advance(costs.malloc_base);
   // Pinned memory is populated and locked at allocation time. mlock is
   // all-or-nothing: on exhaustion the partially populated VMA is unwound

@@ -159,9 +159,7 @@ class Tlb {
   obs::Counter* hits_ctr_ = nullptr;
   obs::Counter* misses_ctr_ = nullptr;
 
-  // Restore appends entries in recency order and reinstates hits_/misses_
-  // without touching the bound registry counters (those are restored with
-  // the registry itself, avoiding double counting).
+  // Restore appends entries and copies hits_/misses_ from the counters.
   friend class ghum::chk::Snapshotter;
 };
 

@@ -49,7 +49,8 @@ enum class EventType : std::uint8_t {
   kGpuReset,              ///< GPU channel reset: context lost, device-resident
                           ///< managed state of the victim tenant poisoned
   kJobRestart,            ///< RecoveryManager rolled a job back to its
-                          ///< checkpoint and replays it (aux = cause Status)
+                          ///< checkpoint and replays it (aux = cause Status);
+                          ///< the last type (chk::Reader refuses any above)
 };
 
 [[nodiscard]] std::string_view to_string(EventType t) noexcept;
@@ -75,7 +76,7 @@ class EventLog {
   [[nodiscard]] bool enabled() const noexcept { return enabled_; }
 
   /// Tenant stamped on every subsequent event (multi-tenant co-scheduling;
-  /// 0 outside any tenant quantum). Set by core::Machine, not by callers.
+  /// 0 outside any tenant quantum): the machine's only copy, set through it.
   void set_current_tenant(std::uint32_t t) noexcept { tenant_ = t; }
   [[nodiscard]] std::uint32_t current_tenant() const noexcept { return tenant_; }
 

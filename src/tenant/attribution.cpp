@@ -44,10 +44,16 @@ void AttributionTable::note_eviction(TenantId perpetrator, TenantId victim,
   EvictionCell& cell = matrix_[{perpetrator, victim}];
   ++cell.count;
   cell.bytes += bytes;
-  if (perpetrator != victim) {
-    ++cross_tenant_evictions_;
-    cross_tenant_evicted_bytes_ += bytes;
+}
+
+EvictionCell AttributionTable::cross_tenant() const noexcept {
+  EvictionCell sum;
+  for (const auto& [key, cell] : matrix_) {
+    if (key.first == key.second) continue;
+    sum.count += cell.count;
+    sum.bytes += cell.bytes;
   }
+  return sum;
 }
 
 const TenantUsage& AttributionTable::usage(TenantId t) const {

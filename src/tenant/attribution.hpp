@@ -64,13 +64,8 @@ class AttributionTable {
   [[nodiscard]] EvictionCell evictions(TenantId perpetrator, TenantId victim) const;
 
   /// Evictions where the perpetrator and victim differ — the cross-tenant
-  /// interference signal.
-  [[nodiscard]] std::uint64_t cross_tenant_evictions() const noexcept {
-    return cross_tenant_evictions_;
-  }
-  [[nodiscard]] std::uint64_t cross_tenant_evicted_bytes() const noexcept {
-    return cross_tenant_evicted_bytes_;
-  }
+  /// interference signal (the matrix's off-diagonal sum).
+  [[nodiscard]] EvictionCell cross_tenant() const noexcept;
 
   /// Largest tenant id seen (0 when attribution never fired).
   [[nodiscard]] TenantId max_tenant() const noexcept {
@@ -85,8 +80,6 @@ class AttributionTable {
 
   std::vector<TenantUsage> usage_;  // index = tenant id
   std::map<std::pair<TenantId, TenantId>, EvictionCell> matrix_;  // (perp, victim)
-  std::uint64_t cross_tenant_evictions_ = 0;
-  std::uint64_t cross_tenant_evicted_bytes_ = 0;
 
   friend class ghum::chk::Snapshotter;
 };

@@ -197,11 +197,12 @@ TEST(ChkValidation, RejectsCorruptTruncatedAndAlienBlobs) {
   alien[0] ^= 0xff;
   EXPECT_THROW((void)chk::Snapshotter::restore(alien), StatusError);
 
-  // Unsupported format version, including the retired versions 1 and 2.
+  // Unsupported format version, including the retired versions 1 to 3.
   // The payload digest does not cover the header, so this exercises the
   // version check itself (offset 8 is the version word, io.hpp).
+  ASSERT_EQ(chk::kFormatVersion, 4u);
   for (const std::uint8_t v : {std::uint8_t{0}, std::uint8_t{1}, std::uint8_t{2},
-                               std::uint8_t(chk::kFormatVersion + 1)}) {
+                               std::uint8_t{3}, std::uint8_t(chk::kFormatVersion + 1)}) {
     chk::Blob vers = blob;
     vers[8] = v;
     EXPECT_THROW((void)chk::Snapshotter::restore(vers), StatusError)
@@ -216,11 +217,9 @@ std::vector<std::uint8_t> le_bytes(std::uint64_t v) {
   return out;
 }
 
-/// Offsets of every occurrence of the little-endian u64 pair (a, b).
-std::vector<std::size_t> find_u64_pair(const chk::Blob& blob, std::uint64_t a,
-                                       std::uint64_t b) {
-  std::vector<std::uint8_t> pat = le_bytes(a);
-  for (const std::uint8_t byte : le_bytes(b)) pat.push_back(byte);
+/// Offsets of every occurrence of \p pat.
+std::vector<std::size_t> find_bytes(const chk::Blob& blob,
+                                    const std::vector<std::uint8_t>& pat) {
   std::vector<std::size_t> hits;
   for (auto it = std::search(blob.begin(), blob.end(), pat.begin(), pat.end());
        it != blob.end();
@@ -228,6 +227,16 @@ std::vector<std::size_t> find_u64_pair(const chk::Blob& blob, std::uint64_t a,
     hits.push_back(static_cast<std::size_t>(it - blob.begin()));
   }
   return hits;
+}
+
+/// Offsets of every occurrence of the little-endian u64s \p words, in order.
+std::vector<std::size_t> find_u64s(const chk::Blob& blob,
+                                   std::initializer_list<std::uint64_t> words) {
+  std::vector<std::uint8_t> pat;
+  for (const std::uint64_t w : words) {
+    for (const std::uint8_t byte : le_bytes(w)) pat.push_back(byte);
+  }
+  return find_bytes(blob, pat);
 }
 
 /// Re-stamps the payload digest (header offset 12; the payload starts at
@@ -266,8 +275,8 @@ TEST(ChkValidation, ChecksumValidOversizedCountsAreRejected) {
 
   // The link_degrade count (1) precedes the marked window; a VMA record
   // starts with its base and size.
-  const std::vector<std::size_t> windows = find_u64_pair(blob, 1, kMarker);
-  const std::vector<std::size_t> vma = find_u64_pair(blob, b.va, b.bytes);
+  const std::vector<std::size_t> windows = find_u64s(blob, {1, kMarker});
+  const std::vector<std::size_t> vma = find_u64s(blob, {b.va, b.bytes});
   ASSERT_EQ(windows.size(), 1u);
   ASSERT_EQ(vma.size(), 1u);
   for (const std::size_t at : {windows[0], vma[0] + 8}) {
@@ -299,7 +308,7 @@ chk::Blob tlb_probe_blob() {
 /// Offset of the CPU TLB's entry count in tlb_probe_blob(): the count (3)
 /// precedes the most recent VPN; each entry is a u64 VPN and a node byte.
 std::size_t probe_tlb_count_at(const chk::Blob& blob) {
-  const std::vector<std::size_t> at = find_u64_pair(blob, 3, kProbeVpn + 2);
+  const std::vector<std::size_t> at = find_u64s(blob, {3, kProbeVpn + 2});
   EXPECT_EQ(at.size(), 1u);
   return at.empty() ? 0 : at[0];
 }
@@ -319,7 +328,7 @@ TEST(ChkValidation, ChecksumValidTlbCountAboveCapacityIsRejected) {
   // would restore a TLB holding more translations than it can.
   const chk::Blob blob = tlb_probe_blob();
   EXPECT_EQ(chk::Snapshotter::restore(blob)->machine().smmu().cpu_tlb().size(), 3u);
-  const std::vector<std::size_t> cfg_at = find_u64_pair(blob, 3, kProbeAtsEntries);
+  const std::vector<std::size_t> cfg_at = find_u64s(blob, {3, kProbeAtsEntries});
   ASSERT_EQ(cfg_at.size(), 1u);
   for (const std::uint64_t cap : {0u, 1u, 2u}) {
     expect_invalid_value(with_u64(blob, cfg_at[0], cap));
@@ -333,21 +342,9 @@ TEST(ChkValidation, ChecksumValidUnbuildableConfigIsRejected) {
   // The payload (offset 28) opens with the system page size.
   expect_invalid_value(with_u64(blob, 28, 3000));
   // A TLB capacity its 32-bit entry links cannot address.
-  const std::vector<std::size_t> cfg_at = find_u64_pair(blob, 3, kProbeAtsEntries);
+  const std::vector<std::size_t> cfg_at = find_u64s(blob, {3, kProbeAtsEntries});
   ASSERT_EQ(cfg_at.size(), 1u);
   expect_invalid_value(with_u64(blob, cfg_at[0], std::uint64_t{1} << 40));
-}
-
-TEST(ChkValidation, ChecksumValidRetiredPerAccessPathByteIsRejected) {
-  // The byte after the three TLB capacities once switched off batched
-  // access accounting. Images keep it and always write 1; 0 would ask for
-  // an access path that no longer exists.
-  const chk::Blob blob = tlb_probe_blob();
-  const std::vector<std::size_t> cfg_at = find_u64_pair(blob, 3, kProbeAtsEntries);
-  ASSERT_EQ(cfg_at.size(), 1u);
-  const std::size_t at = cfg_at[0] + 3 * 8;
-  ASSERT_EQ(blob[at], 1);
-  expect_invalid_value(with_u8(blob, at, 0));
 }
 
 TEST(ChkValidation, ChecksumValidTlbRepeatedVpnIsRejected) {
@@ -367,6 +364,26 @@ TEST(ChkValidation, ChecksumValidTlbNodeOutsideNodeIsRejected) {
   }
 }
 
+TEST(ChkValidation, ChecksumValidManagedLruRepeatedBlockIsRejected) {
+  // The LRU section is a count and the GPU-resident block bases, most
+  // recent first. Naming one block twice would leave the other resident
+  // block out of the driver's map, so eviction could never pick it.
+  core::System sys{chk_cfg()};
+  runtime::Runtime rt{sys};
+  constexpr std::uint64_t kBlock = pagetable::kGpuPageSize;
+  const core::Buffer m = rt.malloc_managed(2 * kBlock, "probe");
+  rt.launch("touch", 0.0, [&] {
+    runtime::Span<std::uint64_t> s{sys, m, mem::Node::kGpu};
+    s.store(0, 1);
+    s.store(kBlock / sizeof(std::uint64_t), 2);
+  });
+  ASSERT_EQ(sys.managed_engine().resident_blocks(), 2u);
+  const chk::Blob blob = chk::Snapshotter::snapshot(sys);
+  const std::vector<std::size_t> lru = find_u64s(blob, {2, m.va + kBlock, m.va});
+  ASSERT_EQ(lru.size(), 1u);
+  expect_invalid_value(with_u64(blob, lru[0] + 16, m.va + kBlock));
+}
+
 TEST(ChkValidation, ChecksumValidPteNodeOutsideNodeIsRejected) {
   // The machine indexes per-node tables with a restored PTE's node, so a
   // byte that names no node must be refused before anything indexes it.
@@ -384,7 +401,7 @@ TEST(ChkValidation, ChecksumValidPteNodeOutsideNodeIsRejected) {
   });
   const chk::Blob blob = chk::Snapshotter::snapshot(sys);
   // A run record is its first VPN, its page count and then the node byte.
-  const std::vector<std::size_t> run = find_u64_pair(blob, b.va / kPage, 4);
+  const std::vector<std::size_t> run = find_u64s(blob, {b.va / kPage, 4});
   ASSERT_EQ(run.size(), 1u);
   EXPECT_NO_THROW((void)chk::Snapshotter::restore(with_u8(blob, run[0] + 16, 1)));
   for (const std::uint8_t node : {std::uint8_t{2}, std::uint8_t{7}}) {
@@ -400,7 +417,7 @@ std::pair<chk::Blob, std::size_t> vma_probe_blob() {
   core::System sys{cfg};
   const core::Buffer b = sys.sys_malloc(1 << 20, "probe");
   chk::Blob blob = chk::Snapshotter::snapshot(sys);
-  const std::vector<std::size_t> vma = find_u64_pair(blob, b.va, b.bytes);
+  const std::vector<std::size_t> vma = find_u64s(blob, {b.va, b.bytes});
   EXPECT_EQ(vma.size(), 1u);
   return {std::move(blob), vma.empty() ? 0 : vma[0]};
 }
@@ -431,24 +448,123 @@ TEST(ChkValidation, ChecksumValidVmaPreferredNodeOutsideNodeIsRejected) {
   }
 }
 
-TEST(ChkValidation, SnapshotInsideOpenKernelThrows) {
+TEST(ChkValidation, ChecksumValidEventTypeOutsideEventTypeIsRejected) {
+  // An event record is its time, its type byte, then its VA and size; the
+  // probe allocation's record is the blob's first (VA, size) pair (the VMA
+  // section comes later).
   core::System sys{chk_cfg()};
-  sys.kernel_begin("k");
-  try {
-    (void)chk::Snapshotter::snapshot(sys);
-    FAIL() << "snapshot inside a kernel must throw";
-  } catch (const StatusError& e) {
-    EXPECT_EQ(e.status(), Status::kErrorInvalidValue);
+  const core::Buffer b = sys.sys_malloc(1 << 20, "probe");
+  const chk::Blob blob = chk::Snapshotter::snapshot(sys);
+  const std::vector<std::size_t> at = find_u64s(blob, {b.va, b.bytes});
+  ASSERT_EQ(at.size(), 2u);
+  const std::size_t type_at = at[0] - 1;
+  ASSERT_EQ(blob[type_at], static_cast<std::uint8_t>(sim::EventType::kAllocation));
+  EXPECT_NO_THROW((void)chk::Snapshotter::restore(with_u8(
+      blob, type_at, static_cast<std::uint8_t>(sim::EventType::kJobRestart))));
+  for (const std::uint8_t type : {std::uint8_t{25}, std::uint8_t{200}}) {
+    expect_invalid_value(with_u8(blob, type_at, type));
   }
+}
+
+/// Offset of the kind byte of the ghum_faults_total{type="cpu_first_touch"}
+/// registry slot in \p blob: the byte precedes the slot's name, its label
+/// count and its label, each string prefixed by its u64 length.
+std::size_t first_touch_slot_at(const chk::Blob& blob) {
+  std::vector<std::uint8_t> pat;
+  for (const std::string_view field :
+       {std::string_view{"ghum_faults_total"}, std::string_view{}, std::string_view{"type"},
+        std::string_view{"cpu_first_touch"}}) {
+    // The empty field stands for the label count, 1.
+    for (const std::uint8_t byte : le_bytes(field.empty() ? 1 : field.size())) {
+      pat.push_back(byte);
+    }
+    pat.insert(pat.end(), field.begin(), field.end());
+  }
+  const std::vector<std::size_t> at = find_bytes(blob, pat);
+  EXPECT_EQ(at.size(), 1u);
+  return at.empty() ? 0 : at[0] - 1;
+}
+
+TEST(ChkValidation, ChecksumValidRegistryKindOutsideKindIsRejected) {
+  // A kind byte that names no instrument kind would read no value, so the
+  // rest of the stream would be misparsed.
+  const chk::Blob blob = tlb_probe_blob();
+  const std::size_t kind_at = first_touch_slot_at(blob);
+  ASSERT_EQ(blob[kind_at], 0);  // a counter
+  for (const std::uint8_t kind : {std::uint8_t{3}, std::uint8_t{0xff}}) {
+    expect_invalid_value(with_u8(blob, kind_at, kind));
+  }
+}
+
+TEST(ChkValidation, ChecksumValidRegistryKindChangeIsRejected) {
+  // The fresh machine registers the slot as a counter before the registry
+  // section is read; a blob that calls it a gauge or a histogram is corrupt.
+  const chk::Blob blob = tlb_probe_blob();
+  const std::size_t kind_at = first_touch_slot_at(blob);
+  for (const std::uint8_t kind : {std::uint8_t{1}, std::uint8_t{2}}) {
+    expect_invalid_value(with_u8(blob, kind_at, kind));
+  }
+}
+
+TEST(ChkValidation, ChecksumValidFramesAboveCapacityAreRejected) {
+  // Each frame allocator travels as (used, retired, total allocated, peak
+  // used); its capacity is the configured one less the retired frames. A
+  // GPU whose only frames are its odd-sized driver baseline marks the GPU
+  // record. Frames used above capacity would wrap free_bytes() and admit
+  // any allocation.
+  constexpr std::uint64_t kBaseline = 0x123000;
+  core::SystemConfig cfg = chk_cfg();
+  cfg.event_log = false;
+  cfg.gpu_driver_baseline = kBaseline;
+  core::System sys{cfg};
+  const chk::Blob blob = chk::Snapshotter::snapshot(sys);
+  const std::vector<std::size_t> at = find_u64s(blob, {kBaseline, 0, kBaseline, kBaseline});
+  ASSERT_EQ(at.size(), 1u);
+  const std::size_t used_at = at[0];
+  const std::size_t retired_at = at[0] + 8;
+  EXPECT_NO_THROW((void)chk::Snapshotter::restore(with_u64(blob, used_at, cfg.hbm_capacity)));
+  expect_invalid_value(with_u64(blob, used_at, cfg.hbm_capacity + (8ull << 20)));
+  EXPECT_NO_THROW((void)chk::Snapshotter::restore(
+      with_u64(blob, retired_at, cfg.hbm_capacity - kBaseline)));
+  expect_invalid_value(with_u64(blob, retired_at, cfg.hbm_capacity - kBaseline + 1));
+  expect_invalid_value(with_u64(blob, retired_at, cfg.hbm_capacity + 1));
+}
+
+TEST(ChkValidation, SnapshotInsideOpenKernelThrows) {
+  // Also inside an open causal span or fault suppression: neither travels
+  // in the blob, each belongs to a call still on the stack.
+  core::SystemConfig cfg = chk_cfg();
+  cfg.faults.enabled = true;
+  core::System sys{cfg};
+  const auto expect_refused = [&sys](const char* where) {
+    try {
+      (void)chk::Snapshotter::snapshot(sys);
+      FAIL() << "snapshot inside an open " << where << " must throw";
+    } catch (const StatusError& e) {
+      EXPECT_EQ(e.status(), Status::kErrorInvalidValue);
+    }
+  };
+  sys.kernel_begin("k");
+  expect_refused("kernel");
   (void)sys.kernel_end();
+  {
+    sim::SpanScope span{sys.machine().events()};
+    expect_refused("span");
+  }
+  {
+    fault::FaultInjector::ScopedSuppress guard{sys.machine().fault_injector()};
+    expect_refused("suppression");
+  }
+  EXPECT_NO_THROW((void)chk::Snapshotter::snapshot(sys));
 }
 
 TEST(ChkGolden, TlbSectionOfAChurnedMachineIsPinned) {
   // Every TLB is driven past its capacity, then loses single pages to
   // per-page invalidation and a span to a range shootdown, so the blob's
   // TLB section holds a non-trivial MRU-to-LRU order for all four. The
-  // pin was recorded on the std::list + unordered_map TLB; any change to
-  // the saved recency order changes it.
+  // pin was recorded on the std::list + unordered_map TLB and moved only
+  // with the checkpoint format (now v4); any change to the saved recency
+  // order changes it.
   core::SystemConfig cfg = chk_cfg();
   cfg.event_log = false;
   cfg.hbm_capacity = 64ull << 20;
@@ -505,7 +621,7 @@ TEST(ChkGolden, TlbSectionOfAChurnedMachineIsPinned) {
   }
 
   const chk::Blob blob = chk::Snapshotter::snapshot(sys);
-  EXPECT_EQ(sim::fnv1a(blob.data(), blob.size()), 0xb6baa55aeebe7590ull);
+  EXPECT_EQ(sim::fnv1a(blob.data(), blob.size()), 0x314401894678ede3ull);
   // Restore rebuilds every TLB in the saved order.
   EXPECT_EQ(chk::Snapshotter::snapshot(*chk::Snapshotter::restore(blob)), blob);
 }
@@ -532,9 +648,10 @@ TEST(ChkGolden, FullScaleStreamingSweepIsPinned) {
   // read pass, each streaming more sequential misses than any TLB holds,
   // and last a short backwards GPU read. The checkpoint is taken mid-pass,
   // with the ATS TLB and the uTLB full of the pass's most recent pages.
-  // The pins were recorded on the list-only TLB: the recency order,
-  // counters, end time and checkpoint bytes must not depend on how a TLB
-  // stores a sequential stream.
+  // The pins were recorded on the list-only TLB (the checkpoint bytes
+  // re-pinned only for format v4): the recency order, counters, end time
+  // and checkpoint bytes must not depend on how a TLB stores a sequential
+  // stream.
   core::System sys{benchsupport::full_scale()};
   constexpr std::uint64_t kPages = 7000;  // > 4096, the largest TLB
   const std::uint64_t page = sys.config().system_page_size;
@@ -546,7 +663,7 @@ TEST(ChkGolden, FullScaleStreamingSweepIsPinned) {
   (void)sys.kernel_end();
 
   const chk::Blob blob = chk::Snapshotter::snapshot(sys);
-  EXPECT_EQ(sim::fnv1a(blob.data(), blob.size()), 0xfaebf095c7fd0179ull);
+  EXPECT_EQ(sim::fnv1a(blob.data(), blob.size()), 0x1b499fd26b4bcd0eull);
   EXPECT_EQ(chk::Snapshotter::snapshot(*chk::Snapshotter::restore(blob)), blob);
 
   sys.kernel_begin("pass.0b");
@@ -611,17 +728,14 @@ tenant::JobSpec qvsim_tenant(std::uint32_t qubits) {
   return spec;
 }
 
-TEST(ChkGolden, EverySectionOfABusyMachineIsPinned) {
-  // A machine that leaves no section at its defaults: 4 KiB pages, access
-  // counters, AutoNUMA and the event log on, a renamed node, a fault
-  // schedule with degrade windows, ECC events and a GPU reset (the first
-  // window and ECC event consumed, the rest still ahead of the clock), two
-  // tenants that evicted each other, a read-mostly replica left by a
-  // prefetch that also protected a resident block (the protected set is
-  // empty again once the prefetch returns), and both access-counter maps
-  // holding counts below the threshold. The pin was recorded on the
-  // mirrored save_*/load_* code; a field written in another order or width
-  // changes it.
+/// A machine that leaves no section at its defaults: 4 KiB pages, access
+/// counters, AutoNUMA and the event log on, a renamed node, a fault
+/// schedule with degrade windows, ECC events and a GPU reset (the first
+/// window and ECC event consumed, the rest still ahead of the clock), two
+/// tenants that evicted each other, a read-mostly replica left by a
+/// prefetch that also protected a resident block, and both access-counter
+/// maps holding counts below the threshold.
+void build_busy_machine(std::unique_ptr<core::System>& out) {
   core::SystemConfig cfg = chk_cfg();
   cfg.name = "busy-node";
   cfg.system_page_size = pagetable::kSystemPage4K;
@@ -639,7 +753,8 @@ TEST(ChkGolden, EverySectionOfABusyMachineIsPinned) {
                            {.time = sim::seconds(100)}};
   cfg.faults.gpu_resets = {{.time = sim::seconds(100)}};
   cfg.faults.ecc_retirement_budget = 1ull << 20;
-  core::System sys{cfg};
+  out = std::make_unique<core::System>(cfg);
+  core::System& sys = *out;
   {
     tenant::Scheduler sched{sys};
     (void)sched.submit(qvsim_tenant(18));
@@ -648,7 +763,7 @@ TEST(ChkGolden, EverySectionOfABusyMachineIsPinned) {
     ASSERT_EQ(sched.job(1).state, tenant::JobState::kFinished);
     ASSERT_EQ(sched.job(2).state, tenant::JobState::kFinished);
   }
-  ASSERT_GT(sys.attribution().cross_tenant_evictions(), 0u);
+  ASSERT_GT(sys.attribution().cross_tenant().count, 0u);
 
   runtime::Runtime rt{sys};
   constexpr std::uint64_t kBytes = 1ull << 20;
@@ -680,10 +795,111 @@ TEST(ChkGolden, EverySectionOfABusyMachineIsPinned) {
   });
   ASSERT_GT(sys.managed_engine().replica_count(), 0u);
   ASSERT_EQ(rt.get_last_error(), Status::kSuccess);
+}
 
-  const chk::Blob blob = chk::Snapshotter::snapshot(sys);
-  EXPECT_EQ(sim::fnv1a(blob.data(), blob.size()), 0xb643cf4dcdeaeb8aull);
+TEST(ChkGolden, EverySectionOfABusyMachineIsPinned) {
+  // Pinned for format v4; a field written in another order or width
+  // changes it.
+  std::unique_ptr<core::System> sys;
+  ASSERT_NO_FATAL_FAILURE(build_busy_machine(sys));
+  const chk::Blob blob = chk::Snapshotter::snapshot(*sys);
+  EXPECT_EQ(sim::fnv1a(blob.data(), blob.size()), 0xd84b18a5004aa752ull);
   EXPECT_EQ(chk::Snapshotter::snapshot(*chk::Snapshotter::restore(blob)), blob);
+}
+
+TEST(ChkRoundTrip, RecomputedStateMatchesTheDonor) {
+  // The blob leaves out what restore recomputes, so the payload
+  // comparisons above cannot see a recompute go wrong: compare each such
+  // accessor with the donor's. The busy machine has evicted across
+  // tenants, initialized its GPU context, retired ECC frames on the GPU,
+  // filled every TLB and left its first link window behind; a retirement
+  // on the CPU and a current tenant are added here.
+  std::unique_ptr<core::System> sys;
+  ASSERT_NO_FATAL_FAILURE(build_busy_machine(sys));
+  core::Machine& m = sys->machine();
+  ASSERT_EQ(m.frames(mem::Node::kCpu).retire(64ull << 10), 64ull << 10);
+  ASSERT_GT(m.frames(mem::Node::kGpu).retired_bytes(), 0u);
+  sys->set_current_tenant(2);
+  const std::unique_ptr<core::System> twin =
+      chk::Snapshotter::restore(chk::Snapshotter::snapshot(*sys));
+  core::Machine& t = twin->machine();
+
+  EXPECT_EQ(t.attribution().cross_tenant().count,
+            m.attribution().cross_tenant().count);
+  EXPECT_EQ(t.attribution().cross_tenant().bytes,
+            m.attribution().cross_tenant().bytes);
+  EXPECT_EQ(twin->current_tenant(), 2u);
+  EXPECT_GT(sys->context_init_charged(), 0);
+  EXPECT_EQ(twin->context_init_charged(), sys->context_init_charged());
+  for (const mem::Node n : {mem::Node::kCpu, mem::Node::kGpu}) {
+    EXPECT_EQ(t.frames(n).capacity(), m.frames(n).capacity()) << mem::to_string(n);
+    EXPECT_EQ(t.frames(n).baseline(), m.frames(n).baseline()) << mem::to_string(n);
+    EXPECT_EQ(t.frames(n).free_bytes(), m.frames(n).free_bytes()) << mem::to_string(n);
+  }
+  EXPECT_GT(m.address_space().rss_bytes(), 0u);
+  EXPECT_EQ(t.address_space().rss_bytes(), m.address_space().rss_bytes());
+  // The first link window, open from time 0, closed before the snapshot.
+  EXPECT_FALSE(m.c2c().degraded());
+  EXPECT_EQ(t.c2c().degraded(), m.c2c().degraded());
+  EXPECT_EQ(t.c2c().latency(), m.c2c().latency());
+  const auto tlbs = [](core::Machine& mach) {
+    return std::vector<const pagetable::Tlb*>{
+        &mach.smmu().cpu_tlb(), &mach.smmu().ats_tlb(), &mach.gmmu().utlb_gpu(),
+        &mach.gmmu().utlb_sys()};
+  };
+  const std::vector<const pagetable::Tlb*> want = tlbs(m);
+  const std::vector<const pagetable::Tlb*> got = tlbs(t);
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_GT(want[i]->misses(), 0u) << "TLB " << i;
+    EXPECT_EQ(got[i]->hits(), want[i]->hits()) << "TLB " << i;
+    EXPECT_EQ(got[i]->misses(), want[i]->misses()) << "TLB " << i;
+  }
+}
+
+/// A machine whose first link-degrade window is open (the clock has moved
+/// past its start) and whose second lies ahead.
+std::unique_ptr<core::System> degraded_link_machine() {
+  core::SystemConfig cfg = chk_cfg();
+  cfg.event_log = false;
+  cfg.faults.enabled = true;
+  cfg.faults.link_degrade = {
+      {.start = 0, .duration = sim::seconds(1), .bandwidth_factor = 3.0,
+       .latency_factor = 1.5},
+      {.start = sim::seconds(100), .duration = sim::seconds(1)}};
+  auto sys = std::make_unique<core::System>(cfg);
+  (void)sys->sys_malloc(1 << 20, "probe");
+  return sys;
+}
+
+TEST(ChkRoundTrip, RestoredLinkTakesTheOpenWindowsFactors) {
+  // The link's degrade factors are the open window's, so they do not
+  // travel; restore applies them again.
+  const std::unique_ptr<core::System> sys = degraded_link_machine();
+  ASSERT_TRUE(sys->machine().c2c().degraded());
+  const std::unique_ptr<core::System> twin =
+      chk::Snapshotter::restore(chk::Snapshotter::snapshot(*sys));
+  interconnect::NvlinkC2C& want = sys->machine().c2c();
+  interconnect::NvlinkC2C& got = twin->machine().c2c();
+  EXPECT_TRUE(got.degraded());
+  EXPECT_EQ(got.latency(), want.latency());
+  EXPECT_EQ(got.transfer(interconnect::Direction::kCpuToGpu, 1 << 20),
+            want.transfer(interconnect::Direction::kCpuToGpu, 1 << 20));
+}
+
+TEST(ChkValidation, ChecksumValidActiveLinkWindowOutsideScheduleIsRejected) {
+  // The payload ends with the injector's window cursor, the open window's
+  // index (-1 for none) and the ECC and reset cursors, a u64 each.
+  const std::unique_ptr<core::System> sys = degraded_link_machine();
+  const chk::Blob blob = chk::Snapshotter::snapshot(*sys);
+  const std::size_t active_at = blob.size() - 3 * 8;
+  ASSERT_EQ(blob[active_at], 0);
+  EXPECT_FALSE(chk::Snapshotter::restore(with_u64(blob, active_at, ~0ull))
+                   ->machine().c2c().degraded());
+  EXPECT_TRUE(chk::Snapshotter::restore(with_u64(blob, active_at, 1))
+                  ->machine().c2c().degraded());
+  for (const std::uint64_t active : {std::uint64_t{2}, std::uint64_t{1} << 40}) {
+    expect_invalid_value(with_u64(blob, active_at, active));
+  }
 }
 
 TEST(ChkDonor, HostPointersSurviveRestoreViaDonorAdoption) {

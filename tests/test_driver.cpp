@@ -33,7 +33,8 @@ class DriverTest : public ::testing::Test {
   driver::ManagedEngine managed{m, mig, pf};
 
   os::Vma& system_vma(std::uint64_t bytes) {
-    return m.address_space().create(bytes, os::AllocKind::kSystem, 65536, "sys");
+    return m.address_space().create(bytes, os::AllocKind::kSystem, 65536, "sys",
+                                    tenant::kNoTenant);
   }
   void populate_cpu(os::Vma& v) {
     for (std::uint64_t va = v.base; va < v.end(); va += 65536) {
@@ -88,7 +89,8 @@ TEST_F(DriverTest, AccessCounterDisabledDoesNothing) {
   core::Machine m2{cfg};
   driver::MigrationEngine mig2{m2};
   driver::AccessCounterEngine ac2{m2, mig2};
-  os::Vma& v = m2.address_space().create(1 << 20, os::AllocKind::kSystem, 65536, "s");
+  os::Vma& v = m2.address_space().create(1 << 20, os::AllocKind::kSystem, 65536, "s",
+                                         tenant::kNoTenant);
   for (std::uint64_t va = v.base; va < v.end(); va += 65536) {
     ASSERT_TRUE(m2.map_system_page(v, va, mem::Node::kCpu));
   }
@@ -103,7 +105,8 @@ TEST_F(DriverTest, AccessCounterRateLimitDelaysNextNotification) {
   core::Machine m2{cfg};
   driver::MigrationEngine mig2{m2};
   driver::AccessCounterEngine ac2{m2, mig2};
-  os::Vma& v = m2.address_space().create(4ull << 20, os::AllocKind::kSystem, 65536, "s");
+  os::Vma& v = m2.address_space().create(4ull << 20, os::AllocKind::kSystem, 65536, "s",
+                                         tenant::kNoTenant);
   for (std::uint64_t va = v.base; va < v.end(); va += 65536) {
     ASSERT_TRUE(m2.map_system_page(v, va, mem::Node::kCpu));
   }
@@ -150,7 +153,7 @@ class ManagedTest : public DriverTest {
 
 TEST_F(ManagedTest, GpuFirstTouchMapsWholeBlockOnGpu) {
   os::Vma& v = managed_vma(4 << 20);
-  const auto r = managed.gpu_fault(v, v.base, 1);
+  const auto r = managed.gpu_fault(v, v.base);
   EXPECT_EQ(r.node, mem::Node::kGpu);
   EXPECT_FALSE(r.remote_mapped);
   EXPECT_EQ(v.resident_gpu_bytes, 2u << 20);
@@ -165,7 +168,7 @@ TEST_F(ManagedTest, CpuResidentBlockMigratesOnGpuFault) {
   managed.cpu_fault(v, v.base + 65536);
   EXPECT_EQ(v.resident_cpu_bytes, 128u << 10);
   // GPU fault migrates the resident pages and maps the 2 MiB block.
-  (void)managed.gpu_fault(v, v.base, 1);
+  (void)managed.gpu_fault(v, v.base);
   EXPECT_EQ(v.resident_cpu_bytes, 0u);
   EXPECT_EQ(v.resident_gpu_bytes, 2u << 20);
   EXPECT_EQ(count_events(m.events(), sim::EventType::kMigrationH2D), 1u);
@@ -174,7 +177,7 @@ TEST_F(ManagedTest, CpuResidentBlockMigratesOnGpuFault) {
 
 TEST_F(ManagedTest, CpuFaultOnGpuBlockMigratesBack) {
   os::Vma& v = managed_vma(2 << 20);
-  (void)managed.gpu_fault(v, v.base, 1);
+  (void)managed.gpu_fault(v, v.base);
   managed.cpu_fault(v, v.base + 4096);
   EXPECT_EQ(v.resident_gpu_bytes, 0u);
   EXPECT_EQ(v.resident_cpu_bytes, 2u << 20);
@@ -186,12 +189,12 @@ TEST_F(ManagedTest, LruEvictionUnderPressure) {
   // HBM = 8 MiB, so 4 blocks of 2 MiB fill it.
   os::Vma& v = managed_vma(16ull << 20);
   for (int b = 0; b < 4; ++b) {
-    (void)managed.gpu_fault(v, v.base + (std::uint64_t{2} << 20) * b, 1);
+    (void)managed.gpu_fault(v, v.base + (std::uint64_t{2} << 20) * b);
   }
   EXPECT_EQ(m.frames(mem::Node::kGpu).free_bytes(), 0u);
   // Touch block 0 so block 1 is LRU, then fault block 4.
-  managed.touch_gpu_block(v.base, 2);
-  (void)managed.gpu_fault(v, v.base + (std::uint64_t{2} << 20) * 4, 2);
+  managed.touch_gpu_block(v.base);
+  (void)managed.gpu_fault(v, v.base + (std::uint64_t{2} << 20) * 4);
   EXPECT_EQ(managed.evictions(), 1u);
   EXPECT_EQ(count_events(m.events(), sim::EventType::kEviction), 1u);
   // Block 1 was evicted; its pages are CPU-resident system pages now.
@@ -206,7 +209,7 @@ TEST_F(ManagedTest, ThrashGuardFlipsToRemoteMapping) {
   bool saw_remote = false;
   for (int round = 0; round < 3 && !saw_remote; ++round) {
     for (std::uint64_t off = 0; off < v.size && !saw_remote; off += 2 << 20) {
-      const auto r = managed.gpu_fault(v, v.base + off, 1);
+      const auto r = managed.gpu_fault(v, v.base + off);
       saw_remote = r.remote_mapped;
     }
   }
@@ -237,7 +240,7 @@ TEST_F(ManagedTest, EnterRemoteModeEvacuatesResidentBlocks) {
   for (int round = 0; round < 3 && !managed.remote_mode(v); ++round) {
     for (std::uint64_t off = 0; off < v.size && !managed.remote_mode(v);
          off += 2 << 20) {
-      (void)managed.gpu_fault(v, v.base + off, 1);
+      (void)managed.gpu_fault(v, v.base + off);
     }
   }
   ASSERT_TRUE(managed.remote_mode(v));
@@ -265,7 +268,7 @@ TEST_F(ManagedTest, PartialPrefetchKeepsThrashGuardEngaged) {
   for (int round = 0; round < 3 && !managed.remote_mode(v); ++round) {
     for (std::uint64_t off = 0; off < v.size && !managed.remote_mode(v);
          off += 2 << 20) {
-      (void)managed.gpu_fault(v, v.base + off, 1);
+      (void)managed.gpu_fault(v, v.base + off);
     }
   }
   ASSERT_TRUE(managed.remote_mode(v));
@@ -274,8 +277,29 @@ TEST_F(ManagedTest, PartialPrefetchKeepsThrashGuardEngaged) {
   managed.prefetch(v, v.base, v.size, mem::Node::kGpu);
   EXPECT_TRUE(managed.remote_mode(v));
   EXPECT_GT(v.resident_gpu_bytes, 0u);
-  const auto r = managed.gpu_fault(v, v.base + (10ull << 20), 2);
+  const auto r = managed.gpu_fault(v, v.base + (10ull << 20));
   EXPECT_TRUE(r.remote_mapped);
+}
+
+TEST_F(ManagedTest, ReadMostlyPrefetchDoesNotCollapseItsOwnReplicas) {
+  os::Vma& v = managed_vma(16ull << 20);  // HBM is 8 MiB
+  for (int round = 0; round < 3 && !managed.remote_mode(v); ++round) {
+    for (std::uint64_t off = 0; off < v.size && !managed.remote_mode(v);
+         off += 2 << 20) {
+      (void)managed.gpu_fault(v, v.base + off);
+    }
+  }
+  ASSERT_TRUE(managed.remote_mode(v));
+  // A read-mostly prefetch larger than the GPU replicates the fitting
+  // prefix and stops: making room for the tail must not collapse the
+  // replicas this same call just built.
+  v.read_mostly = true;
+  managed.prefetch(v, v.base, v.size, mem::Node::kGpu);
+  EXPECT_EQ(m.metrics().replicas_collapsed->value(), 0u);
+  EXPECT_EQ(managed.replica_count(), 4u);
+  EXPECT_EQ(v.resident_gpu_bytes, 8ull << 20);
+  EXPECT_EQ(m.gpu_pt().lookup(v.base + (8ull << 20)), nullptr);
+  EXPECT_TRUE(managed.remote_mode(v));
 }
 
 TEST_F(ManagedTest, FullySatisfiedPrefetchRearmsMigration) {
@@ -283,7 +307,7 @@ TEST_F(ManagedTest, FullySatisfiedPrefetchRearmsMigration) {
   for (int round = 0; round < 3 && !managed.remote_mode(v); ++round) {
     for (std::uint64_t off = 0; off < v.size && !managed.remote_mode(v);
          off += 2 << 20) {
-      (void)managed.gpu_fault(v, v.base + off, 1);
+      (void)managed.gpu_fault(v, v.base + off);
     }
   }
   ASSERT_TRUE(managed.remote_mode(v));
@@ -300,7 +324,7 @@ TEST_F(ManagedTest, PureFirstTouchIsCheaperThanMigration) {
   // (Section 5.1.2: managed memory initializes fast on the GPU).
   os::Vma& fresh = managed_vma(2 << 20);
   const sim::Picos t0 = m.clock().now();
-  (void)managed.gpu_fault(fresh, fresh.base, 1);
+  (void)managed.gpu_fault(fresh, fresh.base);
   const sim::Picos first_touch = m.clock().now() - t0;
 
   os::Vma& populated = managed_vma(2 << 20);
@@ -308,7 +332,7 @@ TEST_F(ManagedTest, PureFirstTouchIsCheaperThanMigration) {
     managed.cpu_fault(populated, va);
   }
   const sim::Picos t1 = m.clock().now();
-  (void)managed.gpu_fault(populated, populated.base, 1);
+  (void)managed.gpu_fault(populated, populated.base);
   const sim::Picos migration = m.clock().now() - t1;
   EXPECT_LT(first_touch, migration / 2);
 }
@@ -321,18 +345,18 @@ TEST_F(ManagedTest, PrefetcherWarmsUpAcrossBlocks) {
     managed.cpu_fault(v, va);
   }
   const sim::Picos t0 = m.clock().now();
-  (void)managed.gpu_fault(v, v.base, 1);
+  (void)managed.gpu_fault(v, v.base);
   const sim::Picos first = m.clock().now() - t0;
   const sim::Picos t1 = m.clock().now();
-  (void)managed.gpu_fault(v, v.base + (2 << 20), 1);
+  (void)managed.gpu_fault(v, v.base + (2 << 20));
   const sim::Picos second = m.clock().now() - t1;
   EXPECT_LT(second, first);
 }
 
 TEST_F(ManagedTest, ReleaseGpuBlocksClearsResidency) {
   os::Vma& v = managed_vma(4 << 20);
-  (void)managed.gpu_fault(v, v.base, 1);
-  (void)managed.gpu_fault(v, v.base + (2 << 20), 1);
+  (void)managed.gpu_fault(v, v.base);
+  (void)managed.gpu_fault(v, v.base + (2 << 20));
   managed.release_gpu_blocks(v);
   EXPECT_EQ(v.resident_gpu_bytes, 0u);
   EXPECT_EQ(managed.resident_blocks(), 0u);
@@ -347,14 +371,14 @@ TEST_F(ManagedTest, EvictionBlockedByCpuExhaustionDegradesToRemote) {
   // Fill all 8 MiB of HBM with managed blocks (driver baseline is 0 here).
   os::Vma& a = managed_vma(8ull << 20);
   for (std::uint64_t off = 0; off < a.size; off += 2ull << 20) {
-    (void)managed.gpu_fault(a, a.base + off, 1);
+    (void)managed.gpu_fault(a, a.base + off);
   }
   ASSERT_EQ(m.frames(mem::Node::kGpu).free_bytes(), 0u);
   // A new managed fault needs GPU room, but every eviction candidate is
   // blocked by the exhausted CPU; the engine degrades to a coherent remote
   // CPU mapping instead of terminating.
   os::Vma& b = managed_vma(2ull << 20);
-  const auto r = managed.gpu_fault(b, b.base, 2);
+  const auto r = managed.gpu_fault(b, b.base);
   EXPECT_EQ(r.node, mem::Node::kCpu);
   EXPECT_TRUE(r.remote_mapped);
   EXPECT_GE(m.stats().get("driver.managed.eviction_blocked"), 1u);

@@ -111,7 +111,8 @@ TEST(Injection, MigrationRetryIsBoundedAndCharged) {
   os::PageFaultHandler pf{m};
   driver::MigrationEngine mig{m};
 
-  os::Vma& v = m.address_space().create(1 << 20, os::AllocKind::kSystem, 65536, "a");
+  os::Vma& v = m.address_space().create(1 << 20, os::AllocKind::kSystem, 65536, "a",
+                                        tenant::kNoTenant);
   for (std::uint64_t va = v.base; va < v.end(); va += 65536) {
     ASSERT_TRUE(m.map_system_page(v, va, mem::Node::kCpu));
   }

@@ -22,7 +22,7 @@ core::SystemConfig small_config() {
 
 TEST(AddressSpace, CreateFindDestroy) {
   os::AddressSpace as;
-  os::Vma& v = as.create(1000, os::AllocKind::kSystem, 4096, "a");
+  os::Vma& v = as.create(1000, os::AllocKind::kSystem, 4096, "a", tenant::kNoTenant);
   EXPECT_EQ(v.size, 1000u);
   EXPECT_EQ(v.base % 4096, 0u);
   EXPECT_EQ(as.find(v.base + 500), &v);
@@ -35,8 +35,8 @@ TEST(AddressSpace, CreateFindDestroy) {
 
 TEST(AddressSpace, VmasNeverSharePagesAtAnySupportedSize) {
   os::AddressSpace as;
-  os::Vma& a = as.create(10, os::AllocKind::kSystem, 4096, "a");
-  os::Vma& b = as.create(10, os::AllocKind::kSystem, 4096, "b");
+  os::Vma& a = as.create(10, os::AllocKind::kSystem, 4096, "a", tenant::kNoTenant);
+  os::Vma& b = as.create(10, os::AllocKind::kSystem, 4096, "b", tenant::kNoTenant);
   // Even at the largest page granularity (2 MiB), the two allocations
   // cannot land in the same page.
   EXPECT_GE(b.base - a.end(), pagetable::kGpuPageSize);
@@ -44,7 +44,7 @@ TEST(AddressSpace, VmasNeverSharePagesAtAnySupportedSize) {
 
 TEST(AddressSpace, HostBackingIsPerVmaAndWritable) {
   os::AddressSpace as;
-  os::Vma& v = as.create(64, os::AllocKind::kSystem, 4096, "a");
+  os::Vma& v = as.create(64, os::AllocKind::kSystem, 4096, "a", tenant::kNoTenant);
   *v.host_ptr(v.base) = std::byte{0x5a};
   *v.host_ptr(v.base + 63) = std::byte{0xa5};
   EXPECT_EQ(*v.host_ptr(v.base), std::byte{0x5a});
@@ -52,7 +52,7 @@ TEST(AddressSpace, HostBackingIsPerVmaAndWritable) {
 
 TEST(AddressSpace, RssFollowsResidencyDeltas) {
   os::AddressSpace as;
-  os::Vma& v = as.create(1 << 20, os::AllocKind::kSystem, 4096, "a");
+  os::Vma& v = as.create(1 << 20, os::AllocKind::kSystem, 4096, "a", tenant::kNoTenant);
   as.note_resident_delta(v, 4096, 0);
   as.note_resident_delta(v, 4096, 65536);
   EXPECT_EQ(as.rss_bytes(), 8192u);
@@ -64,9 +64,10 @@ TEST(AddressSpace, RssFollowsResidencyDeltas) {
 
 TEST(AddressSpace, InvalidCreateArguments) {
   os::AddressSpace as;
-  EXPECT_THROW(as.create(0, os::AllocKind::kSystem, 4096, "z"),
+  EXPECT_THROW(as.create(0, os::AllocKind::kSystem, 4096, "z", tenant::kNoTenant),
                std::invalid_argument);
-  EXPECT_THROW(as.create(10, os::AllocKind::kSystem, 3, "z"), std::invalid_argument);
+  EXPECT_THROW(as.create(10, os::AllocKind::kSystem, 3, "z", tenant::kNoTenant),
+               std::invalid_argument);
 }
 
 class FaultTest : public ::testing::Test {
@@ -76,7 +77,8 @@ class FaultTest : public ::testing::Test {
 };
 
 TEST_F(FaultTest, CpuFirstTouchPlacesOnCpu) {
-  os::Vma& v = m.address_space().create(1 << 20, os::AllocKind::kSystem, 65536, "a");
+  os::Vma& v = m.address_space().create(1 << 20, os::AllocKind::kSystem, 65536, "a",
+                                        tenant::kNoTenant);
   const sim::Picos before = m.clock().now();
   EXPECT_EQ(pf.first_touch(v, v.base, mem::Node::kCpu), mem::Node::kCpu);
   EXPECT_GT(m.clock().now(), before);
@@ -85,7 +87,8 @@ TEST_F(FaultTest, CpuFirstTouchPlacesOnCpu) {
 }
 
 TEST_F(FaultTest, GpuFirstTouchPlacesOnGpuAndCostsMore) {
-  os::Vma& v = m.address_space().create(1 << 20, os::AllocKind::kSystem, 65536, "a");
+  os::Vma& v = m.address_space().create(1 << 20, os::AllocKind::kSystem, 65536, "a",
+                                        tenant::kNoTenant);
   const sim::Picos t0 = m.clock().now();
   (void)pf.first_touch(v, v.base, mem::Node::kCpu);
   const sim::Picos cpu_cost = m.clock().now() - t0;
@@ -104,18 +107,21 @@ TEST_F(FaultTest, GpuFirstTouchPlacesOnGpuAndCostsMore) {
 TEST_F(FaultTest, GpuFirstTouchFallsBackToCpuWhenHbmFull) {
   // Exhaust the GPU (8 MiB capacity, 1 MiB baseline -> 7 MiB free).
   os::Vma& filler =
-      m.address_space().create(7ull << 20, os::AllocKind::kGpuOnly, 1 << 21, "f");
+      m.address_space().create(7ull << 20, os::AllocKind::kGpuOnly, 1 << 21, "f",
+                               tenant::kNoTenant);
   for (std::uint64_t b = filler.base; b < filler.end(); b += 2 << 20) {
     ASSERT_TRUE(m.map_gpu_block(filler, b));
   }
-  os::Vma& v = m.address_space().create(1 << 20, os::AllocKind::kSystem, 65536, "a");
+  os::Vma& v = m.address_space().create(1 << 20, os::AllocKind::kSystem, 65536, "a",
+                                        tenant::kNoTenant);
   // System memory never evicts: the fault falls back to CPU placement
   // (Section 7: data stays on CPU and is accessed over C2C).
   EXPECT_EQ(pf.first_touch(v, v.base, mem::Node::kGpu), mem::Node::kCpu);
 }
 
 TEST_F(FaultTest, HostRegisterPopulatesAllPages) {
-  os::Vma& v = m.address_space().create(512 << 10, os::AllocKind::kSystem, 65536, "a");
+  os::Vma& v = m.address_space().create(512 << 10, os::AllocKind::kSystem, 65536, "a",
+                                        tenant::kNoTenant);
   (void)pf.first_touch(v, v.base, mem::Node::kCpu);  // one page pre-existing
   EXPECT_TRUE(pf.host_register(v));
   EXPECT_TRUE(v.host_registered);
@@ -126,20 +132,23 @@ TEST_F(FaultTest, HostRegisterPopulatesAllPages) {
 TEST_F(FaultTest, FirstTouchThrowsStatusWhenBothNodesFull) {
   // Fill the GPU (8 MiB capacity minus the 1 MiB driver baseline).
   os::Vma& gfill =
-      m.address_space().create(7ull << 20, os::AllocKind::kGpuOnly, 1 << 21, "g");
+      m.address_space().create(7ull << 20, os::AllocKind::kGpuOnly, 1 << 21, "g",
+                               tenant::kNoTenant);
   for (std::uint64_t b = gfill.base; b < gfill.end(); b += 2 << 20) {
     ASSERT_TRUE(m.map_gpu_block(gfill, b));
   }
   // Fill all 64 MiB of DDR.
   os::Vma& cfill =
-      m.address_space().create(64ull << 20, os::AllocKind::kSystem, 65536, "c");
+      m.address_space().create(64ull << 20, os::AllocKind::kSystem, 65536, "c",
+                               tenant::kNoTenant);
   for (std::uint64_t va = cfill.base; va < cfill.end(); va += 65536) {
     ASSERT_TRUE(m.map_system_page(cfill, va, mem::Node::kCpu));
   }
   // System memory has nowhere left to place the page: the fault surfaces
   // as a Status-carrying error (the process-kill of a real OOM), not an
   // uncontrolled crash or a silent wrong placement.
-  os::Vma& v = m.address_space().create(1 << 20, os::AllocKind::kSystem, 65536, "a");
+  os::Vma& v = m.address_space().create(1 << 20, os::AllocKind::kSystem, 65536, "a",
+                                        tenant::kNoTenant);
   try {
     (void)pf.first_touch(v, v.base, mem::Node::kCpu);
     FAIL() << "expected StatusError";
@@ -153,11 +162,13 @@ TEST_F(FaultTest, FirstTouchThrowsStatusWhenBothNodesFull) {
 TEST_F(FaultTest, HostRegisterPartialWhenCpuExhausted) {
   // Leave exactly two free 64 KiB CPU pages.
   os::Vma& cfill = m.address_space().create((64ull << 20) - (128 << 10),
-                                            os::AllocKind::kSystem, 65536, "c");
+                                            os::AllocKind::kSystem, 65536, "c",
+                                            tenant::kNoTenant);
   for (std::uint64_t va = cfill.base; va < cfill.end(); va += 65536) {
     ASSERT_TRUE(m.map_system_page(cfill, va, mem::Node::kCpu));
   }
-  os::Vma& v = m.address_space().create(256 << 10, os::AllocKind::kSystem, 65536, "a");
+  os::Vma& v = m.address_space().create(256 << 10, os::AllocKind::kSystem, 65536, "a",
+                                        tenant::kNoTenant);
   // Registration maps what fits and reports the shortfall instead of
   // terminating; the VMA is not marked registered.
   EXPECT_FALSE(pf.host_register(v));
@@ -215,7 +226,8 @@ TEST_F(AllocatorTest, DeallocCostScalesWithPresentPages) {
 TEST_F(AllocatorTest, PinnedAllocationUnwindsOnCpuExhaustion) {
   // Leave one free 64 KiB CPU page — not enough for a 256 KiB pinned range.
   os::Vma& cfill = m.address_space().create((64ull << 20) - (64 << 10),
-                                            os::AllocKind::kSystem, 65536, "c");
+                                            os::AllocKind::kSystem, 65536, "c",
+                                            tenant::kNoTenant);
   for (std::uint64_t va = cfill.base; va < cfill.end(); va += 65536) {
     ASSERT_TRUE(m.map_system_page(cfill, va, mem::Node::kCpu));
   }
@@ -234,7 +246,8 @@ TEST_F(AllocatorTest, PinnedAllocationUnwindsOnCpuExhaustion) {
 
 TEST(Machine, MoveSystemPageKeepsLedgersConsistent) {
   core::Machine m{small_config()};
-  os::Vma& v = m.address_space().create(1 << 20, os::AllocKind::kSystem, 65536, "a");
+  os::Vma& v = m.address_space().create(1 << 20, os::AllocKind::kSystem, 65536, "a",
+                                        tenant::kNoTenant);
   ASSERT_TRUE(m.map_system_page(v, v.base, mem::Node::kCpu));
   const std::uint64_t cpu_used = m.frames(mem::Node::kCpu).used();
   const std::uint64_t gpu_used = m.frames(mem::Node::kGpu).used();
@@ -250,14 +263,15 @@ TEST(Machine, MoveSystemPageKeepsLedgersConsistent) {
 TEST(Machine, GpuBlockBytesClipsToVmaEnd) {
   core::Machine m{small_config()};
   os::Vma& v = m.address_space().create((2 << 20) + 4096, os::AllocKind::kManaged,
-                                        2 << 20, "a");
+                                        2 << 20, "a", tenant::kNoTenant);
   EXPECT_EQ(m.gpu_block_bytes(v, v.base), 2u << 20);
   EXPECT_EQ(m.gpu_block_bytes(v, v.base + (2 << 20)), 4096u);
 }
 
 TEST(Machine, DoubleMapThrows) {
   core::Machine m{small_config()};
-  os::Vma& v = m.address_space().create(1 << 20, os::AllocKind::kSystem, 65536, "a");
+  os::Vma& v = m.address_space().create(1 << 20, os::AllocKind::kSystem, 65536, "a",
+                                        tenant::kNoTenant);
   ASSERT_TRUE(m.map_system_page(v, v.base, mem::Node::kCpu));
   EXPECT_THROW((void)m.map_system_page(v, v.base, mem::Node::kCpu), std::logic_error);
 }

@@ -199,8 +199,8 @@ TEST(TenantAttribution, CrossTenantEvictionsAreAttributed) {
   ASSERT_EQ(sched.job(2).state, tenant::JobState::kFinished);
 
   const tenant::AttributionTable& at = sys.attribution();
-  EXPECT_GT(at.cross_tenant_evictions(), 0u);
-  EXPECT_GT(at.cross_tenant_evicted_bytes(), 0u);
+  EXPECT_GT(at.cross_tenant().count, 0u);
+  EXPECT_GT(at.cross_tenant().bytes, 0u);
   // The who-evicted-whom matrix names both directions' cells; at least
   // one of them saw traffic.
   EXPECT_GT(at.evictions(1, 2).count + at.evictions(2, 1).count, 0u);
@@ -211,8 +211,8 @@ TEST(TenantAttribution, CrossTenantEvictionsAreAttributed) {
   // The event log carries the same signal: the Tracer reconstructs
   // cross-tenant evictions from (Event::tenant, Event::aux) alone.
   const profile::TraceSummary ts = profile::Tracer{sys.events()}.summarize();
-  EXPECT_EQ(ts.cross_tenant_evictions, at.cross_tenant_evictions());
-  EXPECT_EQ(ts.cross_tenant_evicted_bytes, at.cross_tenant_evicted_bytes());
+  EXPECT_EQ(ts.cross_tenant_evictions, at.cross_tenant().count);
+  EXPECT_EQ(ts.cross_tenant_evicted_bytes, at.cross_tenant().bytes);
 }
 
 TEST(TenantAttribution, C2CBytesAreChargedPerTenant) {
