@@ -73,10 +73,8 @@ int main(int argc, char** argv) {
 
     if (dump_trace) {
       sys.link_monitor().stop();
-      profile::TraceOptions topts;
-      topts.link_samples = &sys.link_monitor().samples();
-      const std::string trace =
-          profile::to_chrome_trace(sys.events(), sys.workload(), topts);
+      const std::string trace = profile::to_chrome_trace(
+          sys.events(), sys.workload(), &sys.link_monitor().samples());
       if (std::FILE* f = std::fopen(trace_path.c_str(), "w")) {
         std::fwrite(trace.data(), 1, trace.size(), f);
         std::fclose(f);

@@ -221,10 +221,8 @@ RunResult one_run(const ObsApp& app, apps::MemMode mode, bs::Scale scale) {
   if (sys.metrics_prometheus().empty()) {
     out.failures.emplace_back("prometheus exposition is empty");
   }
-  profile::TraceOptions topts;
-  topts.link_samples = &sys.link_monitor().samples();
-  const std::string trace =
-      profile::to_chrome_trace(sys.events(), sys.workload(), topts);
+  const std::string trace = profile::to_chrome_trace(
+      sys.events(), sys.workload(), &sys.link_monitor().samples());
   if (!obs::json_valid(trace, &err)) {
     out.failures.push_back("chrome trace invalid: " + err);
   }
@@ -289,9 +287,8 @@ TenancyResult tenancy_corun(bs::Scale scale) {
 
   TenancyResult out;
   cross_check(sys, out.failures);
-  profile::TraceOptions topts;
-  topts.link_samples = &sys.link_monitor().samples();
-  out.trace = profile::to_chrome_trace(sys.events(), sys.workload(), topts);
+  out.trace = profile::to_chrome_trace(sys.events(), sys.workload(),
+                                       &sys.link_monitor().samples());
 
   std::string err;
   if (!obs::json_valid(out.trace, &err)) {

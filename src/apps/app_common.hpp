@@ -44,9 +44,6 @@ struct PhaseTimes {
   [[nodiscard]] double reported_total_s() const noexcept {
     return alloc_s + gpu_init_s + compute_s + dealloc_s;
   }
-  [[nodiscard]] double end_to_end_s() const noexcept {
-    return reported_total_s() + cpu_init_s + context_s;
-  }
 };
 
 struct AppReport {
@@ -221,7 +218,6 @@ class Digest {
     h_ = sim::fnv1a(p, n, h_);
   }
   void add_u64(std::uint64_t v) noexcept { add_bytes(&v, sizeof(v)); }
-  void add_double(double d) noexcept { add_bytes(&d, sizeof(d)); }
   [[nodiscard]] std::uint64_t value() const noexcept { return h_; }
 
  private:

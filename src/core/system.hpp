@@ -207,7 +207,6 @@ class System {
   void host_phase_begin(std::string name);
   const cache::KernelRecord& host_phase_end(double flop_work = 0.0);
 
-  [[nodiscard]] bool in_gpu_kernel() const noexcept { return in_kernel_; }
   [[nodiscard]] std::uint64_t kernel_id() const noexcept { return kernel_seq_; }
 
   /// Recovery-path cleanup after a crash Status unwound out of a kernel or

@@ -19,9 +19,9 @@
 /// core::System + tenant::Scheduler) under one deterministic control
 /// plane (DESIGN.md Section 11). The controller owns:
 ///
-///  - placement: bin-pack by footprint or load-balance by predicted local
-///    completion, with anti-affinity (replicas of one request never share
-///    a node) and per-node footprint budgets;
+///  - placement: load-balance by predicted local completion, with
+///    anti-affinity (replicas of one request never share a node) and
+///    per-node footprint budgets;
 ///  - the fleet fault domain: deterministic whole-node loss (in-flight
 ///    state dies; victims are replayed on survivors under a bounded
 ///    backoff retry budget or failed with Status::kErrorNodeLost) and

@@ -1,6 +1,7 @@
 #include "fleet/controller.hpp"
 
 #include <string>
+#include <utility>
 
 #include "core/machine.hpp"
 #include "core/system.hpp"
@@ -171,7 +172,7 @@ std::string Controller::chrome_trace() const {
                       : std::to_string(w.node_a) + "-" +
                             std::to_string(w.node_b)});
   }
-  return obs::export_fleet_trace(evs, cfg_.nodes + cfg_.spares);
+  return obs::export_fleet_trace(std::move(evs), cfg_.nodes + cfg_.spares);
 }
 
 }  // namespace ghum::fleet

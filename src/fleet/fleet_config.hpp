@@ -27,10 +27,6 @@ inline constexpr NodeId kNoNode = ~0u;
 
 /// How the controller picks a node for a new placement.
 enum class PlacementPolicy : std::uint8_t {
-  /// Tightest fit by declared footprint: the node with the least remaining
-  /// footprint headroom that still fits the job (classic bin packing —
-  /// concentrates load, keeps whole nodes free for big jobs).
-  kBinPack,
   /// Least predicted local completion time: the node whose local clock
   /// plus estimated backlog (sum of resident jobs' predicted solo costs)
   /// is earliest — spreads latency instead of footprint.
@@ -39,7 +35,6 @@ enum class PlacementPolicy : std::uint8_t {
 
 [[nodiscard]] constexpr std::string_view to_string(PlacementPolicy p) noexcept {
   switch (p) {
-    case PlacementPolicy::kBinPack: return "bin-pack";
     case PlacementPolicy::kLoadBalance: return "load-balance";
   }
   return "?";

@@ -19,31 +19,23 @@ NodeId Controller::pick_node(std::uint64_t footprint,
                              const std::vector<NodeId>& exclude) const {
   const std::uint64_t budget = node_budget();
   NodeId best = kNoNode;
-  std::uint64_t best_fill = 0;       // kBinPack: max placed_bytes that fits
-  sim::Picos best_eta = 0;           // kLoadBalance: min predicted completion
+  sim::Picos best_eta = 0;  // min predicted completion
   for (const Node& n : nodes_) {
     if (n.state != NodeState::kAlive || n.suspected) continue;
     if (std::find(exclude.begin(), exclude.end(), n.id) != exclude.end()) {
       continue;
     }
     if (n.placed_bytes + footprint > budget) continue;
-    if (cfg_.placement == PlacementPolicy::kBinPack) {
-      if (best == kNoNode || n.placed_bytes > best_fill) {
-        best = n.id;
-        best_fill = n.placed_bytes;
-      }
-    } else {
-      // known_now: an undetected silently dead node is still a candidate
-      // (the controller believes it alive) at its last observed clock —
-      // the placement send to it will exhaust and teach us otherwise.
-      sim::Picos eta = n.sys != nullptr ? n.sys->now() : n.known_now;
-      for (const auto& [tid, jidx] : n.live) {
-        eta += templates_[jobs_[jidx].req.tmpl].est_cost;
-      }
-      if (best == kNoNode || eta < best_eta) {
-        best = n.id;
-        best_eta = eta;
-      }
+    // known_now: an undetected silently dead node is still a candidate
+    // (the controller believes it alive) at its last observed clock —
+    // the placement send to it will exhaust and teach us otherwise.
+    sim::Picos eta = n.sys != nullptr ? n.sys->now() : n.known_now;
+    for (const auto& [tid, jidx] : n.live) {
+      eta += templates_[jobs_[jidx].req.tmpl].est_cost;
+    }
+    if (best == kNoNode || eta < best_eta) {
+      best = n.id;
+      best_eta = eta;
     }
   }
   return best;

@@ -194,10 +194,6 @@ class Fabric {
   [[nodiscard]] const ReliableTotals& reliable_totals() const noexcept {
     return rtotals_;
   }
-  [[nodiscard]] const fault::MessageFaultConfig& message_faults()
-      const noexcept {
-    return msg_;
-  }
 
   /// When enabled, every transfer appends a TransferRecord to log().
   void set_log_enabled(bool on) noexcept { log_enabled_ = on; }

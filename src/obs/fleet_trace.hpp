@@ -91,16 +91,10 @@ struct FleetTraceEvent {
   std::string label{};  ///< extra name detail (may be user-supplied; escaped)
 };
 
-struct FleetTraceOptions {
-  bool flow_events = true;   ///< emit s/t/f chains per root span
-  bool tenant_lanes = true;  ///< thread per tenant inside each node lane
-};
-
-/// Renders \p events (any order; stable-sorted by time internally) for
-/// a fleet of \p machines node lanes. Strictly valid JSON regardless of
-/// label contents.
+/// The fleet view of the ChromeTrace writer: renders \p events (any
+/// order; stable-sorted by time internally) for a fleet of \p machines
+/// node lanes. Strictly valid JSON regardless of label contents.
 [[nodiscard]] std::string export_fleet_trace(
-    const std::vector<FleetTraceEvent>& events, std::uint32_t machines,
-    const FleetTraceOptions& opts = {});
+    std::vector<FleetTraceEvent> events, std::uint32_t machines);
 
 }  // namespace ghum::obs

@@ -1,17 +1,22 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "sim/time.hpp"
 
 /// \file trace_json.hpp
-/// JSON and Chrome trace-event writing primitives shared by the
-/// single-machine exporter (profile/trace_export) and the fleet exporter
-/// (obs/fleet_trace), plus the escaping the JSON metrics exposition uses.
+/// JSON escaping (shared with the metrics exposition) and the one Chrome
+/// trace-event writer. The single-machine timeline (profile/trace_export)
+/// and the fleet timeline (obs/fleet_trace) are views that map their
+/// records onto ChromeTrace: each decides its lanes, flow ids, event order
+/// and args; the writer decides only the format.
 
 namespace ghum::obs {
 
@@ -20,40 +25,71 @@ namespace ghum::obs {
 /// load-bearing — a name like `step "k"` must not break the document.
 [[nodiscard]] std::string json_escape(std::string_view s);
 
-/// Microsecond timestamp with fixed 3-decimal (nanosecond) precision.
-/// ostream default formatting flips to scientific notation on long
-/// traces, which Chrome's JSON parser rejects inside ts/dur.
-[[nodiscard]] std::string us(sim::Picos t);
+/// Where an event sits in the viewer: a process, or one of its threads.
+struct TraceLane {
+  int pid = 1;
+  std::optional<int> tid{};  ///< none: the process itself (name, counters)
+};
 
-/// Separates the event objects of a traceEvents array.
-class TraceWriter {
+/// The members of one causal flow chain, in order: lane and timestamp each.
+using FlowChain = std::vector<std::pair<TraceLane, sim::Picos>>;
+
+/// The "args" object of one event, keys in insertion order: integers
+/// render bare, bools as true/false, anything else as an escaped string.
+class TraceArgs {
  public:
-  explicit TraceWriter(std::ostringstream& out) : out_(&out) {}
-
-  /// Starts the next event object (comma/newline separation).
-  std::ostringstream& next() {
-    if (!first_) *out_ << ",\n";
-    first_ = false;
-    return *out_;
+  template <class T>
+  TraceArgs& add(std::string_view key, const T& value) {
+    if (!body_.empty()) body_ += ',';
+    body_ += '"';
+    body_ += key;
+    body_ += "\":";
+    if constexpr (std::is_same_v<T, bool>) {
+      body_ += value ? "true" : "false";
+    } else if constexpr (std::is_integral_v<T>) {
+      body_ += std::to_string(value);
+    } else {
+      body_ += '"' + json_escape(value) + '"';
+    }
+    return *this;
   }
 
+  [[nodiscard]] const std::string& json() const noexcept { return body_; }
+
  private:
-  std::ostringstream* out_;
+  std::string body_;
+};
+
+/// One Chrome trace-event JSON document (chrome://tracing, Perfetto,
+/// Speedscope). Event names are escaped; simulated picoseconds render as
+/// microseconds with fixed 3-decimal (nanosecond) precision.
+class ChromeTrace {
+ public:
+  ChromeTrace();
+
+  /// Names \p lane: a process_name record, or thread_name with a tid.
+  void name(TraceLane lane, std::string_view name);
+
+  /// One event of phase \p ph: 'i' a global-scope instant, 'X' a
+  /// duration covering [ts, ts + dur], 'C' a counter sample on the
+  /// process's track \p name. \p dur is written for 'X' only.
+  void event(char ph, std::string_view name, TraceLane lane, sim::Picos ts,
+             sim::Picos dur, const TraceArgs& args);
+
+  /// One causal flow chain with id \p id: the first member starts it, the
+  /// last finishes it (bound to the enclosing slice), everything between
+  /// is a step. Chains shorter than two members draw no arrow and emit
+  /// nothing.
+  void flow(std::uint64_t id, const FlowChain& members);
+
+  /// Closes the document and returns it.
+  [[nodiscard]] std::string finish();
+
+ private:
+  std::ostringstream& next();
+
+  std::ostringstream out_;
   bool first_ = true;
 };
-
-/// Where one member of a flow chain sits: its lane and timestamp.
-struct FlowPoint {
-  int pid = 1;
-  int tid = 0;
-  sim::Picos ts = 0;
-};
-
-/// Emits \p members as one s/t/f causal flow chain with id \p id: the
-/// first member starts it, the last finishes it (bound to the enclosing
-/// slice), everything between is a step. Chains shorter than two members
-/// draw no arrow and emit nothing.
-void append_flow_chain(TraceWriter& w, std::uint64_t id,
-                       const std::vector<FlowPoint>& members);
 
 }  // namespace ghum::obs

@@ -1,8 +1,9 @@
 #include "profile/trace_export.hpp"
 
+#include <cinttypes>
+#include <cstdio>
 #include <map>
 #include <set>
-#include <sstream>
 
 #include "obs/trace_json.hpp"
 
@@ -10,134 +11,104 @@ namespace ghum::profile {
 
 namespace {
 
-using obs::json_escape;
-using obs::TraceWriter;
-using obs::us;
+using obs::TraceArgs;
+using obs::TraceLane;
 
-void append_metadata(TraceWriter& w, const std::set<std::uint32_t>& tenants) {
-  w.next() << R"({"name":"process_name","ph":"M","pid":1,"args":{"name":"ghum"}})";
-  w.next() << R"({"name":"thread_name","ph":"M","pid":1,"tid":1,"args":{"name":"GPU kernels"}})";
-  w.next() << R"({"name":"thread_name","ph":"M","pid":1,"tid":2,"args":{"name":"MemSys events"}})";
-  w.next() << R"({"name":"thread_name","ph":"M","pid":1,"tid":3,"args":{"name":"Link state"}})";
-  for (const std::uint32_t t : tenants) {
-    w.next() << R"({"name":"thread_name","ph":"M","pid":1,"tid":)" << (100 + t)
-             << R"(,"args":{"name":"Tenant )" << t << R"( MemSys"}})";
-  }
+constexpr int kPid = 1;
+constexpr TraceLane kKernelLane{kPid, 1};
+constexpr TraceLane kMemSysLane{kPid, 2};
+constexpr TraceLane kLinkLane{kPid, 3};
+
+TraceLane tenant_lane(std::uint32_t tenant) {
+  return {kPid, 100 + static_cast<int>(tenant)};
 }
 
-void append_kernel(TraceWriter& w, const cache::KernelRecord& r) {
-  w.next() << R"({"name":")" << json_escape(r.name)
-           << R"(","ph":"X","pid":1,"tid":1,"ts":)" << us(r.start)
-           << R"(,"dur":)" << us(r.duration) << R"(,"args":{)"
-           << R"("tenant":)" << r.tenant << R"(,"hbm_bytes":)"
-           << r.traffic.gpu_local_bytes() << R"(,"c2c_bytes":)"
-           << r.traffic.gpu_remote_bytes() << R"(,"l1l2_bytes":)"
-           << r.traffic.l1l2_bytes << R"(,"managed_faults":)"
-           << r.traffic.managed_faults << R"(,"first_touch_faults":)"
-           << r.traffic.gpu_first_touch_faults << "}}";
-}
-
-/// Lane for one memsys instant event: shared MemSys (tid 2), or the
-/// event's tenant lane in co-scheduled runs.
-int event_tid(const sim::Event& e, const TraceOptions& opts) {
-  if (opts.tenant_lanes && e.tenant != 0) return 100 + static_cast<int>(e.tenant);
-  return 2;
-}
-
-void append_event(TraceWriter& w, const sim::Event& e, const TraceOptions& opts) {
-  w.next() << R"({"name":")" << sim::to_string(e.type)
-           << R"(","ph":"i","s":"g","pid":1,"tid":)" << event_tid(e, opts)
-           << R"(,"ts":)" << us(e.time) << R"(,"args":{"va":")" << std::hex
-           << "0x" << e.va << std::dec << R"(","bytes":)" << e.bytes
-           << R"(,"span":)" << e.span << R"(,"tenant":)" << e.tenant << "}}";
-}
-
-/// Link-degradation windows: kLinkDegradeBegin/End pairs become duration
-/// events on the "Link state" lane; a window still open at the end of the
-/// trace is closed at the last event's timestamp.
-void append_degrade_windows(TraceWriter& w, const std::vector<sim::Event>& events) {
-  sim::Picos open_at = -1;
-  sim::Picos last = 0;
-  for (const auto& e : events) last = e.time;
-  auto emit = [&](sim::Picos t0, sim::Picos t1, bool open_ended) {
-    w.next() << R"({"name":"link degraded","ph":"X","pid":1,"tid":3,"ts":)"
-             << us(t0) << R"(,"dur":)" << us(t1 - t0)
-             << R"(,"args":{"open_ended":)" << (open_ended ? "true" : "false")
-             << "}}";
-  };
-  for (const auto& e : events) {
-    if (e.type == sim::EventType::kLinkDegradeBegin) {
-      open_at = e.time;
-    } else if (e.type == sim::EventType::kLinkDegradeEnd && open_at >= 0) {
-      emit(open_at, e.time, false);
-      open_at = -1;
-    }
-  }
-  if (open_at >= 0) emit(open_at, last, true);
-}
-
-/// Causal flow arrows: each span with at least two events becomes a chain
-/// of s/t/f flow events anchored at the member events' timestamps/lanes.
-void append_flows(TraceWriter& w, const std::vector<sim::Event>& events,
-                  const TraceOptions& opts) {
-  std::map<std::uint32_t, std::vector<obs::FlowPoint>> spans;
-  for (const auto& e : events) {
-    if (e.span != 0) spans[e.span].push_back({1, event_tid(e, opts), e.time});
-  }
-  for (const auto& [span, members] : spans) {
-    obs::append_flow_chain(w, span, members);
-  }
-}
-
-void append_link_counters(TraceWriter& w, const std::vector<obs::LinkSample>& samples) {
-  for (const auto& s : samples) {
-    w.next() << R"x({"name":"C2C util (permille)","ph":"C","pid":1,"ts":)x"
-             << us(s.t0) << R"(,"args":{"h2d":)" << s.h2d_util_permille
-             << R"(,"d2h":)" << s.d2h_util_permille << "}}";
-  }
+/// Lane for one memsys instant event: shared MemSys, or the event's
+/// tenant lane in co-scheduled runs.
+TraceLane lane_of(const sim::Event& e) {
+  return e.tenant != 0 ? tenant_lane(e.tenant) : kMemSysLane;
 }
 
 }  // namespace
 
 std::string to_chrome_trace(const sim::EventLog& log,
-                            const WorkloadAnalysis& workload) {
-  return to_chrome_trace(log, workload, TraceOptions{});
-}
-
-std::string to_chrome_trace(const sim::EventLog& log,
                             const WorkloadAnalysis& workload,
-                            const TraceOptions& opts) {
-  std::ostringstream out;
-  out << R"({"displayTimeUnit":"ms","traceEvents":[)" << "\n";
-  TraceWriter w{out};
-
+                            const std::vector<obs::LinkSample>* link_samples) {
+  obs::ChromeTrace w;
+  w.name({kPid}, "ghum");
+  w.name(kKernelLane, "GPU kernels");
+  w.name(kMemSysLane, "MemSys events");
+  w.name(kLinkLane, "Link state");
   std::set<std::uint32_t> tenants;
-  if (opts.tenant_lanes) {
-    for (const auto& e : log.events()) {
-      if (e.tenant != 0) tenants.insert(e.tenant);
-    }
-  }
-  append_metadata(w, tenants);
-
-  for (const auto& r : workload.records()) append_kernel(w, r);
   for (const auto& e : log.events()) {
+    if (e.tenant != 0) tenants.insert(e.tenant);
+  }
+  for (const std::uint32_t t : tenants) {
+    w.name(tenant_lane(t), "Tenant " + std::to_string(t) + " MemSys");
+  }
+
+  for (const auto& r : workload.records()) {
+    w.event('X', r.name, kKernelLane, r.start, r.duration,
+            TraceArgs{}
+                .add("tenant", r.tenant)
+                .add("hbm_bytes", r.traffic.gpu_local_bytes())
+                .add("c2c_bytes", r.traffic.gpu_remote_bytes())
+                .add("l1l2_bytes", r.traffic.l1l2_bytes)
+                .add("managed_faults", r.traffic.managed_faults)
+                .add("first_touch_faults", r.traffic.gpu_first_touch_faults));
+  }
+  // Causal flow arrows: each span is a chain anchored at its member
+  // events' timestamps and lanes, whatever their type. Link-degradation
+  // windows: kLinkDegradeBegin/End pairs become durations on the Link
+  // state lane; a window still open at the end of the trace closes at the
+  // last event's timestamp.
+  std::map<std::uint32_t, obs::FlowChain> spans;
+  std::vector<std::pair<sim::Picos, sim::Picos>> degraded;
+  sim::Picos open_at = -1;
+  for (const auto& e : log.events()) {
+    if (e.span != 0) spans[e.span].push_back({lane_of(e), e.time});
     switch (e.type) {
       case sim::EventType::kKernelBegin:
       case sim::EventType::kKernelEnd:
         continue;  // kernels are exported as duration events from the records
       case sim::EventType::kLinkDegradeBegin:
+        open_at = e.time;
+        continue;
       case sim::EventType::kLinkDegradeEnd:
-        continue;  // rendered as durations on the Link state lane
-      default:
-        append_event(w, e, opts);
+        if (open_at >= 0) degraded.emplace_back(open_at, e.time);
+        open_at = -1;
+        continue;
+      default: {
+        char va[24];
+        std::snprintf(va, sizeof va, "0x%" PRIx64, e.va);
+        w.event('i', sim::to_string(e.type), lane_of(e), e.time, 0,
+                TraceArgs{}
+                    .add("va", va)
+                    .add("bytes", e.bytes)
+                    .add("span", e.span)
+                    .add("tenant", e.tenant));
+      }
     }
   }
-  append_degrade_windows(w, log.events());
-  if (opts.flow_events) append_flows(w, log.events(), opts);
-  if (opts.link_samples != nullptr) append_link_counters(w, *opts.link_samples);
-
-  out << "\n]}\n";
-  return out.str();
+  for (const auto& [t0, t1] : degraded) {
+    w.event('X', "link degraded", kLinkLane, t0, t1 - t0,
+            TraceArgs{}.add("open_ended", false));
+  }
+  if (open_at >= 0) {
+    w.event('X', "link degraded", kLinkLane, open_at,
+            log.events().back().time - open_at,
+            TraceArgs{}.add("open_ended", true));
+  }
+  for (const auto& [span, members] : spans) w.flow(span, members);
+  if (link_samples != nullptr) {
+    for (const auto& s : *link_samples) {
+      w.event('C', "C2C util (permille)", {kPid}, s.t0, 0,
+              TraceArgs{}
+                  .add("h2d", s.h2d_util_permille)
+                  .add("d2h", s.d2h_util_permille));
+    }
+  }
+  return w.finish();
 }
 
 }  // namespace ghum::profile

@@ -8,9 +8,10 @@
 #include "sim/event_log.hpp"
 
 /// \file trace_export.hpp
-/// Export of the simulator's event log and kernel records to the Chrome
-/// trace-event JSON format (chrome://tracing, Perfetto, Speedscope). This
-/// is the ghum counterpart of exporting an Nsight Systems timeline:
+/// The single-machine view of the obs::ChromeTrace writer: the simulator's
+/// event log and kernel records as a Chrome trace-event JSON document
+/// (chrome://tracing, Perfetto, Speedscope). This is the ghum counterpart
+/// of exporting an Nsight Systems timeline:
 ///  - kernel launches are duration events on the "GPU kernels" track;
 ///  - faults, migrations and evictions are instant events on a "MemSys"
 ///    track — one lane per tenant in co-scheduled runs;
@@ -24,23 +25,11 @@
 
 namespace ghum::profile {
 
-/// Optional enrichments for to_chrome_trace.
-struct TraceOptions {
-  /// Closed windows from obs::LinkMonitor; rendered as a "C2C util
-  /// (permille)" counter track when non-null.
-  const std::vector<obs::LinkSample>* link_samples = nullptr;
-  /// Route events stamped with tenant != 0 to one lane per tenant
-  /// (tid 100 + tenant) instead of the shared MemSys lane.
-  bool tenant_lanes = true;
-  /// Emit flow (s/t/f) arrows for causal spans with at least two events.
-  bool flow_events = true;
-};
-
 /// Renders \p log and \p workload as a complete Chrome trace JSON document.
-[[nodiscard]] std::string to_chrome_trace(const sim::EventLog& log,
-                                          const WorkloadAnalysis& workload);
-[[nodiscard]] std::string to_chrome_trace(const sim::EventLog& log,
-                                          const WorkloadAnalysis& workload,
-                                          const TraceOptions& opts);
+/// Closed obs::LinkMonitor windows in \p link_samples, when given, become
+/// a "C2C util (permille)" counter track.
+[[nodiscard]] std::string to_chrome_trace(
+    const sim::EventLog& log, const WorkloadAnalysis& workload,
+    const std::vector<obs::LinkSample>* link_samples = nullptr);
 
 }  // namespace ghum::profile

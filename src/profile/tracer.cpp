@@ -59,14 +59,6 @@ TraceSummary Tracer::summarize() const {
   return summarize(0, std::numeric_limits<sim::Picos>::max());
 }
 
-TraceSummary Tracer::summarize_tenant(std::uint32_t tenant) const {
-  TraceSummary s;
-  for (const auto& e : log_->events()) {
-    if (e.tenant == tenant) accumulate(s, e);
-  }
-  return s;
-}
-
 TraceSummary Tracer::summarize(sim::Picos t0, sim::Picos t1) const {
   TraceSummary s;
   for (const auto& e : log_->events()) {

@@ -60,11 +60,6 @@ class Tracer {
   /// Summary over events in the half-open simulated-time window [t0, t1).
   [[nodiscard]] TraceSummary summarize(sim::Picos t0, sim::Picos t1) const;
 
-  /// Summary restricted to events stamped with \p tenant: what the memory
-  /// system did *during this tenant's quanta* (evictions listed here are the
-  /// ones this tenant perpetrated; whom they hit is in Event::aux).
-  [[nodiscard]] TraceSummary summarize_tenant(std::uint32_t tenant) const;
-
   /// Human-readable event listing (one line per event).
   [[nodiscard]] std::string to_text(std::size_t max_events = 200) const;
 

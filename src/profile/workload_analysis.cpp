@@ -20,21 +20,6 @@ cache::KernelTraffic WorkloadAnalysis::total(std::string_view needle) const {
   return t;
 }
 
-std::vector<const cache::KernelRecord*> WorkloadAnalysis::for_tenant(
-    std::uint32_t tenant) const {
-  std::vector<const cache::KernelRecord*> out;
-  for (const auto& r : records_) {
-    if (r.tenant == tenant) out.push_back(&r);
-  }
-  return out;
-}
-
-cache::KernelTraffic WorkloadAnalysis::tenant_total(std::uint32_t tenant) const {
-  cache::KernelTraffic t;
-  for (const auto* r : for_tenant(tenant)) t += r->traffic;
-  return t;
-}
-
 std::string WorkloadAnalysis::to_table() const {
   std::ostringstream out;
   out << std::left << std::setw(28) << "kernel" << std::right << std::setw(12)

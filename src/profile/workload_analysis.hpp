@@ -29,14 +29,6 @@ class WorkloadAnalysis {
   /// Aggregate traffic across all records matching \p needle.
   [[nodiscard]] cache::KernelTraffic total(std::string_view needle) const;
 
-  /// All records launched during \p tenant's quanta, in launch order
-  /// (per-tenant Memory Workload Analysis under co-scheduling).
-  [[nodiscard]] std::vector<const cache::KernelRecord*> for_tenant(
-      std::uint32_t tenant) const;
-
-  /// Aggregate traffic across one tenant's launches.
-  [[nodiscard]] cache::KernelTraffic tenant_total(std::uint32_t tenant) const;
-
   void clear() { records_.clear(); }
 
   /// Pretty table (name, duration, HBM/C2C/L1L2 volumes) for reports.

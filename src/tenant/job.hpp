@@ -35,7 +35,6 @@ struct JobSpec {
 };
 
 enum class JobState : std::uint8_t {
-  kQueued,    ///< submitted, waiting for budget (queue_over_budget)
   kRunning,   ///< admitted; coroutine exists and is resumable
   kFinished,  ///< ran to completion; report is valid
   kFailed,    ///< quantum threw (StatusError / bad_alloc); status records why
@@ -44,7 +43,6 @@ enum class JobState : std::uint8_t {
 
 [[nodiscard]] constexpr std::string_view to_string(JobState s) noexcept {
   switch (s) {
-    case JobState::kQueued: return "queued";
     case JobState::kRunning: return "running";
     case JobState::kFinished: return "finished";
     case JobState::kFailed: return "failed";
@@ -59,7 +57,7 @@ enum class JobState : std::uint8_t {
 struct Job {
   TenantId id = kNoTenant;  ///< tenant id; also the attribution key
   JobSpec spec;
-  JobState state = JobState::kQueued;
+  JobState state = JobState::kRunning;
 
   sim::Picos submitted_at = 0;
   sim::Picos started_at = 0;   ///< first quantum's start

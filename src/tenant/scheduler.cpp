@@ -1,7 +1,5 @@
 #include "tenant/scheduler.hpp"
 
-#include <algorithm>
-#include <limits>
 #include <new>
 #include <stdexcept>
 #include <tuple>
@@ -16,7 +14,6 @@ Scheduler::Scheduler(core::System& sys, SchedulerConfig cfg)
   const core::SystemConfig& mc = sys.machine().config();
   budget_ = cfg_.footprint_budget != 0 ? cfg_.footprint_budget
                                        : mc.hbm_capacity + mc.ddr_capacity;
-  if (cfg_.quantum_steps == 0) cfg_.quantum_steps = 1;
   if (cfg_.recovery.enabled) {
     rm_ = std::make_unique<RecoveryManager>(sys, cfg_.recovery);
   }
@@ -29,21 +26,12 @@ Status Scheduler::submit(JobSpec spec, TenantId* out_id) {
   j.submitted_at = sys_->now();
   if (out_id != nullptr) *out_id = j.id;
 
-  if (j.spec.footprint_bytes > budget_ ||
-      (!cfg_.queue_over_budget &&
-       admitted_bytes_ + j.spec.footprint_bytes > budget_)) {
+  if (admitted_bytes_ + j.spec.footprint_bytes > budget_) {
     j.state = JobState::kRejected;
     j.status = Status::kErrorOutOfMemory;
     j.finished_at = j.submitted_at;
     jobs_.push_back(std::move(j));
     return Status::kErrorOutOfMemory;
-  }
-  if (admitted_bytes_ + j.spec.footprint_bytes > budget_) {
-    // Over budget right now, but fits the machine: wait for capacity.
-    j.state = JobState::kQueued;
-    waiting_.push_back(j.id);
-    jobs_.push_back(std::move(j));
-    return Status::kSuccess;
   }
   jobs_.push_back(std::move(j));
   admit(jobs_.back());
@@ -62,17 +50,6 @@ void Scheduler::admit(Job& j) {
   j.state = JobState::kRunning;
 }
 
-void Scheduler::admit_waiting() {
-  // Strict FIFO: stop at the first queued job that still does not fit, so
-  // a large job cannot be starved by smaller late arrivals.
-  while (!waiting_.empty()) {
-    Job& j = jobs_[waiting_.front() - 1];
-    if (admitted_bytes_ + j.spec.footprint_bytes > budget_) break;
-    waiting_.pop_front();
-    admit(j);
-  }
-}
-
 Job* Scheduler::pick_next() {
   // Scan-and-min over runnable jobs: tenant counts are small and a linear
   // scan with a total-order key is trivially deterministic.
@@ -87,9 +64,6 @@ Job* Scheduler::pick_next() {
         break;
       case Policy::kFifo:
         key = {0, j.id, 0};
-        break;
-      case Policy::kRoundRobin:
-        key = {0, j.quanta, j.id};
         break;
       case Policy::kPriority:
         // Larger priority first; submission order breaks ties.
@@ -108,18 +82,11 @@ void Scheduler::retire(Job& j) {
   j.finished_at = sys_->now();
   j.coro = apps::AppCoro{};  // release the frame (buffers already freed)
   admitted_bytes_ -= j.spec.footprint_bytes;
-  admit_waiting();
 }
 
 bool Scheduler::step() {
   Job* j = pick_next();
-  if (j == nullptr) {
-    // Nothing runnable; queued jobs can only be waiting on budget that no
-    // running job will ever release — admit what fits, if anything.
-    admit_waiting();
-    j = pick_next();
-    if (j == nullptr) return false;
-  }
+  if (j == nullptr) return false;
 
   if (j->quanta == 0) j->started_at = sys_->now();
 
@@ -133,9 +100,7 @@ bool Scheduler::step() {
   bool alive = true;
   Status failure = Status::kSuccess;
   try {
-    for (std::uint32_t s = 0; s < cfg_.quantum_steps && alive; ++s) {
-      alive = j->coro.step();
-    }
+    alive = j->coro.step();
   } catch (const StatusError& e) {
     failure = e.status();
   } catch (const std::bad_alloc&) {
@@ -190,17 +155,8 @@ Status Scheduler::cancel(TenantId id, Status reason) {
   Job& j = jobs_[id - 1];
   if (j.terminal()) return Status::kErrorInvalidValue;
 
-  if (j.state == JobState::kQueued) {
-    const auto it = std::find(waiting_.begin(), waiting_.end(), id);
-    if (it != waiting_.end()) waiting_.erase(it);
-    j.state = JobState::kFailed;
-    j.status = reason;
-    j.finished_at = sys_->now();
-    return Status::kSuccess;
-  }
-
-  // Running: drop the suspended coroutine frame first (its destructors do
-  // no simulated work), then scrub what the incarnation allocated — the
+  // Drop the suspended coroutine frame first (its destructors do no
+  // simulated work), then scrub what the incarnation allocated — the
   // teardown its exit path would have performed, charged to the victim and
   // immune to injected faults, exactly like the crash-recovery rollback.
   j.coro = apps::AppCoro{};

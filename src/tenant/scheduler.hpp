@@ -39,8 +39,6 @@ enum class Policy : std::uint8_t {
   kMinLocalTime,
   /// Run jobs to completion in submission order.
   kFifo,
-  /// Cycle through runnable jobs, one quantum each (fewest quanta first).
-  kRoundRobin,
   /// Highest JobSpec::priority runs to completion first.
   kPriority,
 };
@@ -49,7 +47,6 @@ enum class Policy : std::uint8_t {
   switch (p) {
     case Policy::kMinLocalTime: return "min-local-time";
     case Policy::kFifo: return "fifo";
-    case Policy::kRoundRobin: return "round-robin";
     case Policy::kPriority: return "priority";
   }
   return "?";
@@ -61,11 +58,6 @@ struct SchedulerConfig {
   /// machine's physical capacity (HBM + DDR): the node can technically
   /// oversubscribe HBM but not total memory.
   std::uint64_t footprint_budget = 0;
-  /// Coroutine steps (co_yield-delimited work units) per quantum.
-  std::uint32_t quantum_steps = 1;
-  /// Over-budget jobs wait in a FIFO queue for capacity instead of being
-  /// rejected (jobs larger than the whole budget are still rejected).
-  bool queue_over_budget = false;
   /// Crash recovery, watchdog, and periodic checkpoints. Disabled by
   /// default: a failing quantum then fails the job exactly as before.
   RecoveryConfig recovery;
@@ -75,29 +67,28 @@ class Scheduler {
  public:
   explicit Scheduler(core::System& sys, SchedulerConfig cfg = {});
 
-  /// Submits a job. Returns kSuccess when admitted (or queued, with
-  /// queue_over_budget set); Status::kErrorOutOfMemory when the declared
-  /// footprint cannot be granted. The returned id is the job's TenantId
-  /// (also written to *out_id when non-null); rejected jobs keep their id
-  /// so the caller can inspect Job::status.
+  /// Submits a job. Returns kSuccess when admitted;
+  /// Status::kErrorOutOfMemory when the declared footprint does not fit
+  /// the remaining budget. The returned id is the job's TenantId (also
+  /// written to *out_id when non-null); rejected jobs keep their id so the
+  /// caller can inspect Job::status.
   Status submit(JobSpec spec, TenantId* out_id = nullptr);
 
-  /// Runs one quantum of the next runnable job per policy. Returns false
-  /// when no job is runnable (all terminal, or only queued jobs that
-  /// still do not fit — which cannot happen once running jobs drain).
+  /// Runs one quantum — one coroutine step — of the next runnable job per
+  /// policy. Returns false when no job is runnable (all terminal).
   bool step();
 
-  /// Drives every admitted and queued job to a terminal state.
+  /// Drives every admitted job to a terminal state.
   void run_all();
 
-  /// Cancels a queued or running job — the fleet controller's drain,
-  /// deadline-enforcement and load-shedding entry point. A running job's
+  /// Cancels a running job — the fleet controller's drain,
+  /// deadline-enforcement and load-shedding entry point. The job's
   /// coroutine is destroyed and everything its incarnation allocated is
   /// scrubbed (real simulated unmap/free work, attributed to the victim,
-  /// under fault-injection suppression so cleanup cannot itself crash); a
-  /// queued job simply leaves the wait queue. The job ends kFailed with
-  /// \p reason as its status. Returns kErrorInvalidValue for an unknown or
-  /// already-terminal job, kSuccess otherwise.
+  /// under fault-injection suppression so cleanup cannot itself crash).
+  /// The job ends kFailed with \p reason as its status. Returns
+  /// kErrorInvalidValue for an unknown or already-terminal job, kSuccess
+  /// otherwise.
   Status cancel(TenantId id, Status reason);
 
   /// Re-points the scheduler — and every job's per-tenant Runtime — at a
@@ -113,13 +104,10 @@ class Scheduler {
   [[nodiscard]] std::uint64_t admitted_bytes() const noexcept {
     return admitted_bytes_;
   }
-  [[nodiscard]] std::size_t waiting_count() const noexcept {
-    return waiting_.size();
-  }
-  /// Node-local backlog: admitted-but-unfinished jobs plus the over-budget
-  /// wait queue. What the fleet flight recorder samples as queue depth.
+  /// Node-local backlog: admitted-but-unfinished jobs. What the fleet
+  /// flight recorder samples as queue depth.
   [[nodiscard]] std::size_t queue_depth() const noexcept {
-    std::size_t n = waiting_.size();
+    std::size_t n = 0;
     for (const Job& j : jobs_) {
       if (j.state == JobState::kRunning) ++n;
     }
@@ -132,7 +120,6 @@ class Scheduler {
 
  private:
   void admit(Job& j);
-  void admit_waiting();
   Job* pick_next();
   void retire(Job& j);
 
@@ -142,8 +129,7 @@ class Scheduler {
   std::uint64_t admitted_bytes_ = 0;
   TenantId next_id_ = 1;  ///< 0 is kNoTenant
   std::uint64_t total_quanta_ = 0;  ///< checkpoint-period clock
-  std::deque<Job> jobs_;        ///< all jobs, indexed by id - 1
-  std::deque<TenantId> waiting_;  ///< over-budget FIFO (queue_over_budget)
+  std::deque<Job> jobs_;  ///< all jobs, indexed by id - 1
   std::unique_ptr<RecoveryManager> rm_;  ///< present when recovery.enabled
 };
 

@@ -19,6 +19,7 @@
 #include "obs/json_check.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timeseries.hpp"
+#include "sim/fnv.hpp"
 #include "tenant/scheduler.hpp"
 
 /// Fleet observability tests (DESIGN.md Section 13): the deterministic
@@ -573,12 +574,6 @@ TEST(FleetTrace, FlowArrowsCrossNodeLanesPerRootSpan) {
   EXPECT_NE(json.find("\"ph\":\"t\""), std::string::npos) << "no flow step";
   EXPECT_NE(json.find("\"ph\":\"f\""), std::string::npos) << "no flow finish";
   EXPECT_NE(json.find("\"bp\":\"e\""), std::string::npos);
-
-  obs::FleetTraceOptions flat;
-  flat.flow_events = false;
-  const std::string noflow = obs::export_fleet_trace(ev, 2, flat);
-  EXPECT_EQ(noflow.find("\"ph\":\"s\""), std::string::npos);
-  ASSERT_TRUE(obs::json_valid(noflow, &err)) << err;
 }
 
 // ---------------------------------------------------------------------------
@@ -827,6 +822,36 @@ TEST(FleetObs, ChaosFleetDigestsMatchPinnedGoldens) {
   EXPECT_EQ(ts->digest(), kRecorderDigest) << std::hex << ts->digest();
   EXPECT_EQ(ae->digest(), kAlertDigest) << std::hex << ae->digest();
   EXPECT_EQ(ctl.digest(), kFleetDigest) << std::hex << ctl.digest();
+}
+
+TEST(TraceGolden, FleetLossAndLinkFlapTraceIsPinned) {
+  // The whole Controller::chrome_trace() document, byte for byte, as an
+  // FNV-1a digest: control, alert and fabric lanes, node lanes with
+  // per-tenant threads, a node loss whose root span crosses to a survivor,
+  // fabric transfers and a link-flap window.
+  fleet::FleetConfig f = obs_fleet(2);
+  f.spares = 1;
+  f.faults.node_loss = {{.time = solo().end / 2, .node = 0}};
+  f.faults.link_flap = {{.start = solo().end / 4,
+                         .duration = solo().end / 4,
+                         .node_a = 1,
+                         .node_b = 2}};
+  f.replace_max_retries = 6;
+  f.replace_backoff = solo().end / 4;
+  f.obs.alerts = {above("backlog", "fleet.pending_jobs", 0)};
+  fleet::Controller ctl{f, catalog()};
+  ASSERT_EQ(ctl.run(stream(4, solo().end / 8)), Status::kSuccess);
+
+  const std::string json = ctl.chrome_trace();
+  std::string err;
+  ASSERT_TRUE(obs::json_valid(json, &err)) << err;
+  for (const char* part :
+       {"\"node loss\"", "link flap 1-2", "\"ph\":\"X\"", "\"ph\":\"s\"",
+        "\"ph\":\"f\"", "\"name\":\"tenant 1\"", "alert open"}) {
+    EXPECT_NE(json.find(part), std::string::npos) << part;
+  }
+  const std::uint64_t digest = sim::fnv1a(json.data(), json.size());
+  EXPECT_EQ(digest, 0xe38f27153addebf8ull) << std::hex << digest;
 }
 
 /// Label-blind per-name counter sums over one registry.

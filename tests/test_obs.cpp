@@ -3,6 +3,7 @@
 #include <regex>
 #include <set>
 
+#include "apps/hotspot.hpp"
 #include "chk/snapshot.hpp"
 #include "core/system.hpp"
 #include "obs/json_check.hpp"
@@ -11,6 +12,8 @@
 #include "profile/trace_export.hpp"
 #include "profile/tracer.hpp"
 #include "runtime/runtime.hpp"
+#include "sim/fnv.hpp"
+#include "tenant/scheduler.hpp"
 
 namespace ghum {
 namespace {
@@ -512,10 +515,8 @@ TEST(TraceExportEnriched, FlowEventsAndLinkCountersParse) {
   core::System sys{cfg};
   run_oversubscribed_managed(sys);
   sys.link_monitor().stop();
-  profile::TraceOptions opts;
-  opts.link_samples = &sys.link_monitor().samples();
-  const std::string json =
-      profile::to_chrome_trace(sys.events(), sys.workload(), opts);
+  const std::string json = profile::to_chrome_trace(
+      sys.events(), sys.workload(), &sys.link_monitor().samples());
   std::string err;
   ASSERT_TRUE(obs::json_valid(json, &err)) << err;
   EXPECT_NE(json.find("\"ph\":\"s\""), std::string::npos) << "no flow starts";
@@ -540,18 +541,62 @@ TEST(TraceExportEnriched, TenantLanesAppearForStampedEvents) {
               .va = 0x2000,
               .bytes = 128});
   profile::WorkloadAnalysis wa;
-  const std::string json = profile::to_chrome_trace(log, wa, {});
+  const std::string json = profile::to_chrome_trace(log, wa);
   std::string err;
   ASSERT_TRUE(obs::json_valid(json, &err)) << err;
   EXPECT_NE(json.find("\"Tenant 1 MemSys\""), std::string::npos);
   EXPECT_NE(json.find("\"Tenant 2 MemSys\""), std::string::npos);
   EXPECT_NE(json.find("\"tid\":101"), std::string::npos);
   EXPECT_NE(json.find("\"tid\":102"), std::string::npos);
-  // With lanes off, both events fall back to the shared MemSys lane.
-  profile::TraceOptions flat;
-  flat.tenant_lanes = false;
-  const std::string shared = profile::to_chrome_trace(log, wa, flat);
-  EXPECT_EQ(shared.find("\"Tenant 1 MemSys\""), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// Whole-document trace pin.
+// ---------------------------------------------------------------------------
+
+TEST(TraceGolden, TwoTenantMachineTraceIsPinned) {
+  // The whole to_chrome_trace() document, byte for byte, as an FNV-1a
+  // digest: two managed tenants with their own MemSys lanes, causal spans
+  // of several events, the link monitor's counter track, and two C2C
+  // degrade windows — one closed mid-run, one still open at the end.
+  core::SystemConfig cfg = obs_config();
+  cfg.link_monitor = true;
+  cfg.faults.enabled = true;
+  cfg.faults.link_degrade = {
+      {.start = sim::microseconds(8'100), .duration = sim::microseconds(100)},
+      {.start = sim::microseconds(8'240), .duration = sim::milliseconds(1'000)}};
+  core::System sys{cfg};
+  tenant::Scheduler sched{sys};
+  for (const std::uint64_t seed : {42ull, 43ull}) {
+    tenant::JobSpec spec;
+    spec.name = "hotspot";
+    spec.mode = apps::MemMode::kManaged;
+    spec.footprint_bytes = 4ull << 20;
+    spec.make = [seed](runtime::Runtime& rt) {
+      apps::HotspotConfig h;
+      h.rows = 128;
+      h.cols = 128;
+      h.iterations = 3;
+      h.seed = seed;
+      return apps::hotspot_steps(rt, apps::MemMode::kManaged, h);
+    };
+    ASSERT_EQ(sched.submit(std::move(spec)), Status::kSuccess);
+  }
+  sched.run_all();
+  sys.link_monitor().stop();
+
+  const std::string json = profile::to_chrome_trace(
+      sys.events(), sys.workload(), {&sys.link_monitor().samples()});
+  std::string err;
+  ASSERT_TRUE(obs::json_valid(json, &err)) << err;
+  for (const char* part :
+       {"\"Tenant 1 MemSys\"", "\"tid\":102", "\"open_ended\":true",
+        "\"open_ended\":false", "\"ph\":\"s\"", "\"ph\":\"f\"",
+        "\"ph\":\"C\""}) {
+    EXPECT_NE(json.find(part), std::string::npos) << part;
+  }
+  const std::uint64_t digest = sim::fnv1a(json.data(), json.size());
+  EXPECT_EQ(digest, 0x66cecacae4f92b3dull) << std::hex << digest;
 }
 
 }  // namespace

@@ -86,27 +86,6 @@ TEST(TenantAdmission, RejectsWhenAggregateExceedsBudget) {
   EXPECT_EQ(sched.job(2).state, tenant::JobState::kRejected);
 }
 
-TEST(TenantAdmission, QueuesOverBudgetJobsUntilCapacityFrees) {
-  core::System sys{small_cfg()};
-  tenant::Scheduler sched{
-      sys, {.footprint_budget = 10ull << 20,
-            .queue_over_budget = true,
-            .recovery = {}}};
-  EXPECT_EQ(sched.submit(hotspot_spec(apps::MemMode::kManaged, 6ull << 20)),
-            Status::kSuccess);
-  EXPECT_EQ(sched.submit(hotspot_spec(apps::MemMode::kManaged, 6ull << 20)),
-            Status::kSuccess);
-  EXPECT_EQ(sched.job(2).state, tenant::JobState::kQueued);
-  EXPECT_EQ(sched.waiting_count(), 1u);
-  sched.run_all();
-  EXPECT_EQ(sched.job(1).state, tenant::JobState::kFinished);
-  EXPECT_EQ(sched.job(2).state, tenant::JobState::kFinished);
-  // The queued job was admitted only after the first released its budget.
-  EXPECT_GE(sched.job(2).started_at, sched.job(1).finished_at);
-  EXPECT_EQ(sched.waiting_count(), 0u);
-  EXPECT_EQ(sched.admitted_bytes(), 0u);
-}
-
 TEST(TenantPolicy, FifoRunsJobsToCompletionInSubmissionOrder) {
   core::System sys{small_cfg()};
   tenant::Scheduler sched{sys, {.policy = tenant::Policy::kFifo, .recovery = {}}};
@@ -129,22 +108,10 @@ TEST(TenantPolicy, PriorityRunsMoreUrgentJobFirst) {
   EXPECT_LE(sched.job(2).finished_at, sched.job(1).started_at);
 }
 
-TEST(TenantPolicy, RoundRobinInterleavesQuanta) {
-  core::System sys{small_cfg()};
-  tenant::Scheduler sched{sys, {.policy = tenant::Policy::kRoundRobin, .recovery = {}}};
-  (void)sched.submit(hotspot_spec(apps::MemMode::kManaged, 1ull << 20, 42));
-  (void)sched.submit(hotspot_spec(apps::MemMode::kManaged, 1ull << 20, 43));
-  sched.run_all();
-  // Both tenants were in flight at once: each started before the other
-  // finished.
-  EXPECT_LT(sched.job(1).started_at, sched.job(2).finished_at);
-  EXPECT_LT(sched.job(2).started_at, sched.job(1).finished_at);
-}
-
 /// One full co-run; returns (end time, event digest) for replay checks.
-std::pair<sim::Picos, std::uint64_t> co_run(tenant::Policy policy) {
+std::pair<sim::Picos, std::uint64_t> co_run() {
   core::System sys{small_cfg()};
-  tenant::Scheduler sched{sys, {.policy = policy, .recovery = {}}};
+  tenant::Scheduler sched{sys};
   (void)sched.submit(hotspot_spec(apps::MemMode::kManaged, 1ull << 20, 42));
   (void)sched.submit(hotspot_spec(apps::MemMode::kSystem, 1ull << 20, 43));
   (void)sched.submit(qvsim_spec(/*qubits=*/14, 1ull << 20));
@@ -153,13 +120,10 @@ std::pair<sim::Picos, std::uint64_t> co_run(tenant::Policy policy) {
 }
 
 TEST(TenantDeterminism, IdenticalRunsAreBitForBitIdentical) {
-  for (const tenant::Policy p :
-       {tenant::Policy::kMinLocalTime, tenant::Policy::kRoundRobin}) {
-    const auto a = co_run(p);
-    const auto b = co_run(p);
-    EXPECT_EQ(a.first, b.first) << "policy " << to_string(p);
-    EXPECT_EQ(a.second, b.second) << "policy " << to_string(p);
-  }
+  const auto a = co_run();
+  const auto b = co_run();
+  EXPECT_EQ(a.first, b.first);
+  EXPECT_EQ(a.second, b.second);
 }
 
 TEST(TenantDeterminism, SoloSchedulerRunMatchesDirectHarness) {

@@ -6,11 +6,13 @@
 Runs each of the seven smoke benches (tenancy, observability, recovery,
 fleet, netscope, fleetscope, chaosnet) as `<build>/bench/<bench> --smoke
 --out BENCH.json`, plus `--trace trace.json` for the two benches that take
-a trace path, once per build, each in a fresh temporary directory so the
-`wrote ...` lines match. It compares the exit code, stdout and every file
-the run wrote, byte for byte, prints one line per bench, and exits 1 on any
-difference. The simulator is deterministic, so a change that claims to
-leave simulated results alone must pass this unchanged.
+a trace path, and the two machine-trace figure benches (fig04, fig05) as
+`<bench> --trace trace.json` (they take no --smoke or --out), once per
+build, each in a fresh temporary directory so the `wrote ...` lines match.
+It compares the exit code, stdout and every file the run wrote, byte for
+byte, prints one line per bench, and exits 1 on any difference. The
+simulator is deterministic, so a change that claims to leave simulated
+results alone must pass this unchanged.
 
 Needs only the Python standard library. Build both trees first, e.g.
 `cmake --build <build> --target bench_fleet ...`.
@@ -21,16 +23,24 @@ import sys
 import tempfile
 from pathlib import Path
 
-BENCHES = ["bench_tenancy", "bench_observability", "bench_recovery", "bench_fleet",
-           "bench_netscope", "bench_fleetscope", "bench_chaosnet"]
-TRACED = {"bench_observability", "bench_fleetscope"}
+SMOKE = ["--smoke", "--out", "BENCH.json"]
+TRACE = ["--trace", "trace.json"]
+BENCHES = {
+    "bench_tenancy": SMOKE,
+    "bench_observability": SMOKE + TRACE,
+    "bench_recovery": SMOKE,
+    "bench_fleet": SMOKE,
+    "bench_netscope": SMOKE,
+    "bench_fleetscope": SMOKE + TRACE,
+    "bench_chaosnet": SMOKE,
+    "bench_fig04_hotspot_profile": TRACE,
+    "bench_fig05_qiskit_profile": TRACE,
+}
 
 
 def run(build, bench):
-    """(exit code, stdout bytes, {file name: bytes}) of one smoke run."""
-    cmd = [str(Path(build).resolve() / "bench" / bench), "--smoke", "--out", "BENCH.json"]
-    if bench in TRACED:
-        cmd += ["--trace", "trace.json"]
+    """(exit code, stdout bytes, {file name: bytes}) of one bench run."""
+    cmd = [str(Path(build).resolve() / "bench" / bench)] + BENCHES[bench]
     with tempfile.TemporaryDirectory(prefix="smoke_diff_") as tmp:
         proc = subprocess.run(cmd, cwd=tmp, stdout=subprocess.PIPE)
         files = {p.name: p.read_bytes() for p in sorted(Path(tmp).iterdir()) if p.is_file()}
