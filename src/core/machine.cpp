@@ -63,6 +63,12 @@ void Machine::sync_obs_gauges() {
   }
 }
 
+void Machine::note_resident(os::Vma& vma, std::int64_t cpu_delta,
+                            std::int64_t gpu_delta) {
+  as_.note_resident_delta(vma, cpu_delta, gpu_delta);
+  attribution_.note_resident_delta(vma.tenant, cpu_delta, gpu_delta);
+}
+
 bool Machine::map_system_page(os::Vma& vma, std::uint64_t va, mem::Node node) {
   const std::uint64_t page_va = system_pt_.page_base(va);
   if (system_pt_.lookup(page_va) != nullptr) {
@@ -73,10 +79,8 @@ bool Machine::map_system_page(os::Vma& vma, std::uint64_t va, mem::Node node) {
   if (!frames(node).allocate(bytes)) return false;
   system_pt_.map(page_va, pagetable::Pte{.node = node, .writable = true});
   const auto delta = static_cast<std::int64_t>(bytes);
-  as_.note_resident_delta(vma, node == mem::Node::kCpu ? delta : 0,
-                          node == mem::Node::kGpu ? delta : 0);
-  attribution_.note_resident_delta(vma.tenant, node == mem::Node::kCpu ? delta : 0,
-                                   node == mem::Node::kGpu ? delta : 0);
+  note_resident(vma, node == mem::Node::kCpu ? delta : 0,
+                node == mem::Node::kGpu ? delta : 0);
   bump_epoch();
   return true;
 }
@@ -93,11 +97,8 @@ bool Machine::move_system_page(os::Vma& vma, std::uint64_t va, mem::Node to) {
   frames(from).release(bytes);
   system_pt_.set_node(page_va, to);
   const auto delta = static_cast<std::int64_t>(bytes);
-  as_.note_resident_delta(vma, to == mem::Node::kCpu ? delta : -delta,
-                          to == mem::Node::kGpu ? delta : -delta);
-  attribution_.note_resident_delta(vma.tenant,
-                                   to == mem::Node::kCpu ? delta : -delta,
-                                   to == mem::Node::kGpu ? delta : -delta);
+  note_resident(vma, to == mem::Node::kCpu ? delta : -delta,
+                to == mem::Node::kGpu ? delta : -delta);
   smmu_.invalidate(page_va);
   gmmu_.invalidate_system(page_va);
   bump_epoch();
@@ -146,11 +147,8 @@ Machine::BulkMapResult Machine::map_system_range(os::Vma& vma, std::uint64_t va,
       system_pt_.map_range(hole_vpn * page, take,
                            pagetable::Pte{.node = node, .writable = true});
       const auto delta = static_cast<std::int64_t>(take * page);
-      as_.note_resident_delta(vma, node == mem::Node::kCpu ? delta : 0,
-                              node == mem::Node::kGpu ? delta : 0);
-      attribution_.note_resident_delta(vma.tenant,
-                                       node == mem::Node::kCpu ? delta : 0,
-                                       node == mem::Node::kGpu ? delta : 0);
+      note_resident(vma, node == mem::Node::kCpu ? delta : 0,
+                    node == mem::Node::kGpu ? delta : 0);
       r.mapped += take;
     }
     if (take < hole_pages) {
@@ -185,10 +183,8 @@ Machine::RangePages Machine::unmap_system_range(os::Vma& vma, std::uint64_t va,
   (void)system_pt_.unmap_range(start, pages);
   if (out.cpu > 0) cpu_fa_.release(out.cpu * page);
   if (out.gpu > 0) gpu_fa_.release(out.gpu * page);
-  const auto cpu_delta = -static_cast<std::int64_t>(out.cpu * page);
-  const auto gpu_delta = -static_cast<std::int64_t>(out.gpu * page);
-  as_.note_resident_delta(vma, cpu_delta, gpu_delta);
-  attribution_.note_resident_delta(vma.tenant, cpu_delta, gpu_delta);
+  note_resident(vma, -static_cast<std::int64_t>(out.cpu * page),
+                -static_cast<std::int64_t>(out.gpu * page));
   // Only previously-mapped pages can hold TLB entries, so shooting down
   // exactly the mapped segments drops the same entries the per-page loop
   // would have.
@@ -250,11 +246,8 @@ Machine::BulkMoveResult Machine::move_system_range(os::Vma& vma, std::uint64_t v
       const std::uint64_t seg_va = s.vpn * page;
       (void)system_pt_.set_node_range(seg_va, take, to);
       const auto delta = static_cast<std::int64_t>(take * page);
-      as_.note_resident_delta(vma, to == mem::Node::kCpu ? delta : -delta,
-                              to == mem::Node::kGpu ? delta : -delta);
-      attribution_.note_resident_delta(vma.tenant,
-                                       to == mem::Node::kCpu ? delta : -delta,
-                                       to == mem::Node::kGpu ? delta : -delta);
+      note_resident(vma, to == mem::Node::kCpu ? delta : -delta,
+                    to == mem::Node::kGpu ? delta : -delta);
       smmu_.invalidate_range(seg_va, take * page);
       gmmu_.invalidate_system_range(seg_va, take * page);
       r.moved += take;
@@ -283,8 +276,7 @@ bool Machine::map_gpu_block(os::Vma& vma, std::uint64_t block_va) {
   if (fi_ != nullptr && fi_->deny_frame_alloc(mem::Node::kGpu)) return false;
   if (!gpu_fa_.allocate(bytes)) return false;
   gpu_pt_.map(block_base, pagetable::Pte{.node = mem::Node::kGpu, .writable = true});
-  as_.note_resident_delta(vma, 0, static_cast<std::int64_t>(bytes));
-  attribution_.note_resident_delta(vma.tenant, 0, static_cast<std::int64_t>(bytes));
+  note_resident(vma, 0, static_cast<std::int64_t>(bytes));
   bump_epoch();
   return true;
 }
@@ -297,8 +289,7 @@ void Machine::unmap_gpu_block(os::Vma& vma, std::uint64_t block_va) {
   const std::uint64_t bytes = gpu_block_bytes(vma, block_base);
   gpu_pt_.unmap(block_base);
   gpu_fa_.release(bytes);
-  as_.note_resident_delta(vma, 0, -static_cast<std::int64_t>(bytes));
-  attribution_.note_resident_delta(vma.tenant, 0, -static_cast<std::int64_t>(bytes));
+  note_resident(vma, 0, -static_cast<std::int64_t>(bytes));
   gmmu_.invalidate_gpu_table(block_base);
   bump_epoch();
 }

@@ -255,7 +255,7 @@ class Machine {
  private:
   SystemConfig cfg_;
   sim::Clock clock_;
-  sim::EventLog events_;
+  sim::EventLog events_{clock_};
   mem::MemoryDevice hbm_;
   mem::MemoryDevice ddr_;
   mem::FrameAllocator gpu_fa_;
@@ -272,6 +272,10 @@ class Machine {
   std::uint64_t epoch_ = 0;
   LineCursor* cursors_ = nullptr;
   tenant::AttributionTable attribution_;
+
+  /// Books one residency transition of \p vma in the address space and in
+  /// its tenant's attribution alike.
+  void note_resident(os::Vma& vma, std::int64_t cpu_delta, std::int64_t gpu_delta);
 
   void drop_cursors() noexcept {
     for (LineCursor* c = cursors_; c != nullptr; c = c->next) c->line_len = 0;

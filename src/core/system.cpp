@@ -99,23 +99,12 @@ Status System::gpu_malloc_status(std::uint64_t bytes, Buffer& out,
       m_.address_space().destroy(vma.base);
       m_.metrics().oom_events->inc();
       m_.metrics().oom_gpu_malloc->inc();
-      if (m_.events().enabled()) {
-        m_.events().record(sim::Event{.time = m_.clock().now(),
-                                      .type = sim::EventType::kOutOfMemory,
-                                      .va = block,
-                                      .bytes = bytes,
-                                      .aux = 1});
-      }
+      m_.events().record(sim::EventType::kOutOfMemory, block, bytes, 1);
       return Status::kErrorMemoryAllocation;
     }
   }
-  if (m_.events().enabled()) {
-    m_.events().record(sim::Event{.time = m_.clock().now(),
-                                  .type = sim::EventType::kAllocation,
-                                  .va = vma.base,
-                                  .bytes = bytes,
-                                  .aux = static_cast<std::uint32_t>(vma.kind)});
-  }
+  m_.events().record(sim::EventType::kAllocation, vma.base, bytes,
+                     static_cast<std::uint32_t>(vma.kind));
   out = make_buffer(vma);
   return Status::kSuccess;
 }
@@ -211,13 +200,7 @@ void System::handle_gpu_reset(const fault::GpuResetEvent& /*e*/) {
   m_.gmmu().flush_tlbs();
   m_.clock().advance(m_.config().costs.gpu_reset);
   m_.metrics().gpu_resets->inc();
-  if (m_.events().enabled()) {
-    m_.events().record(sim::Event{.time = m_.clock().now(),
-                                  .type = sim::EventType::kGpuReset,
-                                  .va = 0,
-                                  .bytes = poisoned_bytes,
-                                  .aux = victim});
-  }
+  m_.events().record(sim::EventType::kGpuReset, 0, poisoned_bytes, victim);
   throw StatusError{Status::kErrorGpuReset, "GPU channel reset"};
 }
 
@@ -245,13 +228,8 @@ void System::handle_ecc(const fault::EccEvent& e) {
     // retirement is deferred (real driver: pending retirement).
     m_.metrics().ecc_unretired_bytes->inc(want - retired);
   }
-  if (m_.events().enabled()) {
-    m_.events().record(sim::Event{.time = m_.clock().now(),
-                                  .type = sim::EventType::kEccRetirement,
-                                  .va = 0,
-                                  .bytes = retired,
-                                  .aux = retired < want ? 1u : 0u});
-  }
+  m_.events().record(sim::EventType::kEccRetirement, 0, retired,
+                     retired < want ? 1u : 0u);
   // ECC storm: retirement past the configured budget means the device is
   // losing frames faster than retirement can absorb — beyond what any
   // restart can cure, so the escalation is terminal.
@@ -400,13 +378,7 @@ void System::ensure_gpu_context() {
   if (ctx_init_) return;
   ctx_init_ = true;
   m_.clock().advance(m_.config().costs.context_init);
-  if (m_.events().enabled()) {
-    m_.events().record(sim::Event{.time = m_.clock().now(),
-                                  .type = sim::EventType::kContextInit,
-                                  .va = 0,
-                                  .bytes = 0,
-                                  .aux = 0});
-  }
+  m_.events().record(sim::EventType::kContextInit);
   m_.metrics().context_inits->inc();
 }
 
@@ -418,13 +390,8 @@ void System::kernel_begin(std::string name) {
   // the system-memory version.
   ensure_gpu_context();
   m_.clock().advance(m_.config().costs.kernel_launch);
-  if (m_.events().enabled()) {
-    m_.events().record(sim::Event{.time = m_.clock().now(),
-                                  .type = sim::EventType::kKernelBegin,
-                                  .va = 0,
-                                  .bytes = 0,
-                                  .aux = static_cast<std::uint32_t>(kernel_seq_)});
-  }
+  m_.events().record(sim::EventType::kKernelBegin, 0, 0,
+                     static_cast<std::uint32_t>(kernel_seq_));
 }
 
 const cache::KernelRecord& System::kernel_end(double flop_work) {
@@ -432,13 +399,8 @@ const cache::KernelRecord& System::kernel_end(double flop_work) {
   const double elapsed = sim::to_seconds(m_.clock().now() - phase_start_);
   const double floor_s = flop_work / m_.config().costs.gpu_flops;
   if (floor_s > elapsed) m_.clock().advance(sim::seconds(floor_s - elapsed));
-  if (m_.events().enabled()) {
-    m_.events().record(sim::Event{.time = m_.clock().now(),
-                                  .type = sim::EventType::kKernelEnd,
-                                  .va = 0,
-                                  .bytes = 0,
-                                  .aux = static_cast<std::uint32_t>(kernel_seq_)});
-  }
+  m_.events().record(sim::EventType::kKernelEnd, 0, 0,
+                     static_cast<std::uint32_t>(kernel_seq_));
   return end_phase(0.0);
 }
 
@@ -582,13 +544,9 @@ void System::maybe_numa_hint_fault(std::uint64_t page_va, mem::Node origin) {
   m_.clock().advance(origin == mem::Node::kCpu ? costs.cpu_minor_fault
                                                : costs.gpu_replayable_fault);
   m_.metrics().numa_hint_faults->inc();
-  if (m_.events().enabled()) {
-    m_.events().record(sim::Event{.time = m_.clock().now(),
-                                  .type = sim::EventType::kNumaHintFault,
-                                  .va = page_va,
-                                  .bytes = m_.system_pt().page_size(),
-                                  .aux = static_cast<std::uint32_t>(origin)});
-  }
+  m_.events().record(sim::EventType::kNumaHintFault, page_va,
+                     m_.system_pt().page_size(),
+                     static_cast<std::uint32_t>(origin));
 }
 
 PageView System::resolve(std::uint64_t va, mem::Node origin) {

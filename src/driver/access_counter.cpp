@@ -51,13 +51,8 @@ void AccessCounterEngine::note(os::Vma& vma, std::uint64_t va,
   next_notification_allowed_ = m_->clock().now() + cfg.counter_min_interval;
   m_->clock().advance(cfg.costs.counter_notification +
                       cfg.costs.inflight_migration_stall);
-  if (m_->events().enabled()) {
-    m_->events().record(sim::Event{.time = m_->clock().now(),
-                                   .type = sim::EventType::kCounterNotification,
-                                   .va = region * cfg.counter_region_bytes,
-                                   .bytes = cfg.counter_region_bytes,
-                                   .aux = 0});
-  }
+  m_->events().record(sim::EventType::kCounterNotification,
+                      region * cfg.counter_region_bytes, cfg.counter_region_bytes);
 
   // The driver migrates the whole region's resident pages (Section 2.2.1).
   const std::uint64_t region_base = region * cfg.counter_region_bytes;

@@ -24,13 +24,8 @@ os::Vma& ManagedEngine::allocate(std::uint64_t bytes, std::string label) {
   const std::uint64_t pages = (bytes + page - 1) / page;
   m_->clock().advance(costs.managed_alloc_base +
                       costs.alloc_per_page * static_cast<sim::Picos>(pages));
-  if (m_->events().enabled()) {
-    m_->events().record(sim::Event{.time = m_->clock().now(),
-                                   .type = sim::EventType::kAllocation,
-                                   .va = vma.base,
-                                   .bytes = bytes,
-                                   .aux = static_cast<std::uint32_t>(vma.kind)});
-  }
+  m_->events().record(sim::EventType::kAllocation, vma.base, bytes,
+                      static_cast<std::uint32_t>(vma.kind));
   return vma;
 }
 
@@ -76,13 +71,8 @@ ManagedResolution ManagedEngine::gpu_fault(os::Vma& vma, std::uint64_t va) {
       if (!m_->map_system_page(vma, va, mem::Node::kCpu)) {
         m_->metrics().oom_events->inc();
         m_->metrics().oom_page_fault->inc();
-        if (m_->events().enabled()) {
-          m_->events().record(sim::Event{.time = m_->clock().now(),
-                                         .type = sim::EventType::kOutOfMemory,
-                                         .va = va,
-                                         .bytes = m_->system_page_bytes(),
-                                         .aux = 0});
-        }
+        m_->events().record(sim::EventType::kOutOfMemory, va,
+                            m_->system_page_bytes());
         throw StatusError{Status::kErrorOutOfMemory,
                           "managed remote map: CPU memory exhausted"};
       }
@@ -204,13 +194,8 @@ bool ManagedEngine::make_replica(os::Vma& vma, std::uint64_t block_base,
   met.migrated_bytes_h2d->inc(bytes);
   met.migration_batch_bytes_h2d->observe(bytes);
   met.migration_latency_h2d->observe(static_cast<std::uint64_t>(dt));
-  if (m_->events().enabled()) {
-    m_->events().record(sim::Event{.time = m_->clock().now(),
-                                   .type = sim::EventType::kMigrationH2D,
-                                   .va = block_base,
-                                   .bytes = bytes,
-                                   .aux = 1 /* read-duplication */});
-  }
+  m_->events().record(sim::EventType::kMigrationH2D, block_base, bytes,
+                      1 /* read-duplication */);
   return true;
 }
 
@@ -298,13 +283,8 @@ void ManagedEngine::prefetch(os::Vma& vma, std::uint64_t base, std::uint64_t len
   }
   m_->metrics().prefetches->inc();
   m_->metrics().prefetched_bytes->inc(moved);
-  if (m_->events().enabled()) {
-    m_->events().record(sim::Event{.time = m_->clock().now(),
-                                   .type = sim::EventType::kExplicitPrefetch,
-                                   .va = start,
-                                   .bytes = moved,
-                                   .aux = dst == mem::Node::kGpu ? 1u : 0u});
-  }
+  m_->events().record(sim::EventType::kExplicitPrefetch, start, moved,
+                      dst == mem::Node::kGpu ? 1u : 0u);
 }
 
 bool ManagedEngine::remote_mode(const os::Vma& vma) const {
@@ -420,14 +400,9 @@ bool ManagedEngine::block_to_cpu(os::Vma& vma, std::uint64_t block_base,
     met.migration_latency_d2h->observe(static_cast<std::uint64_t>(dt));
     m_->attribution().note_migration(vma.tenant, /*h2d=*/false, bytes);
   }
-  if (m_->events().enabled()) {
-    m_->events().record(sim::Event{.time = m_->clock().now(),
-                                   .type = is_eviction ? sim::EventType::kEviction
-                                                       : sim::EventType::kMigrationD2H,
-                                   .va = block_base,
-                                   .bytes = bytes,
-                                   .aux = is_eviction ? vma.tenant : 0});
-  }
+  m_->events().record(
+      is_eviction ? sim::EventType::kEviction : sim::EventType::kMigrationD2H,
+      block_base, bytes, is_eviction ? vma.tenant : 0);
   return true;
 }
 
@@ -485,33 +460,19 @@ bool ManagedEngine::block_to_gpu(os::Vma& vma, std::uint64_t block_base,
 
   register_block(block_base);
   auto& met = m_->metrics();
-  if (via_fault) met.faults_gpu_managed->inc();
+  if (via_fault) {
+    met.faults_gpu_managed->inc();
+    m_->events().record(sim::EventType::kGpuManagedFault, block_base, block_bytes);
+  }
   if (moved_bytes > 0) {
     met.migrations_h2d->inc();
     met.migrated_bytes_h2d->inc(moved_bytes);
     met.migration_batch_bytes_h2d->observe(moved_bytes);
     met.migration_latency_h2d->observe(static_cast<std::uint64_t>(t));
-  }
-  if (m_->events().enabled()) {
-    if (via_fault) {
-      m_->events().record(sim::Event{.time = m_->clock().now(),
-                                     .type = sim::EventType::kGpuManagedFault,
-                                     .va = block_base,
-                                     .bytes = block_bytes,
-                                     .aux = 0});
-    }
-    if (moved_bytes > 0) {
-      m_->events().record(sim::Event{.time = m_->clock().now(),
-                                     .type = sim::EventType::kMigrationH2D,
-                                     .va = block_base,
-                                     .bytes = moved_bytes,
-                                     .aux = 0});
-    }
-  }
-  met.managed_h2d_bytes->inc(moved_bytes);
-  if (moved_bytes > 0) {
+    m_->events().record(sim::EventType::kMigrationH2D, block_base, moved_bytes);
     m_->attribution().note_migration(vma.tenant, /*h2d=*/true, moved_bytes);
   }
+  met.managed_h2d_bytes->inc(moved_bytes);
   return true;
 }
 

@@ -22,26 +22,13 @@ bool MigrationEngine::batch_with_retry(std::uint64_t va) {
     m_->clock().advance(backoff);
     backoff *= 2;
     m_->metrics().migration_retries->inc();
-    auto& events = m_->events();
-    if (events.enabled()) {
-      events.record(sim::Event{.time = m_->clock().now(),
-                               .type = sim::EventType::kFaultMigrationRetry,
-                               .va = va,
-                               .bytes = 0,
-                               .aux = attempt + 1});
-    }
+    m_->events().record(sim::EventType::kFaultMigrationRetry, va, 0, attempt + 1);
   }
   m_->metrics().migration_aborts->inc();
   m_->metrics().migration_retry_depth->observe(
       static_cast<std::uint64_t>(fcfg.migration_max_retries) + 1);
-  auto& events = m_->events();
-  if (events.enabled()) {
-    events.record(sim::Event{.time = m_->clock().now(),
-                             .type = sim::EventType::kFaultMigrationAbort,
-                             .va = va,
-                             .bytes = 0,
-                             .aux = fcfg.migration_max_retries});
-  }
+  m_->events().record(sim::EventType::kFaultMigrationAbort, va, 0,
+                      fcfg.migration_max_retries);
   return false;
 }
 
@@ -113,16 +100,9 @@ std::uint64_t MigrationEngine::migrate_system_range(os::Vma& vma, std::uint64_t 
     met.migration_latency_d2h->observe(static_cast<std::uint64_t>(dt));
   }
 
-  auto& events = m_->events();
-  if (events.enabled()) {
-    events.record(sim::Event{.time = m_->clock().now(),
-                             .type = to == mem::Node::kGpu
-                                         ? sim::EventType::kMigrationH2D
-                                         : sim::EventType::kMigrationD2H,
-                             .va = start,
-                             .bytes = moved,
-                             .aux = 0});
-  }
+  m_->events().record(to == mem::Node::kGpu ? sim::EventType::kMigrationH2D
+                                             : sim::EventType::kMigrationD2H,
+                      start, moved);
   return moved;
 }
 

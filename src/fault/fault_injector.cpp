@@ -27,13 +27,8 @@ bool FaultInjector::deny_frame_alloc(mem::Node node) {
   }
   if (rng_.next_double() >= cfg_.frame_alloc_denial_prob) return false;
   m_->metrics().alloc_denials->inc();
-  if (m_->events().enabled()) {
-    m_->events().record(sim::Event{.time = m_->clock().now(),
-                                   .type = sim::EventType::kFaultAllocDenial,
-                                   .va = 0,
-                                   .bytes = 0,
-                                   .aux = static_cast<std::uint32_t>(node)});
-  }
+  m_->events().record(sim::EventType::kFaultAllocDenial, 0, 0,
+                      static_cast<std::uint32_t>(node));
   return true;
 }
 
@@ -59,13 +54,7 @@ void FaultInjector::on_time_advance(sim::Picos now) {
     c2c.clear_degrade();
     active_window_ = -1;
     m_->metrics().link_degrade_ends->inc();
-    if (m_->events().enabled()) {
-      m_->events().record(sim::Event{.time = now,
-                                     .type = sim::EventType::kLinkDegradeEnd,
-                                     .va = 0,
-                                     .bytes = 0,
-                                     .aux = 0});
-    }
+    m_->events().record(sim::EventType::kLinkDegradeEnd);
   }
   // Skip windows the clock jumped clean over (they never took effect).
   while (next_window_ < windows_.size() &&
@@ -77,13 +66,7 @@ void FaultInjector::on_time_advance(sim::Picos now) {
     active_window_ = static_cast<std::ptrdiff_t>(next_window_++);
     degrade_link();
     m_->metrics().link_degrade_begins->inc();
-    if (m_->events().enabled()) {
-      m_->events().record(sim::Event{.time = now,
-                                     .type = sim::EventType::kLinkDegradeBegin,
-                                     .va = 0,
-                                     .bytes = 0,
-                                     .aux = 0});
-    }
+    m_->events().record(sim::EventType::kLinkDegradeBegin);
   }
 }
 

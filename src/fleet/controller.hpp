@@ -174,7 +174,7 @@ class Controller {
   /// arriving before its predecessor (\p requests must be sorted by
   /// arrival). Returns kSuccess when every request reached a terminal
   /// state (individual job failures are recorded per job, not here); any
-  /// Status return is also recorded for last_error().
+  /// Status return is also recorded for get_last_error().
   Status run(const std::vector<JobRequest>& requests);
 
   // --- results ---------------------------------------------------------------

@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "apps/app_common.hpp"
@@ -32,13 +31,6 @@ enum class PlacementPolicy : std::uint8_t {
   /// is earliest — spreads latency instead of footprint.
   kLoadBalance,
 };
-
-[[nodiscard]] constexpr std::string_view to_string(PlacementPolicy p) noexcept {
-  switch (p) {
-    case PlacementPolicy::kLoadBalance: return "load-balance";
-  }
-  return "?";
-}
 
 /// One kind of job the fleet serves: an app x memory-mode instance with
 /// the footprint it declares at admission and the predicted solo runtime

@@ -207,13 +207,6 @@ sim::Picos Fabric::cost(Protocol proto, std::uint64_t bytes, MemType mem) const 
 }
 
 Protocol Fabric::select(std::uint64_t bytes, MemType mem) const {
-  if (spec_.bcopy_max != 0) {
-    // Explicit threshold ladder (the tunable policy axis).
-    if (bytes <= spec_.eager_short_max) return Protocol::kEagerShort;
-    if (bytes <= spec_.bcopy_max) return Protocol::kEagerBcopy;
-    if (bytes <= spec_.zcopy_max) return Protocol::kZcopy;
-    return Protocol::kRendezvous;
-  }
   // UCX estimator rule: cheapest modeled cost among eligible protocols,
   // ties to the simpler protocol. Eager-short is capacity-limited.
   Protocol best = Protocol::kEagerBcopy;

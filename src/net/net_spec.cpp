@@ -20,14 +20,6 @@ Status NetSpec::validate() const noexcept {
   for (const sim::Picos t : lats) {
     if (t < 0) return Status::kErrorNetConfig;
   }
-  // Thresholds are a policy axis: either fully automatic (both zero) or
-  // fully explicit and ordered. A partial or inverted ladder would make
-  // some message size select no protocol (or two).
-  if ((bcopy_max == 0) != (zcopy_max == 0)) return Status::kErrorNetConfig;
-  if (bcopy_max != 0 &&
-      (eager_short_max > bcopy_max || bcopy_max > zcopy_max)) {
-    return Status::kErrorNetConfig;
-  }
   return Status::kSuccess;
 }
 

@@ -17,10 +17,8 @@
 /// memory (UCX_GDR_COPY_LAT/BW/RCACHE_OVERHEAD), registration-cache
 /// overhead (UCX_RCACHE_OVERHEAD) and the system-memory distance bandwidth
 /// (UCX_DISTANCE_BW sys:). A message is charged one of four protocols —
-/// eager short, eager bcopy, zcopy, rendezvous — selected either by
-/// modeled cost (the UCX estimator's rule) or by explicitly configured
-/// size thresholds (the tunable policy axes the SVM design-space catalog,
-/// PAPERS.md arXiv 2405.06811, motivates exposing).
+/// eager short, eager bcopy, zcopy, rendezvous — selected by modeled cost
+/// (the UCX estimator's rule).
 
 namespace ghum::net {
 
@@ -109,20 +107,14 @@ struct NetSpec {
 
   // --- protocol selection policy --------------------------------------------
   /// Largest payload the short active message can inline. Messages above
-  /// it are never eager-short regardless of modeled cost.
+  /// it are never eager-short regardless of modeled cost; otherwise the
+  /// cheapest protocol by modeled cost is selected (the UCX estimator's
+  /// rule).
   std::uint64_t eager_short_max = 208;
-  /// Explicit crossover thresholds (bytes): <= bcopy_max is eager-bcopy,
-  /// <= zcopy_max is zcopy, above is rendezvous. Both zero (the default)
-  /// selects the cheapest protocol by modeled cost, the UCX estimator's
-  /// rule; setting them is the tunable-policy axis. Either both are zero
-  /// or both are nonzero and ordered (eager_short_max <= bcopy_max <=
-  /// zcopy_max) — anything else fails validation.
-  std::uint64_t bcopy_max = 0;
-  std::uint64_t zcopy_max = 0;
 
   /// kSuccess, or kErrorNetConfig naming the first malformed field class:
-  /// zero/negative/non-finite bandwidths, negative latencies or overheads,
-  /// or unordered/partial protocol thresholds.
+  /// zero/negative/non-finite bandwidths, or negative latencies or
+  /// overheads.
   [[nodiscard]] Status validate() const noexcept;
 };
 

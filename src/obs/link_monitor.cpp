@@ -49,12 +49,6 @@ void LinkMonitor::rebase() {
   last_d2h_ = m_->c2c().bytes_moved(interconnect::Direction::kGpuToCpu);
 }
 
-void LinkMonitor::clear() {
-  samples_.clear();
-  peak_h2d_ = 0;
-  peak_d2h_ = 0;
-}
-
 void LinkMonitor::on_advance(sim::Picos /*before*/, sim::Picos after) {
   while (next_boundary_ <= after) {
     close_window(next_boundary_);
@@ -83,8 +77,6 @@ void LinkMonitor::close_window(sim::Picos t1) {
                .h2d_util_permille = permille(h2d - last_h2d_, cap_h2d_, win_start_, t1),
                .d2h_util_permille = permille(d2h - last_d2h_, cap_d2h_, win_start_, t1)};
   samples_.push_back(s);
-  peak_h2d_ = std::max(peak_h2d_, s.h2d_util_permille);
-  peak_d2h_ = std::max(peak_d2h_, s.d2h_util_permille);
   m_->obs().gauge("ghum_c2c_util_permille", {{"dir", "h2d"}})
       .set(s.h2d_util_permille);
   m_->obs().gauge("ghum_c2c_util_permille", {{"dir", "d2h"}})

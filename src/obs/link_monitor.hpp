@@ -49,16 +49,11 @@ class LinkMonitor {
   void rebase();
   [[nodiscard]] bool running() const noexcept { return running_; }
 
-  [[nodiscard]] sim::Picos window() const noexcept { return window_; }
+  /// Closed windows, oldest first; none is ever replaced, so a peak is the
+  /// maximum over them.
   [[nodiscard]] const std::vector<LinkSample>& samples() const noexcept {
     return samples_;
   }
-
-  /// Busiest closed window so far, by direction (permille).
-  [[nodiscard]] std::uint32_t peak_h2d_permille() const noexcept { return peak_h2d_; }
-  [[nodiscard]] std::uint32_t peak_d2h_permille() const noexcept { return peak_d2h_; }
-
-  void clear();
 
  private:
   void on_advance(sim::Picos before, sim::Picos after);
@@ -78,8 +73,6 @@ class LinkMonitor {
   std::uint64_t last_d2h_ = 0;
   std::uint64_t cap_h2d_ = 1;  ///< byte capacity of one full window, H2D
   std::uint64_t cap_d2h_ = 1;
-  std::uint32_t peak_h2d_ = 0;
-  std::uint32_t peak_d2h_ = 0;
   std::vector<LinkSample> samples_;
 };
 

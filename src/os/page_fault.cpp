@@ -32,24 +32,15 @@ mem::Node PageFaultHandler::first_touch(Vma& vma, std::uint64_t va,
     if (!m_->map_system_page(vma, va, placed)) {
       m_->metrics().oom_events->inc();
       m_->metrics().oom_page_fault->inc();
-      if (m_->events().enabled()) {
-        m_->events().record(sim::Event{.time = m_->clock().now(),
-                                       .type = sim::EventType::kOutOfMemory,
-                                       .va = m_->system_pt().page_base(va),
-                                       .bytes = m_->system_page_bytes(),
-                                       .aux = 0});
-      }
+      m_->events().record(sim::EventType::kOutOfMemory,
+                          m_->system_pt().page_base(va), m_->system_page_bytes());
       throw StatusError{Status::kErrorOutOfMemory,
                         "PageFaultHandler: out of physical memory on both nodes"};
     }
     m_->metrics().fallback_placements->inc();
-    if (m_->events().enabled()) {
-      m_->events().record(sim::Event{.time = m_->clock().now(),
-                                     .type = sim::EventType::kFallbackPlacement,
-                                     .va = m_->system_pt().page_base(va),
-                                     .bytes = m_->system_page_bytes(),
-                                     .aux = static_cast<std::uint32_t>(placed)});
-    }
+    m_->events().record(sim::EventType::kFallbackPlacement,
+                        m_->system_pt().page_base(va), m_->system_page_bytes(),
+                        static_cast<std::uint32_t>(placed));
   }
 
   m_->attribution().note_fault(vma.tenant, origin == mem::Node::kGpu);
@@ -59,17 +50,10 @@ mem::Node PageFaultHandler::first_touch(Vma& vma, std::uint64_t va,
       sim::transfer_time(m_->system_page_bytes(), costs.fault_zero_bandwidth_Bps);
   m_->clock().advance(handle + zero);
 
-  auto& events = m_->events();
-  if (events.enabled()) {
-    events.record(sim::Event{
-        .time = m_->clock().now(),
-        .type = origin == mem::Node::kCpu ? sim::EventType::kCpuFirstTouchFault
-                                          : sim::EventType::kGpuFirstTouchFault,
-        .va = m_->system_pt().page_base(va),
-        .bytes = m_->system_page_bytes(),
-        .aux = 0,
-    });
-  }
+  m_->events().record(origin == mem::Node::kCpu
+                          ? sim::EventType::kCpuFirstTouchFault
+                          : sim::EventType::kGpuFirstTouchFault,
+                      m_->system_pt().page_base(va), m_->system_page_bytes());
   auto& met = m_->metrics();
   if (origin == mem::Node::kCpu) {
     met.faults_cpu_first_touch->inc();
@@ -104,14 +88,8 @@ bool PageFaultHandler::host_register(Vma& vma) {
                       static_cast<sim::Picos>(populated));
   if (complete) vma.host_registered = true;
 
-  auto& events = m_->events();
-  if (events.enabled()) {
-    events.record(sim::Event{.time = m_->clock().now(),
-                             .type = sim::EventType::kHostRegister,
-                             .va = vma.base,
-                             .bytes = populated * page,
-                             .aux = complete ? 0u : 1u});
-  }
+  m_->events().record(sim::EventType::kHostRegister, vma.base, populated * page,
+                      complete ? 0u : 1u);
   m_->metrics().host_registers->inc();
   m_->metrics().host_registered_pages->inc(populated);
   return complete;

@@ -16,14 +16,8 @@ Vma& SystemAllocator::allocate(std::uint64_t bytes, std::string label) {
                                         std::move(label), m_->current_tenant());
   m_->clock().advance(costs.malloc_base +
                       costs.alloc_per_page * static_cast<sim::Picos>(pages));
-  auto& events = m_->events();
-  if (events.enabled()) {
-    events.record(sim::Event{.time = m_->clock().now(),
-                             .type = sim::EventType::kAllocation,
-                             .va = vma.base,
-                             .bytes = bytes,
-                             .aux = static_cast<std::uint32_t>(vma.kind)});
-  }
+  m_->events().record(sim::EventType::kAllocation, vma.base, bytes,
+                      static_cast<std::uint32_t>(vma.kind));
   return vma;
 }
 
@@ -62,14 +56,7 @@ void SystemAllocator::deallocate(Vma& vma) {
   if (vma.resident_gpu_bytes != 0 || vma.resident_cpu_bytes != 0) {
     throw std::logic_error{"SystemAllocator::deallocate: residual residency"};
   }
-  auto& events = m_->events();
-  if (events.enabled()) {
-    events.record(sim::Event{.time = m_->clock().now(),
-                             .type = sim::EventType::kDeallocation,
-                             .va = vma.base,
-                             .bytes = vma.size,
-                             .aux = 0});
-  }
+  m_->events().record(sim::EventType::kDeallocation, vma.base, vma.size);
   m_->metrics().deallocated_pages->inc(torn_down);
   m_->address_space().destroy(vma.base);
 }

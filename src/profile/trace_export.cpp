@@ -6,6 +6,7 @@
 #include <set>
 
 #include "obs/trace_json.hpp"
+#include "profile/tracer.hpp"
 
 namespace ghum::profile {
 
@@ -58,26 +59,16 @@ std::string to_chrome_trace(const sim::EventLog& log,
                 .add("first_touch_faults", r.traffic.gpu_first_touch_faults));
   }
   // Causal flow arrows: each span is a chain anchored at its member
-  // events' timestamps and lanes, whatever their type. Link-degradation
-  // windows: kLinkDegradeBegin/End pairs become durations on the Link
-  // state lane; a window still open at the end of the trace closes at the
-  // last event's timestamp.
+  // events' timestamps and lanes, whatever their type.
   std::map<std::uint32_t, obs::FlowChain> spans;
-  std::vector<std::pair<sim::Picos, sim::Picos>> degraded;
-  sim::Picos open_at = -1;
   for (const auto& e : log.events()) {
     if (e.span != 0) spans[e.span].push_back({lane_of(e), e.time});
     switch (e.type) {
       case sim::EventType::kKernelBegin:
       case sim::EventType::kKernelEnd:
-        continue;  // kernels are exported as duration events from the records
       case sim::EventType::kLinkDegradeBegin:
-        open_at = e.time;
-        continue;
       case sim::EventType::kLinkDegradeEnd:
-        if (open_at >= 0) degraded.emplace_back(open_at, e.time);
-        open_at = -1;
-        continue;
+        continue;  // kernels and link windows are duration events
       default: {
         char va[24];
         std::snprintf(va, sizeof va, "0x%" PRIx64, e.va);
@@ -90,14 +81,11 @@ std::string to_chrome_trace(const sim::EventLog& log,
       }
     }
   }
-  for (const auto& [t0, t1] : degraded) {
-    w.event('X', "link degraded", kLinkLane, t0, t1 - t0,
-            TraceArgs{}.add("open_ended", false));
-  }
-  if (open_at >= 0) {
-    w.event('X', "link degraded", kLinkLane, open_at,
-            log.events().back().time - open_at,
-            TraceArgs{}.add("open_ended", true));
+  // Link-degradation windows are durations on the Link state lane; a
+  // window still open at the end of the trace closes at the last event.
+  for (const LinkWindow& lw : link_degrade_windows(log)) {
+    w.event('X', "link degraded", kLinkLane, lw.begin, lw.end - lw.begin,
+            TraceArgs{}.add("open_ended", lw.open));
   }
   for (const auto& [span, members] : spans) w.flow(span, members);
   if (link_samples != nullptr) {

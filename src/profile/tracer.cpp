@@ -55,6 +55,24 @@ void accumulate(TraceSummary& s, const sim::Event& e) {
 
 }  // namespace
 
+std::vector<LinkWindow> link_degrade_windows(const sim::EventLog& log) {
+  std::vector<LinkWindow> windows;
+  LinkWindow current;
+  for (const auto& e : log.events()) {
+    if (e.type == sim::EventType::kLinkDegradeBegin) {
+      current = {.begin = e.time, .open = true};
+    } else if (e.type == sim::EventType::kLinkDegradeEnd && current.open) {
+      windows.push_back({.begin = current.begin, .end = e.time});
+      current.open = false;
+    }
+  }
+  if (current.open) {
+    current.end = log.events().back().time;
+    windows.push_back(current);
+  }
+  return windows;
+}
+
 TraceSummary Tracer::summarize() const {
   return summarize(0, std::numeric_limits<sim::Picos>::max());
 }
@@ -67,22 +85,12 @@ TraceSummary Tracer::summarize(sim::Picos t0, sim::Picos t1) const {
   }
   // Link-degradation windows are intervals, not instants: a window counts
   // when [begin, end) overlaps [t0, t1), so one whose Begin fell before t0
-  // but that was still degrading inside the summary window is visible.
-  // Begin/End events are paired over the full (chronological) stream; a
+  // but that was still degrading inside the summary window is visible. A
   // window still open at the end of the log counts when it started before
   // t1.
-  sim::Picos open_begin = 0;
-  bool open = false;
-  for (const auto& e : log_->events()) {
-    if (e.type == sim::EventType::kLinkDegradeBegin) {
-      open = true;
-      open_begin = e.time;
-    } else if (e.type == sim::EventType::kLinkDegradeEnd && open) {
-      open = false;
-      if (open_begin < t1 && e.time > t0) ++s.link_degrade_windows;
-    }
+  for (const LinkWindow& w : link_degrade_windows(*log_)) {
+    if (w.begin < t1 && (w.open || w.end > t0)) ++s.link_degrade_windows;
   }
-  if (open && open_begin < t1) ++s.link_degrade_windows;
   return s;
 }
 

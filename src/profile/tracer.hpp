@@ -1,6 +1,7 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "sim/event_log.hpp"
 
@@ -50,6 +51,18 @@ struct TraceSummary {
   std::size_t cross_tenant_evictions = 0;
   std::uint64_t cross_tenant_evicted_bytes = 0;
 };
+
+/// One NVLink-C2C degradation window of the log, [begin, end).
+struct LinkWindow {
+  sim::Picos begin = 0;
+  sim::Picos end = 0;  ///< the last event's time when the window is open
+  bool open = false;   ///< still degrading when the log ends
+};
+
+/// Pairs the log's kLinkDegradeBegin/End events into windows, in order: a
+/// Begin restarts any window already open and an End with none open is
+/// ignored. A window still open when the log ends comes last.
+[[nodiscard]] std::vector<LinkWindow> link_degrade_windows(const sim::EventLog& log);
 
 class Tracer {
  public:

@@ -4,6 +4,7 @@
 #include <string_view>
 #include <vector>
 
+#include "sim/clock.hpp"
 #include "sim/fnv.hpp"
 #include "sim/time.hpp"
 
@@ -55,21 +56,26 @@ enum class EventType : std::uint8_t {
 
 [[nodiscard]] std::string_view to_string(EventType t) noexcept;
 
+/// One logged event. Callers pass type, va, bytes and aux to
+/// EventLog::record, which stamps time, tenant and span.
 struct Event {
-  Picos time = 0;
+  Picos time = 0;           ///< simulated time the event was recorded
   EventType type{};
   std::uint64_t va = 0;     ///< virtual address (or 0 when not applicable)
   std::uint64_t bytes = 0;  ///< size touched/moved by the event
   std::uint32_t aux = 0;    ///< event-specific payload (e.g. kernel id; for
                             ///< kEviction: the victim block's tenant)
-  std::uint32_t tenant = 0; ///< tenant active when the event fired (0 = none);
-                            ///< stamped by EventLog::record, never by callers
-  std::uint32_t span = 0;   ///< causal span id (0 = outside any span); stamped
-                            ///< by EventLog::record from the open SpanScope
+  std::uint32_t tenant = 0; ///< tenant active when the event fired (0 = none)
+  std::uint32_t span = 0;   ///< causal span id (0 = outside any span), from
+                            ///< the open SpanScope
 };
 
 class EventLog {
  public:
+  /// Events are stamped with \p clock's current time; the clock must
+  /// outlive the log (the machine declares its clock first).
+  explicit EventLog(const Clock& clock) noexcept : clock_(clock) {}
+
   /// Logging is disabled by default: large app runs would otherwise
   /// accumulate millions of fault events. Benches/tests enable it.
   void set_enabled(bool on) noexcept { enabled_ = on; }
@@ -91,11 +97,18 @@ class EventLog {
   void set_current_span(std::uint32_t s) noexcept { span_ = s; }
   [[nodiscard]] std::uint32_t current_span() const noexcept { return span_; }
 
-  void record(Event e) {
+  /// Logs one event at the clock's current time under the current tenant
+  /// and span; a no-op while logging is disabled.
+  void record(EventType type, std::uint64_t va = 0, std::uint64_t bytes = 0,
+              std::uint32_t aux = 0) {
     if (!enabled_) return;
-    e.tenant = tenant_;
-    e.span = span_;
-    events_.push_back(e);
+    events_.push_back(Event{.time = clock_.now(),
+                            .type = type,
+                            .va = va,
+                            .bytes = bytes,
+                            .aux = aux,
+                            .tenant = tenant_,
+                            .span = span_});
   }
 
   [[nodiscard]] const std::vector<Event>& events() const noexcept { return events_; }
@@ -121,6 +134,7 @@ class EventLog {
   }
 
  private:
+  const Clock& clock_;
   bool enabled_ = false;
   std::uint32_t tenant_ = 0;
   std::uint32_t span_ = 0;

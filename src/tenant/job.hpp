@@ -41,16 +41,6 @@ enum class JobState : std::uint8_t {
   kRejected,  ///< admission denied (footprint over budget)
 };
 
-[[nodiscard]] constexpr std::string_view to_string(JobState s) noexcept {
-  switch (s) {
-    case JobState::kRunning: return "running";
-    case JobState::kFinished: return "finished";
-    case JobState::kFailed: return "failed";
-    case JobState::kRejected: return "rejected";
-  }
-  return "?";
-}
-
 /// One submitted job and its full lifecycle. Owned by the Scheduler;
 /// addresses are stable (deque) so the coroutine's Runtime reference —
 /// captured at admission — stays valid across scheduling.

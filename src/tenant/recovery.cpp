@@ -99,12 +99,8 @@ bool RecoveryManager::on_failure(Job& j, Status cause) {
   replayed_picos_->inc(static_cast<std::uint64_t>(lost));
   scrubbed_bytes_->inc(scrubbed);
   restarts_for(cause)->inc();
-  sys_->events().record(
-      {.time = sys_->now(),
-       .type = sim::EventType::kJobRestart,
-       .va = 0,
-       .bytes = scrubbed,
-       .aux = (j.restarts << 8) | static_cast<std::uint32_t>(cause)});
+  sys_->events().record(sim::EventType::kJobRestart, 0, scrubbed,
+                        (j.restarts << 8) | static_cast<std::uint32_t>(cause));
 
   j.coro = j.spec.make(*j.rt);
   ++j.restarts;

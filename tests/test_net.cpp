@@ -67,21 +67,6 @@ TEST(NetSpec, RejectsNegativeLatencies) {
   }
 }
 
-TEST(NetSpec, RejectsPartialOrUnorderedThresholds) {
-  net::NetSpec s;
-  s.bcopy_max = 8192;  // zcopy_max still 0: partial ladder
-  EXPECT_EQ(s.validate(), Status::kErrorNetConfig);
-
-  s.zcopy_max = 4096;  // zcopy_max < bcopy_max: unordered
-  EXPECT_EQ(s.validate(), Status::kErrorNetConfig);
-
-  s.zcopy_max = 65536;  // ordered: eager_short_max <= bcopy_max <= zcopy_max
-  EXPECT_EQ(s.validate(), Status::kSuccess);
-
-  s.bcopy_max = 100;  // below eager_short_max (208)
-  EXPECT_EQ(s.validate(), Status::kErrorNetConfig);
-}
-
 TEST(NetSpec, FabricConstructionThrowsNetConfig) {
   net::NetSpec bad;
   bad.wire_bandwidth_Bps = 0.0;
@@ -269,20 +254,6 @@ TEST(Protocol, CrossoversLandOnCheaperProtocolBothSides) {
     EXPECT_EQ(order[2], net::Protocol::kZcopy);
     EXPECT_EQ(order[3], net::Protocol::kRendezvous);
   }
-}
-
-TEST(Protocol, ExplicitThresholdLadderIsHonoredExactly) {
-  net::NetSpec s;
-  s.bcopy_max = 4096;
-  s.zcopy_max = 65536;
-  const net::Fabric f{s, 2};
-  const auto mem = net::MemType::kHost;
-  EXPECT_EQ(f.select(s.eager_short_max, mem), net::Protocol::kEagerShort);
-  EXPECT_EQ(f.select(s.eager_short_max + 1, mem), net::Protocol::kEagerBcopy);
-  EXPECT_EQ(f.select(4096, mem), net::Protocol::kEagerBcopy);
-  EXPECT_EQ(f.select(4097, mem), net::Protocol::kZcopy);
-  EXPECT_EQ(f.select(65536, mem), net::Protocol::kZcopy);
-  EXPECT_EQ(f.select(65537, mem), net::Protocol::kRendezvous);
 }
 
 TEST(Protocol, CudaManagedCostsExceedHost) {

@@ -92,12 +92,18 @@ TEST(Tracer, SummarizesByTypeAndWindow) {
   EXPECT_FALSE(tracer.to_text().empty());
 }
 
+/// Advances \p clock to the absolute time \p t (never backwards).
+void advance_to(sim::Clock& clock, sim::Picos t) { clock.advance(t - clock.now()); }
+
 TEST(Tracer, LinkDegradeWindowsCountByOverlapNotByBeginEvent) {
-  sim::EventLog log;
+  sim::Clock clock;
+  sim::EventLog log{clock};
   log.set_enabled(true);
   auto window = [&](sim::Picos b, sim::Picos e) {
-    log.record({.time = b, .type = sim::EventType::kLinkDegradeBegin});
-    log.record({.time = e, .type = sim::EventType::kLinkDegradeEnd});
+    advance_to(clock, b);
+    log.record(sim::EventType::kLinkDegradeBegin);
+    advance_to(clock, e);
+    log.record(sim::EventType::kLinkDegradeEnd);
   };
   window(sim::microseconds(1), sim::microseconds(5));     // entirely before
   window(sim::microseconds(10), sim::microseconds(30));   // straddles t0
@@ -114,10 +120,11 @@ TEST(Tracer, LinkDegradeWindowsCountByOverlapNotByBeginEvent) {
 }
 
 TEST(Tracer, OpenLinkDegradeWindowCountsUntilEndOfLog) {
-  sim::EventLog log;
+  sim::Clock clock;
+  sim::EventLog log{clock};
   log.set_enabled(true);
-  log.record({.time = sim::microseconds(10),
-              .type = sim::EventType::kLinkDegradeBegin});
+  clock.advance(sim::microseconds(10));
+  log.record(sim::EventType::kLinkDegradeBegin);
   profile::Tracer tracer{log};
   // Still degrading when the log ends: visible to any window it overlaps...
   EXPECT_EQ(tracer.summarize(sim::microseconds(20), sim::microseconds(100))
@@ -126,6 +133,44 @@ TEST(Tracer, OpenLinkDegradeWindowCountsUntilEndOfLog) {
   EXPECT_EQ(tracer.summarize().link_degrade_windows, 1u);
   // ...but not to one that closed before the degradation began.
   EXPECT_EQ(tracer.summarize(0, sim::microseconds(5)).link_degrade_windows, 0u);
+}
+
+TEST(Tracer, SummaryAndTraceSeeTheSameLinkDegradeWindows) {
+  // Two closed windows, a stray End and a window still open at the end:
+  // the summary and the Chrome trace pair Begin/End events the same way.
+  sim::Clock clock;
+  sim::EventLog log{clock};
+  log.set_enabled(true);
+  for (const auto type :
+       {sim::EventType::kLinkDegradeBegin, sim::EventType::kLinkDegradeEnd,
+        sim::EventType::kLinkDegradeEnd,  // stray: no window open
+        sim::EventType::kLinkDegradeBegin, sim::EventType::kLinkDegradeEnd,
+        sim::EventType::kLinkDegradeBegin, sim::EventType::kMigrationH2D}) {
+    clock.advance(sim::microseconds(10));
+    log.record(type);
+  }
+  const std::size_t windows = profile::Tracer{log}.summarize().link_degrade_windows;
+  EXPECT_EQ(windows, 3u);
+
+  const std::string json = profile::to_chrome_trace(log, profile::WorkloadAnalysis{});
+  std::string err;
+  ASSERT_TRUE(obs::json_valid(json, &err)) << err;
+  auto count = [&json](const std::string& needle) {
+    std::size_t n = 0;
+    for (auto at = json.find(needle); at != std::string::npos;
+         at = json.find(needle, at + 1)) {
+      ++n;
+    }
+    return n;
+  };
+  EXPECT_EQ(count("\"name\":\"link degraded\""), windows);
+  EXPECT_EQ(count("\"open_ended\":true"), 1u);
+  EXPECT_EQ(count("\"open_ended\":false"), windows - 1);
+  // The open window runs from its Begin (60 us) to the last event (70 us).
+  const auto open = json.find("\"open_ended\":true");
+  const std::string line = json.substr(json.rfind('\n', open) + 1,
+                                       open - json.rfind('\n', open));
+  EXPECT_NE(line.find("\"ts\":60.000,\"dur\":10.000"), std::string::npos) << line;
 }
 
 TEST(WorkloadAnalysis, MatchingAndTotals) {
@@ -225,13 +270,13 @@ TEST(MemoryProfiler, NoDuplicateTimestamps) {
 }
 
 TEST(Tracer, ToTextListsEventsAndTruncates) {
-  sim::EventLog log;
+  sim::Clock clock;
+  sim::EventLog log{clock};
   log.set_enabled(true);
   for (int i = 0; i < 5; ++i) {
-    log.record({.time = sim::microseconds(i + 1),
-                .type = sim::EventType::kMigrationH2D,
-                .va = 0xabc0ull + static_cast<std::uint64_t>(i),
-                .bytes = 64});
+    clock.advance(sim::microseconds(1));
+    log.record(sim::EventType::kMigrationH2D,
+               0xabc0ull + static_cast<std::uint64_t>(i), 64);
   }
   profile::Tracer tracer{log};
   const std::string full = tracer.to_text();
@@ -244,15 +289,17 @@ TEST(Tracer, ToTextListsEventsAndTruncates) {
 }
 
 TEST(Tracer, SummarizeWindowEdgesAreHalfOpen) {
-  sim::EventLog log;
+  sim::Clock clock;
+  sim::EventLog log{clock};
   log.set_enabled(true);
   const sim::Picos t0 = sim::microseconds(10);
   const sim::Picos t1 = sim::microseconds(20);
-  log.record({.time = t0, .type = sim::EventType::kMigrationH2D, .bytes = 1});
-  log.record({.time = sim::microseconds(15),
-              .type = sim::EventType::kMigrationH2D,
-              .bytes = 2});
-  log.record({.time = t1, .type = sim::EventType::kMigrationH2D, .bytes = 4});
+  advance_to(clock, t0);
+  log.record(sim::EventType::kMigrationH2D, 0, 1);
+  advance_to(clock, sim::microseconds(15));
+  log.record(sim::EventType::kMigrationH2D, 0, 2);
+  advance_to(clock, t1);
+  log.record(sim::EventType::kMigrationH2D, 0, 4);
   profile::Tracer tracer{log};
   // [t0, t1): the event at t0 is included, the one exactly at t1 is not.
   const auto s = tracer.summarize(t0, t1);

@@ -78,17 +78,48 @@ TEST(Clock, ZeroAdvanceDoesNotNotify) {
 }
 
 TEST(EventLog, DisabledByDefaultAndDropsRecords) {
-  EventLog log;
-  log.record(Event{.time = 1, .type = EventType::kMigrationH2D, .va = 0, .bytes = 64});
+  Clock clock;
+  EventLog log{clock};
+  log.set_current_tenant(7);
+  {
+    SpanScope span{log};  // consumes span id 1
+    log.record(EventType::kMigrationH2D, 0, 64);
+  }
   EXPECT_TRUE(log.events().empty());
+
+  // Enabled, every event carries the clock's time and the current tenant
+  // and span; callers pass only type, va, bytes and aux.
+  log.set_enabled(true);
+  clock.advance(5);
+  log.record(EventType::kMigrationH2D, 0x1000, 64, 3);
+  {
+    SpanScope span{log};
+    clock.advance(10);
+    log.record(EventType::kEviction, 0x2000, 128);
+  }
+  ASSERT_EQ(log.events().size(), 2u);
+  const Event& a = log.events()[0];
+  EXPECT_EQ(a.time, 5);
+  EXPECT_EQ(a.type, EventType::kMigrationH2D);
+  EXPECT_EQ(a.va, 0x1000u);
+  EXPECT_EQ(a.bytes, 64u);
+  EXPECT_EQ(a.aux, 3u);
+  EXPECT_EQ(a.tenant, 7u);
+  EXPECT_EQ(a.span, 0u);
+  const Event& b = log.events()[1];
+  EXPECT_EQ(b.time, 15);
+  EXPECT_EQ(b.aux, 0u);
+  EXPECT_EQ(b.tenant, 7u);
+  EXPECT_EQ(b.span, 2u);  // the disabled log's scope took id 1
 }
 
 TEST(EventLog, CountsAndBytesByType) {
-  EventLog log;
+  Clock clock;
+  EventLog log{clock};
   log.set_enabled(true);
-  log.record(Event{.time = 1, .type = EventType::kMigrationH2D, .va = 0, .bytes = 64});
-  log.record(Event{.time = 2, .type = EventType::kMigrationH2D, .va = 0, .bytes = 36});
-  log.record(Event{.time = 3, .type = EventType::kEviction, .va = 0, .bytes = 100});
+  log.record(EventType::kMigrationH2D, 0, 64);
+  log.record(EventType::kMigrationH2D, 0, 36);
+  log.record(EventType::kEviction, 0, 100);
   EXPECT_EQ(count_events(log, EventType::kMigrationH2D), 2u);
   EXPECT_EQ(event_bytes(log, EventType::kMigrationH2D), 100u);
   EXPECT_EQ(count_events(log, EventType::kEviction), 1u);

@@ -6,9 +6,13 @@
 Runs each of the seven smoke benches (tenancy, observability, recovery,
 fleet, netscope, fleetscope, chaosnet) as `<build>/bench/<bench> --smoke
 --out BENCH.json`, plus `--trace trace.json` for the two benches that take
-a trace path, and the two machine-trace figure benches (fig04, fig05) as
-`<bench> --trace trace.json` (they take no --smoke or --out), once per
-build, each in a fresh temporary directory so the `wrote ...` lines match.
+a trace path, the two machine-trace figure benches (fig04, fig05) as
+`<bench> --trace trace.json` (they take no --smoke or --out), and two
+benches that read the event log through profile::Tracer summaries
+without flags: bench_robustness_chaos (every injected fault-event type,
+6 apps x 3 modes, ~15 s) and bench_fig10_srad_migration (access-counter
+notifications and migrations). Each runs once per build, in a fresh
+temporary directory so the `wrote ...` lines match.
 It compares the exit code, stdout and every file the run wrote, byte for
 byte, prints one line per bench, and exits 1 on any difference. The
 simulator is deterministic, so a change that claims to leave simulated
@@ -35,6 +39,8 @@ BENCHES = {
     "bench_chaosnet": SMOKE,
     "bench_fig04_hotspot_profile": TRACE,
     "bench_fig05_qiskit_profile": TRACE,
+    "bench_robustness_chaos": [],
+    "bench_fig10_srad_migration": [],
 }
 
 
