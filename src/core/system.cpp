@@ -584,17 +584,12 @@ bool System::advance_view(PageView& view, std::uint64_t va) {
   // moved, so the pages scanned into run_end are still resident where they
   // were and view.vma is still alive. The translation below is charged via
   // the same MMU entry points as resolve(), so TLB state and cost evolve
-  // identically.
-  PageView next;
-  next.origin = view.origin;
-  next.kind = view.kind;
-  next.vma = view.vma;
-  next.line_size = view.line_size;
-  resolve_page(next, va);
-  next.epoch = m_.epoch();
-  next.run_end = view.run_end;
-  if (next.run_end < next.page_end) next.run_end = next.page_end;
-  view = next;
+  // identically. The view is updated in place: origin, kind, vma,
+  // line_size and run_end carry over, resolve_page sets bounds and node.
+  view.remote_managed = false;
+  resolve_page(view, va);
+  view.epoch = m_.epoch();
+  if (view.run_end < view.page_end) view.run_end = view.page_end;
   return true;
 }
 

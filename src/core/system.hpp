@@ -296,7 +296,8 @@ class System {
 
   /// Shared core of resolve()/advance_view(): translates \p va for the
   /// allocation described by view.kind/vma/origin, charges the translation
-  /// and fault costs, and fills node/bounds/remote_managed.
+  /// and fault costs, and fills node and bounds. It only ever sets
+  /// remote_managed (a thrash-guard remote mapping); the caller clears it.
   void resolve_page(PageView& view, std::uint64_t va);
 
   /// Publishes how far the residency run containing view.page_base extends

@@ -62,9 +62,9 @@ struct Vma {
   /// recovery scrub built on it) accepts a poisoned VMA.
   bool poisoned = false;
 
-  /// Real backing storage (uninitialized; simulated first-touch zeroes are
-  /// modeled in time only — kernels must initialize what they read, as the
-  /// apps do).
+  /// Real backing storage, zero-filled: create() value-initializes it and
+  /// checkpoint restore allocates it the same way before copying the saved
+  /// bytes in. The first-touch zeroing itself is modeled in time only.
   std::unique_ptr<std::byte[]> data;
 
   [[nodiscard]] std::uint64_t end() const noexcept { return base + size; }

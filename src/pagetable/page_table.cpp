@@ -13,10 +13,13 @@ PageTable::PageTable(std::uint64_t page_size) : page_size_(page_size) {
 }
 
 PageTable::RunMap::const_iterator PageTable::find_run(std::uint64_t vpn) const {
+  if (last_ != runs_.end() && vpn - last_->first < last_->second.pages) return last_;
   auto it = runs_.upper_bound(vpn);
   if (it == runs_.begin()) return runs_.end();
   --it;
-  return vpn < it->first + it->second.pages ? it : runs_.end();
+  if (vpn >= it->first + it->second.pages) return runs_.end();
+  last_ = it;
+  return it;
 }
 
 PageTable::RunMap::iterator PageTable::find_run_mut(std::uint64_t vpn) {
@@ -54,6 +57,7 @@ PageTable::RunMap::iterator PageTable::merge_left(RunMap::iterator it) {
     return it;
   }
   prev->second.pages += it->second.pages;
+  if (last_ == it) last_ = runs_.end();
   runs_.erase(it);
   return prev;
 }
@@ -100,8 +104,23 @@ void PageTable::set_numa_generation(std::uint64_t va, std::uint32_t generation) 
 
 void PageTable::map_range(std::uint64_t va, std::uint64_t pages, Pte pte) {
   if (pages == 0) return;
+  const std::uint64_t lo = vpn(va);
+  const std::uint64_t hi = lo + pages;
+  // First touch: the range is unmapped and the run ending at its first
+  // page carries the same PTE, so that run grows in place (one lookup, no
+  // split, no node allocation) and absorbs an equal run it now touches.
+  auto next = runs_.lower_bound(lo);
+  if (next != runs_.begin() && (next == runs_.end() || next->first >= hi)) {
+    auto prev = std::prev(next);
+    if (prev->first + prev->second.pages == lo && prev->second.pte == pte) {
+      prev->second.pages += pages;
+      account(pages, pte.node, /*add=*/true);
+      if (next != runs_.end()) (void)merge_left(next);
+      return;
+    }
+  }
   (void)unmap_range(va, pages);  // overwrite semantics
-  insert_run(vpn(va), pages, pte);
+  insert_run(lo, pages, pte);
 }
 
 std::uint64_t PageTable::unmap_range(std::uint64_t va, std::uint64_t pages) {
@@ -115,6 +134,7 @@ std::uint64_t PageTable::unmap_range(std::uint64_t va, std::uint64_t pages) {
   while (it != runs_.end() && it->first < hi) {
     removed += it->second.pages;
     account(it->second.pages, it->second.pte.node, /*add=*/false);
+    if (last_ == it) last_ = runs_.end();
     it = runs_.erase(it);
   }
   return removed;
@@ -178,6 +198,7 @@ std::uint64_t PageTable::resident_run_end(std::uint64_t va, mem::Node node,
 
 void PageTable::clear() {
   runs_.clear();
+  last_ = runs_.end();
   total_pages_ = 0;
   node_pages_[0] = node_pages_[1] = 0;
 }

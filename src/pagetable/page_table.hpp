@@ -44,6 +44,11 @@ class PageTable {
  public:
   explicit PageTable(std::uint64_t page_size);
 
+  // The last-run cache points into this object's own map, so a copy would
+  // carry an iterator into the original.
+  PageTable(const PageTable&) = delete;
+  PageTable& operator=(const PageTable&) = delete;
+
   [[nodiscard]] std::uint64_t page_size() const noexcept { return page_size_; }
 
   [[nodiscard]] std::uint64_t vpn(std::uint64_t va) const noexcept {
@@ -53,8 +58,10 @@ class PageTable {
     return va & ~(page_size_ - 1);
   }
 
-  /// nullptr when the page is not mapped (not present). The pointer is
-  /// only valid until the next mutation (runs split/merge under it).
+  /// nullptr when the page is not mapped (not present). O(1) when \p va
+  /// falls in the run the previous point query found, else O(log n). The
+  /// pointer is only valid until the next mutation (runs split/merge under
+  /// it).
   [[nodiscard]] const Pte* lookup(std::uint64_t va) const;
 
   /// Creates or overwrites the entry for the page containing \p va.
@@ -73,7 +80,8 @@ class PageTable {
   // --- Bulk splices (single O(log n + runs-touched) operations) ---------
 
   /// Maps \p pages pages starting at page_base(va) with \p pte in one
-  /// splice, overwriting any prior entries in the range.
+  /// splice, overwriting any prior entries in the range. An unmapped range
+  /// right after a run with an equal PTE grows that run in place.
   void map_range(std::uint64_t va, std::uint64_t pages, Pte pte);
 
   /// Unmaps the range; returns how many pages were actually mapped.
@@ -165,6 +173,8 @@ class PageTable {
   };
   using RunMap = std::map<std::uint64_t, Run>;  // keyed by first VPN of run
 
+  /// The run containing \p vpn, or end(). Checks the run the previous hit
+  /// found before searching the tree.
   [[nodiscard]] RunMap::const_iterator find_run(std::uint64_t vpn) const;
   [[nodiscard]] RunMap::iterator find_run_mut(std::uint64_t vpn);
   /// Ensures no run straddles \p vpn (splits the containing run in two).
@@ -179,6 +189,10 @@ class PageTable {
   std::uint64_t page_size_;
   unsigned page_shift_;
   RunMap runs_;
+  /// Run the last successful find_run() returned, or end(). A run that
+  /// grows, shrinks or rewrites its PTE in place keeps its node, so only
+  /// erasing that node (merge_left, unmap_range, clear) resets it.
+  mutable RunMap::const_iterator last_ = runs_.end();
   std::uint64_t total_pages_ = 0;
   std::uint64_t node_pages_[2] = {0, 0};
   mutable std::uint64_t scan_steps_ = 0;

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <list>
+#include <map>
 #include <optional>
 #include <random>
 #include <string>
@@ -217,6 +218,189 @@ TEST(PageTable, SamplingDoesNotScanTheMap) {
   // Linear walks do advance the counter (that is what it measures).
   pt.for_each_run([](std::uint64_t, std::uint64_t, const Pte&) {});
   EXPECT_GT(pt.scan_steps(), steps_before);
+}
+
+TEST(PageTable, FirstTouchGrowsOneRunInPlace) {
+  // Pages first-touched in order extend one run; no step of it walks the map.
+  PageTable pt{kSystemPage4K};
+  const Pte cpu{.node = mem::Node::kCpu};
+  const std::uint64_t steps_before = pt.scan_steps();
+  for (std::uint64_t p = 0; p < 512; ++p) pt.map(p * 0x1000, cpu);
+  EXPECT_EQ(pt.run_count(), 1u);
+  EXPECT_EQ(pt.mapped_pages(), 512u);
+  EXPECT_EQ(pt.resident_pages(mem::Node::kCpu), 512u);
+  EXPECT_EQ(pt.scan_steps(), steps_before);
+
+  // Filling a one-page gap between two equal runs joins all three.
+  PageTable gap{kSystemPage4K};
+  gap.map_range(0x0000, 4, cpu);
+  gap.map_range(0x5000, 4, cpu);
+  ASSERT_EQ(gap.run_count(), 2u);
+  gap.map(0x4000, cpu);
+  EXPECT_EQ(gap.run_count(), 1u);
+  EXPECT_EQ(gap.mapped_pages(), 9u);
+  EXPECT_EQ(gap.resident_run_end(0x0000, mem::Node::kCpu, ~0ull), 9u * 0x1000);
+
+  // Between unequal runs the filled page joins its left neighbour only.
+  PageTable mixed{kSystemPage4K};
+  mixed.map_range(0x0000, 4, cpu);
+  mixed.map_range(0x5000, 4, Pte{.node = mem::Node::kGpu});
+  mixed.map_range(0xA000, 4, cpu);
+  mixed.map(0x4000, cpu);
+  EXPECT_EQ(mixed.run_count(), 3u);
+  EXPECT_EQ(mixed.resident_run_end(0x0000, mem::Node::kCpu, ~0ull), 5u * 0x1000);
+  EXPECT_EQ(mixed.resident_pages(mem::Node::kCpu), 9u);
+  EXPECT_EQ(mixed.resident_pages(mem::Node::kGpu), 4u);
+}
+
+/// Per-page model of a page table: one entry per mapped VPN.
+using PageModel = std::map<std::uint64_t, Pte>;
+
+/// Number of maximal runs of consecutive pages with equal PTEs.
+std::size_t model_runs(const PageModel& model) {
+  std::size_t runs = 0;
+  for (const auto& [vpn, pte] : model) {
+    if (!model.contains(vpn - 1) || !(model.at(vpn - 1) == pte)) ++runs;
+  }
+  return runs;
+}
+
+/// End (exclusive VPN) of the maximal equal-PTE run holding \p vpn.
+std::uint64_t model_run_end(const PageModel& model, std::uint64_t vpn) {
+  const Pte pte = model.at(vpn);
+  while (model.contains(vpn + 1) && model.at(vpn + 1) == pte) ++vpn;
+  return vpn + 1;
+}
+
+TEST(PageTableDifferential, SeededOpsMatchPerPageReference) {
+  // A seeded mix of every mutation, on a small window so runs keep
+  // splitting, merging, growing in place and vanishing, checked after
+  // every operation against one PTE per page. Before each operation a
+  // point query lands on or beside the range the operation touches, so
+  // the last-run cache often holds a run that the operation erases.
+  constexpr std::uint64_t kPage = kSystemPage4K;
+  constexpr std::uint64_t kWindow = 96;
+  std::mt19937_64 rng{29};
+  PageTable pt{kPage};
+  PageModel model;
+  std::string what;
+  const auto check = [&] {
+    for (std::uint64_t v = 0; v < kWindow + 32; ++v) {
+      const Pte* got = pt.lookup(v * kPage);
+      auto it = model.find(v);
+      if (it == model.end()) {
+        ASSERT_EQ(got, nullptr) << what << ": page " << v;
+      } else {
+        ASSERT_NE(got, nullptr) << what << ": page " << v;
+        ASSERT_EQ(*got, it->second) << what << ": page " << v;
+      }
+    }
+    ASSERT_EQ(pt.run_count(), model_runs(model)) << what;
+    ASSERT_EQ(pt.mapped_pages(), model.size()) << what;
+    for (const auto node : {mem::Node::kCpu, mem::Node::kGpu}) {
+      const auto on_node = static_cast<std::size_t>(
+          std::count_if(model.begin(), model.end(),
+                        [node](const auto& e) { return e.second.node == node; }));
+      ASSERT_EQ(pt.resident_pages(node), on_node) << what;
+    }
+    // resident_run_end from a random page, against the model's runs.
+    const std::uint64_t v = rng() % kWindow;
+    const auto node = (rng() & 1) != 0 ? mem::Node::kGpu : mem::Node::kCpu;
+    std::uint64_t want = v + 1;
+    if (model.contains(v) && model.at(v).node == node) {
+      want = model_run_end(model, v);
+    } else if (model.contains(v + 1) && model.at(v + 1).node == node) {
+      want = model_run_end(model, v + 1);
+    }
+    ASSERT_EQ(pt.resident_run_end(v * kPage, node, ~0ull), want * kPage)
+        << what << ": run end from page " << v;
+  };
+
+  // Scripted first: a cached run merged into its left neighbour, then the
+  // merged run unmapped whole (no split, so no node is allocated in
+  // between); the erased node must not answer for its old pages.
+  what = "merge then unmap";
+  pt.map_range(0, 4, Pte{.node = mem::Node::kCpu});
+  pt.map_range(4 * kPage, 4, Pte{.node = mem::Node::kGpu});
+  (void)pt.lookup(5 * kPage);
+  EXPECT_EQ(pt.set_node_range(4 * kPage, 4, mem::Node::kCpu), 4u);
+  EXPECT_EQ(pt.unmap_range(0, 8), 8u);
+  check();
+  if (HasFatalFailure()) return;
+
+  const auto draw_pte = [&] {
+    return Pte{.node = (rng() & 1) != 0 ? mem::Node::kGpu : mem::Node::kCpu,
+               .writable = rng() % 8 != 0,
+               .numa_generation = static_cast<std::uint32_t>(rng() % 4 == 0)};
+  };
+  for (int op = 0; op < 4000; ++op) {
+    const std::uint64_t lo = rng() % kWindow;
+    const std::uint64_t pages = 1 + rng() % (rng() % 4 == 0 ? 24 : 3);
+    const std::uint64_t hi = lo + pages;
+    const std::uint64_t probe[] = {lo == 0 ? 0 : lo - 1, lo, hi};
+    (void)pt.lookup(probe[rng() % 3] * kPage);
+    const std::uint64_t roll = rng() % 100;
+    const std::string range = std::to_string(lo) + "+" + std::to_string(pages);
+    if (roll < 35) {
+      const Pte pte = draw_pte();
+      what = "map_range " + range;
+      if (pages == 1 && rng() % 2 == 0) {
+        pt.map(lo * kPage, pte);
+      } else {
+        pt.map_range(lo * kPage, pages, pte);
+      }
+      for (std::uint64_t v = lo; v < hi; ++v) model[v] = pte;
+    } else if (roll < 55) {
+      what = "unmap_range " + range;
+      std::uint64_t removed = 0;
+      for (std::uint64_t v = lo; v < hi; ++v) removed += model.erase(v);
+      ASSERT_EQ(pt.unmap_range(lo * kPage, pages), removed) << what;
+    } else if (roll < 75) {
+      const auto node = (rng() & 1) != 0 ? mem::Node::kGpu : mem::Node::kCpu;
+      what = "set_node_range " + range;
+      std::uint64_t changed = 0;
+      for (std::uint64_t v = lo; v < hi; ++v) {
+        auto it = model.find(v);
+        if (it != model.end() && it->second.node != node) {
+          it->second.node = node;
+          ++changed;
+        }
+      }
+      ASSERT_EQ(pt.set_node_range(lo * kPage, pages, node), changed) << what;
+    } else if (roll < 97) {
+      const auto gen = static_cast<std::uint32_t>(rng() % 2);
+      what = "set_numa_generation " + std::to_string(lo);
+      auto it = model.find(lo);
+      if (it == model.end()) {
+        EXPECT_THROW(pt.set_numa_generation(lo * kPage, gen), std::logic_error) << what;
+      } else {
+        it->second.numa_generation = gen;
+        pt.set_numa_generation(lo * kPage, gen);
+      }
+    } else {
+      // Rebuild the way checkpoint restore does: clear, then put every
+      // saved extent back in VPN order. Between the two the table is
+      // empty, also for the run the probe above left cached.
+      what = "rebuild";
+      struct Extent {
+        std::uint64_t first_vpn, pages;
+        Pte pte;
+      };
+      std::vector<Extent> saved;
+      pt.for_each_run([&saved](std::uint64_t first_vpn, std::uint64_t n, const Pte& pte) {
+        saved.push_back({first_vpn, n, pte});
+      });
+      pt.clear();
+      ASSERT_EQ(pt.run_count(), 0u);
+      for (std::uint64_t v = 0; v < kWindow + 32; ++v) {
+        ASSERT_EQ(pt.lookup(v * kPage), nullptr) << "cleared table: page " << v;
+      }
+      for (const Extent& e : saved) pt.map_range(e.first_vpn * kPage, e.pages, e.pte);
+    }
+    what = "op " + std::to_string(op) + " " + what;
+    check();
+    if (HasFatalFailure()) return;
+  }
 }
 
 TEST(PageTable, GraceSupportedPageSizes) {

@@ -7,12 +7,16 @@ Runs each of the seven smoke benches (tenancy, observability, recovery,
 fleet, netscope, fleetscope, chaosnet) as `<build>/bench/<bench> --smoke
 --out BENCH.json`, plus `--trace trace.json` for the two benches that take
 a trace path, the two machine-trace figure benches (fig04, fig05) as
-`<bench> --trace trace.json` (they take no --smoke or --out), and two
+`<bench> --trace trace.json` (they take no --smoke or --out), two
 benches that read the event log through profile::Tracer summaries
 without flags: bench_robustness_chaos (every injected fault-event type,
 6 apps x 3 modes, ~15 s) and bench_fig10_srad_migration (access-counter
-notifications and migrations). Each runs once per build, in a fresh
-temporary directory so the `wrote ...` lines match.
+notifications and migrations), and three page-table benches without
+flags, each under 1 s: bench_fig06_alloc_dealloc (first touch and frees),
+bench_ablation_firsttouch (first-touch placement) and
+bench_ablation_autonuma (the AutoNUMA scan's run split and remerge).
+Each runs once per build, in a fresh temporary directory so the
+`wrote ...` lines match.
 It compares the exit code, stdout and every file the run wrote, byte for
 byte, prints one line per bench, and exits 1 on any difference. The
 simulator is deterministic, so a change that claims to leave simulated
@@ -41,6 +45,9 @@ BENCHES = {
     "bench_fig05_qiskit_profile": TRACE,
     "bench_robustness_chaos": [],
     "bench_fig10_srad_migration": [],
+    "bench_fig06_alloc_dealloc": [],
+    "bench_ablation_firsttouch": [],
+    "bench_ablation_autonuma": [],
 }
 
 
