@@ -52,8 +52,8 @@ for artifact in BENCH_tenancy.json \
 done
 
 # Absolute simulator-throughput gate: fails if the repository benchmark's
-# paper-grid cells/s or fullscale-sweep page visits/s drop more than 20%
-# below the floors held in the script, or fullscale-sweep's set-up time
+# paper-grid cells/s, fullscale-sweep page visits/s or fleet-chaos
+# requests/s drop more than 20% below the floors held in the script, or fullscale-sweep's set-up time
 # rises more than 25% above its ceiling. (The full-scale structure checks,
 # extent count and sub-linear RSS, run in the test suite above.)
 python3 tools/perf_floor.py

@@ -180,7 +180,10 @@ class Span {
     return old;
   }
 
-  /// Unaccounted escape hatch (reference checking in tests only).
+  /// Unaccounted pointer to element 0. Reads through it charge nothing:
+  /// use it for elements whose access load() has already accounted (qvsim's
+  /// per-group gate path reads a group through it after four loads), and
+  /// for reference checks in tests.
   [[nodiscard]] const T* raw() const noexcept { return ptr_; }
 
   /// Pushes pending aggregated accesses into the memory model.

@@ -355,6 +355,127 @@ TEST(QvGate, ChunkedGateMatchesNaiveLoopBitForBit) {
   EXPECT_TRUE(coupled_seen[0] && coupled_seen[1] && coupled_seen[2]);
 }
 
+// The in-memory kernel accounts each run of groups with one account() call.
+// This test runs the same launches through lanes that account every group
+// through Span::load()/store() instead, on a fresh System each, and compares
+// everything the memory model reports plus the statevector's bytes.
+
+/// The in-memory kernel's four lanes, without run(): apply_gate() accounts
+/// every group through load()/store().
+struct PerGroupSpanAmps {
+  runtime::Span<apps::amp_t>* lane[4];
+
+  const apps::amp_t* load(int j, std::uint64_t i) {
+    (void)lane[j]->load(i);
+    return lane[j]->raw() + i;
+  }
+  void store(int j, std::uint64_t i, const apps::amp_t& v) { lane[j]->store(i, v); }
+};
+
+struct GateRun {
+  std::uint64_t digest = 0;
+  sim::Picos end = 0;
+  std::vector<cache::KernelTraffic> traffic;
+  std::vector<std::pair<std::string, std::uint64_t>> counters;
+  std::vector<apps::amp_t> sv;
+};
+
+/// A random \p qubits-qubit state written by a GPU init kernel, then one
+/// qv.gate launch per gate, each with one Span per group member as
+/// qvsim's in-memory kernel has.
+GateRun run_gates(core::SystemConfig cfg, MemMode mode, std::uint32_t qubits,
+                  const std::vector<apps::GateSpec>& gates, bool per_group) {
+  cfg.event_log = true;
+  core::System sys{cfg};
+  runtime::Runtime rt{sys};
+  const std::uint64_t n = 1ull << qubits;
+  apps::UnifiedBuffer sv = apps::UnifiedBuffer::create(rt, mode, n * sizeof(apps::amp_t), "sv");
+  sim::Rng rng{qubits};
+  (void)rt.launch("qv.init", static_cast<double>(n), [&] {
+    auto a = rt.device_span<apps::amp_t>(sv.device());
+    apps::amp_t* av = a.store_run(0, n);
+    for (std::uint64_t i = 0; i < n; ++i) av[i] = random_amp(rng);
+  });
+  GateRun out;
+  for (const apps::GateSpec& g : gates) {
+    const cache::KernelRecord rec = rt.launch("qv.gate", static_cast<double>(n / 4) * 120, [&] {
+      auto s00 = rt.device_span<apps::amp_t>(sv.device());
+      auto s01 = rt.device_span<apps::amp_t>(sv.device());
+      auto s10 = rt.device_span<apps::amp_t>(sv.device());
+      auto s11 = rt.device_span<apps::amp_t>(sv.device());
+      if (per_group) {
+        PerGroupSpanAmps amps{{&s00, &s01, &s10, &s11}};
+        apps::apply_gate(g, 0, n / 4, amps);
+      } else {
+        apps::LaneAmps<runtime::Span<apps::amp_t>> amps{{&s00, &s01, &s10, &s11}};
+        apps::apply_gate(g, 0, n / 4, amps);
+      }
+    });
+    out.traffic.push_back(rec.traffic);
+  }
+  out.end = sys.now();
+  out.digest = sys.events().digest(sys.now());
+  for (const auto& [name, v] : sys.stats().snapshot()) out.counters.emplace_back(name, v);
+  const auto* amps = reinterpret_cast<const apps::amp_t*>(sv.device().host);
+  out.sv.assign(amps, amps + n);
+  return out;
+}
+
+std::uint64_t counter_of(const GateRun& r, std::string_view name) {
+  for (const auto& [n, v] : r.counters) {
+    if (n == name) return v;
+  }
+  return 0;
+}
+
+/// Runs \p gates both ways and expects the two runs to agree; returns the
+/// run-accounted one.
+GateRun expect_same_accounting(const core::SystemConfig& cfg, MemMode mode,
+                               std::uint32_t qubits, const std::vector<apps::GateSpec>& gates) {
+  const GateRun runs = run_gates(cfg, mode, qubits, gates, /*per_group=*/false);
+  const GateRun groups = run_gates(cfg, mode, qubits, gates, /*per_group=*/true);
+  EXPECT_EQ(runs.digest, groups.digest);
+  EXPECT_EQ(runs.end, groups.end);
+  EXPECT_EQ(runs.traffic, groups.traffic);
+  EXPECT_EQ(runs.counters, groups.counters);
+  EXPECT_TRUE(same_bytes(runs.sv, groups.sv)) << "statevectors differ";
+  return runs;
+}
+
+TEST(QvGate, SpanKernelMatchesPerGroupAccounting) {
+  sim::Rng rng{8096};
+  auto random_gate = [&](std::uint32_t p, std::uint32_t q) {
+    apps::GateSpec g{.p = p, .q = q};
+    for (auto& e : g.u) e = random_amp(rng);
+    return g;
+  };
+  // Every qubit pair of a 9-qubit state, one launch each, in every mode at
+  // 4 KiB pages.
+  constexpr std::uint32_t kQubits = 9;
+  std::vector<apps::GateSpec> every_pair;
+  for (std::uint32_t q = 1; q < kQubits; ++q) {
+    for (std::uint32_t p = 0; p < q; ++p) every_pair.push_back(random_gate(p, q));
+  }
+  const core::SystemConfig cfg = bs::qv_config(pagetable::kSystemPage4K, false);
+  for (const MemMode mode : {MemMode::kExplicit, MemMode::kManaged, MemMode::kSystem}) {
+    SCOPED_TRACE(apps::to_string(mode));
+    (void)expect_same_accounting(cfg, mode, kQubits, every_pair);
+  }
+  // A managed 8 MiB statevector (four 2 MiB blocks) on 5 MiB of HBM: the
+  // lanes fault blocks in and evict each other's, and runs of 2^9 groups
+  // and more cross pages.
+  SCOPED_TRACE("managed, oversubscribed");
+  core::SystemConfig small = cfg;
+  small.hbm_capacity = 5ull << 20;
+  small.gpu_driver_baseline = 0;
+  const std::vector<apps::GateSpec> gates = {random_gate(17, 18), random_gate(10, 17),
+                                             random_gate(2, 18), random_gate(9, 16),
+                                             random_gate(0, 1)};
+  const GateRun r = expect_same_accounting(small, MemMode::kManaged, 19, gates);
+  EXPECT_GT(counter_of(r, "driver.managed.gpu_faults"), 0u);
+  EXPECT_GT(counter_of(r, "driver.managed.evictions"), 0u);
+}
+
 // --- the stencil and DP kernel rows, bit for bit ------------------------------
 //
 // The apps' checksums sample every 97th or 101st cell, rounded, so they

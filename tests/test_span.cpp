@@ -517,17 +517,19 @@ T element(std::uint64_t v) {
 
 /// Read/write patterns of a row's streams (bit i set: stream i writes),
 /// each a distinct account() instantiation: the stencil and DP kernels'
-/// own shapes plus interleavings of reads and writes, 1 to 9 streams.
+/// own shapes, qvsim's gate (four reads, then four writes in place), plus
+/// interleavings of reads and writes, 1 to 9 streams.
 struct Pattern {
   std::size_t k;
   std::uint32_t writes;
+  bool in_place = false;  ///< streams k/2.. write the span and base of streams 0..
 };
 constexpr Pattern kPatterns[] = {
     {1, 0b0},        {1, 0b1},       {2, 0b01},       {2, 0b10},
     {2, 0b11},       {3, 0b010},     {3, 0b100},      {3, 0b101},
     {4, 0b1000},     {4, 0b1001},    {5, 0b10000},    {6, 0b100000},
-    {7, 0b0101010},  {8, 0b11000000}, {9, 0b111110000}, {9, 0b100000000},
-    {9, 0b101010101},
+    {7, 0b0101010},  {8, 0b11000000}, {8, 0b11110000, true}, {9, 0b111110000},
+    {9, 0b100000000}, {9, 0b101010101},
 };
 constexpr std::size_t kNumPatterns = std::size(kPatterns);
 
@@ -588,12 +590,17 @@ Scenario draw_scenario(sim::Rng& rng) {
       // Streams cluster around an anchor (a stencil's rows and neighbours)
       // or land anywhere in their buffer.
       const std::size_t anchor = rng.next_below(elems - row.n - 64);
-      for (std::size_t i = 0; i < kPatterns[row.pattern].k; ++i) {
+      const Pattern& pat = kPatterns[row.pattern];
+      for (std::size_t i = 0; i < pat.k; ++i) {
         StreamSpec sp;
-        sp.span = rng.next_below(spans);
-        sp.base = rng.next_below(2) ? anchor + rng.next_below(64)
-                                    : rng.next_below(elems - row.n + 1);
-        sp.write = ((kPatterns[row.pattern].writes >> i) & 1) != 0;
+        if (pat.in_place && i >= pat.k / 2) {
+          sp = row.streams[i - pat.k / 2];
+        } else {
+          sp.span = rng.next_below(spans);
+          sp.base = rng.next_below(2) ? anchor + rng.next_below(64)
+                                      : rng.next_below(elems - row.n + 1);
+        }
+        sp.write = ((pat.writes >> i) & 1) != 0;
         row.streams.push_back(sp);
       }
       launch.rows.push_back(std::move(row));

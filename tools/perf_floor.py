@@ -3,11 +3,11 @@
 
     python3 tools/perf_floor.py
 
-Runs `python3 perfbench/run.py --trace 0 --seconds 5` on the paper-grid and
-fullscale-sweep workloads of this checkout and exits 1 if either one's
-throughput_per_s falls below 80% of its floor, if fullscale-sweep's setup_s
-rises above its ceiling divided by 0.8, or if a run fails. Each floor is
-at most a third of a measured median and the ceiling about three times one,
+Runs `python3 perfbench/run.py --trace 0 --seconds 5` on the paper-grid,
+fullscale-sweep and fleet-chaos workloads of this checkout and exits 1 if
+any one's throughput_per_s falls below 80% of its floor, if fullscale-sweep's
+setup_s rises above its ceiling divided by 0.8, or if a run fails. Each floor
+is about a third of a measured median and the ceiling about three times one,
 so that only a real algorithmic regression trips them on a slow or shared
 machine (an O(pages) scan back in the residency path, a per-element path
 back in the kernels, a walk of the page table per first touch), not noise.
@@ -24,11 +24,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 # throughput_per_s floors. Medians measured on shared 4-vCPU Xeon
-# containers: paper-grid 9.0-17.9 Fig. 3 cells/s, fullscale-sweep 29.5 M
-# page visits/s (quartiles 27.5-31.4 M).
+# containers: paper-grid 9.0-17.9 Fig. 3 cells/s, fullscale-sweep 28-30 M
+# page visits/s (quartiles 27.5-31.4 M), fleet-chaos 460 requests/s
+# (quartiles 428-479).
 FLOORS = {
     "paper-grid": 3.0,
-    "fullscale-sweep": 3.0e6,
+    "fullscale-sweep": 10.0e6,
+    "fleet-chaos": 150.0,
 }
 # setup_s ceilings, about three times a measured median. fullscale-sweep's
 # set-up first-touches 2.1 M pages, each growing one page-table run in

@@ -14,7 +14,10 @@ without flags: bench_robustness_chaos (every injected fault-event type,
 notifications and migrations), and three page-table benches without
 flags, each under 1 s: bench_fig06_alloc_dealloc (first touch and frees),
 bench_ablation_firsttouch (first-touch placement) and
-bench_ablation_autonuma (the AutoNUMA scan's run split and remerge).
+bench_ablation_autonuma (the AutoNUMA scan's run split and remerge), and
+two qvsim benches without flags, about 1 s each, that drive its in-memory
+gate kernel at 4 KiB and 64 KiB pages in every memory mode:
+bench_fig08_qv_pagesize and bench_fig09_qv_breakdown.
 Each runs once per build, in a fresh temporary directory so the
 `wrote ...` lines match.
 It compares the exit code, stdout and every file the run wrote, byte for
@@ -48,6 +51,8 @@ BENCHES = {
     "bench_fig06_alloc_dealloc": [],
     "bench_ablation_firsttouch": [],
     "bench_ablation_autonuma": [],
+    "bench_fig08_qv_pagesize": [],
+    "bench_fig09_qv_breakdown": [],
 }
 
 
