@@ -15,13 +15,15 @@
 // it contains per-tenant lanes, causal flow events and the C2C-utilization
 // counter track; a crash-recovery co-run then exercises the reset/restart/
 // checkpoint instruments at nonzero values and cross-checks them the same
-// way. Results land in BENCH_observability.json.
+// way, and a network co-run checks every ghum_net_* instrument against the
+// fabric's own transfer log. Results land in BENCH_observability.json.
 //
 // Flags:
 //   --smoke          small problem sizes (the ctest "perf" smoke target)
 //   --out <file>     output JSON path (default BENCH_observability.json)
 //   --trace <file>   also dump the tenancy co-run's enriched Chrome trace
 
+#include <array>
 #include <cstdio>
 #include <cstring>
 #include <functional>
@@ -86,8 +88,8 @@ void check_eq(std::vector<std::string>& failures, const char* what,
 }
 
 /// Registry counters vs the Tracer's independent walk over the event log,
-/// histogram count/sum vs sibling counters, TLB counters vs the MMUs'
-/// native counters, and link-monitor window sums vs the interconnect.
+/// histogram count/sum vs sibling counters, and link-monitor window sums
+/// vs the interconnect.
 void cross_check(core::System& sys, std::vector<std::string>& failures) {
   const profile::TraceSummary ts = profile::Tracer{sys.events()}.summarize();
   core::Machine& m = sys.machine();
@@ -165,20 +167,6 @@ void cross_check(core::System& sys, std::vector<std::string>& failures) {
            met.fault_latency_gpu_first_touch->count(), ts.gpu_first_touch_faults);
   check_eq(failures, "fault_latency_managed.count",
            met.fault_latency_gpu_managed->count(), met.gpu_fault_requests->value());
-
-  // TLB counters vs the MMUs' native hit/miss counters.
-  auto tlb = [&](const char* mmu, const pagetable::Tlb& t) {
-    check_eq(failures, (std::string{"tlb_hits{"} + mmu + "}").c_str(),
-             m.obs().counter("ghum_tlb_hits_total", {{"mmu", mmu}}).value(),
-             t.hits());
-    check_eq(failures, (std::string{"tlb_misses{"} + mmu + "}").c_str(),
-             m.obs().counter("ghum_tlb_misses_total", {{"mmu", mmu}}).value(),
-             t.misses());
-  };
-  tlb("smmu_cpu", m.smmu().cpu_tlb());
-  tlb("smmu_ats", m.smmu().ats_tlb());
-  tlb("gmmu_gpu", m.gmmu().utlb_gpu());
-  tlb("gmmu_ats", m.gmmu().utlb_sys());
 
   // Link monitor: per-window byte deltas must sum to the interconnect's
   // cumulative traffic (the monitor ran from t=0 and was stopped).
@@ -403,13 +391,14 @@ std::vector<std::string> recovery_corun(bs::Scale scale) {
 /// carries hand-picked messages through all four protocol regimes, both
 /// memory types and a flap window, then a 4-node hotspot halo exchange on
 /// the same fabric. Every ghum_net_* instrument is cross-checked against
-/// the fabric's independent FabricTotals tally at NONZERO values — the
-/// same dead-vs-unused distinction the recovery co-run makes.
+/// counts re-derived from the fabric's transfer log at NONZERO values —
+/// the same dead-vs-unused distinction the recovery co-run makes.
 std::vector<std::string> net_corun(bs::Scale scale) {
   std::vector<std::string> failures;
   obs::MetricsRegistry reg;
   const net::NetSpec spec;
   net::Fabric fab{spec, 4, &reg};
+  fab.set_log_enabled(true);
 
   // One message per protocol regime, on both memory types (64 B is
   // eager-short, 4 KiB eager-bcopy, 16 KiB zcopy, 1 MiB rendezvous with
@@ -429,51 +418,55 @@ std::vector<std::string> net_corun(bs::Scale scale) {
   if (scale == bs::Scale::kSmall) hs.iterations = 4;
   const net::MultiNodeResult halo = net::run_hotspot_halo(mc, hs, &fab);
 
-  const net::FabricTotals& tot = fab.totals();
+  // The log's own per-protocol and per-link counts are the reference.
+  std::array<std::uint64_t, net::kProtocols> msgs{};
+  std::array<std::uint64_t, net::kProtocols> bytes{};
+  std::array<std::array<std::uint64_t, 4>, 4> link_bytes{};
+  for (const net::TransferRecord& r : fab.log()) {
+    const auto p = static_cast<std::size_t>(r.proto);
+    ++msgs[p];
+    bytes[p] += r.bytes;
+    link_bytes[r.src][r.dst] += r.bytes;
+  }
   check_eq(failures, "net.halo_totals_view", halo.net.total_msgs(),
-           tot.total_msgs());
+           fab.log().size());
   for (std::size_t p = 0; p < net::kProtocols; ++p) {
     const auto proto = static_cast<net::Protocol>(p);
     const std::vector<obs::Label> lbl{
         {"proto", std::string{to_string(proto)}}};
     const std::string name{to_string(proto)};
-    if (tot.msgs[p] == 0) {
+    if (msgs[p] == 0) {
       failures.push_back("net: protocol " + name + " never exercised");
       continue;
     }
     check_eq(failures, ("net_msgs{" + name + "}").c_str(),
-             reg.counter("ghum_net_msgs_total", lbl).value(), tot.msgs[p]);
+             reg.counter("ghum_net_msgs_total", lbl).value(), msgs[p]);
     check_eq(failures, ("net_bytes{" + name + "}").c_str(),
-             reg.counter("ghum_net_bytes_total", lbl).value(), tot.bytes[p]);
+             reg.counter("ghum_net_bytes_total", lbl).value(), bytes[p]);
     check_eq(failures, ("net_proto_selected{" + name + "}").c_str(),
              reg.counter("ghum_net_proto_selected_total", lbl).value(),
-             tot.msgs[p]);
+             msgs[p]);
   }
   // The rendezvous handshake histogram records exactly one sample per
   // rendezvous message; the latency histogram one per message of any kind.
   check_eq(failures, "net_rndv_handshake_ns.count",
            reg.histogram("ghum_net_rndv_handshake_ns").count(),
-           tot.rndv_handshakes);
-  check_eq(failures, "net_rndv_handshakes==rndv_msgs", tot.rndv_handshakes,
-           tot.msgs[static_cast<std::size_t>(net::Protocol::kRendezvous)]);
+           msgs[static_cast<std::size_t>(net::Protocol::kRendezvous)]);
   if (reg.histogram("ghum_net_rndv_handshake_ns").sum() == 0) {
     failures.emplace_back("net: rendezvous handshake histogram sums to zero");
   }
   check_eq(failures, "net_msg_latency_ns.count",
-           reg.histogram("ghum_net_msg_latency_ns").count(), tot.total_msgs());
-  // Per-link byte counters over the 4-endpoint fabric must re-sum to the
-  // per-protocol byte total.
-  std::uint64_t link_sum = 0;
+           reg.histogram("ghum_net_msg_latency_ns").count(), fab.log().size());
+  // Every directed link's byte counter over the 4-endpoint fabric.
   for (std::uint32_t s = 0; s < 4; ++s) {
     for (std::uint32_t d = 0; d < 4; ++d) {
       if (s == d) continue;
-      link_sum += reg.counter("ghum_net_link_bytes_total",
-                              {{"link", std::to_string(s) + "-" +
-                                            std::to_string(d)}})
-                      .value();
+      const obs::Label link{"link", std::to_string(s) + "-" + std::to_string(d)};
+      check_eq(failures, ("net_link_bytes{" + link.value + "}").c_str(),
+               reg.counter_sum("ghum_net_link_bytes_total", &link),
+               link_bytes[s][d]);
     }
   }
-  check_eq(failures, "net_link_bytes.sum", link_sum, tot.total_bytes());
   check_eq(failures, "net_flapped(quiet)",
            reg.counter("ghum_net_flapped_msgs_total").value(), 0);
 
@@ -488,8 +481,6 @@ std::vector<std::string> net_corun(bs::Scale scale) {
   (void)flap_fab.transfer(0, 1, 4096, net::MemType::kHost, 0);
   check_eq(failures, "net_flapped(open window)",
            flap_reg.counter("ghum_net_flapped_msgs_total").value(), 1);
-  check_eq(failures, "net_flapped_totals",
-           flap_fab.totals().flapped_msgs, 1);
   return failures;
 }
 

@@ -421,12 +421,6 @@ std::unique_ptr<core::System> Snapshotter::restore(const Blob& blob,
                           "checkpoint: frames used exceed capacity"};
       }
     }
-    // Each TLB's hit and miss counts are its registry counters.
-    for (pagetable::Tlb* tlb : {&m.smmu_.cpu_tlb(), &m.smmu_.ats_tlb(),
-                                &m.gmmu_.utlb_gpu(), &m.gmmu_.utlb_sys()}) {
-      tlb->hits_ = tlb->hits_ctr_->value();
-      tlb->misses_ = tlb->misses_ctr_->value();
-    }
     fault::FaultInjector& fi = sys->fi_;
     if (fi.active_window_ >= std::ssize(fi.windows_)) {
       throw StatusError{Status::kErrorInvalidValue,

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 
 #include "core/system_config.hpp"
 #include "interconnect/nvlink_c2c.hpp"
@@ -68,18 +69,13 @@ class Machine {
     as_.set_materialize(cfg.materialize_backing);
     gpu_fa_.reserve_baseline(cfg.gpu_driver_baseline);
     met_ = obs::bind_memsys_metrics(obs_);
-    smmu_.cpu_tlb().bind_metrics(
-        &obs_.counter("ghum_tlb_hits_total", {{"mmu", "smmu_cpu"}}),
-        &obs_.counter("ghum_tlb_misses_total", {{"mmu", "smmu_cpu"}}));
-    smmu_.ats_tlb().bind_metrics(
-        &obs_.counter("ghum_tlb_hits_total", {{"mmu", "smmu_ats"}}),
-        &obs_.counter("ghum_tlb_misses_total", {{"mmu", "smmu_ats"}}));
-    gmmu_.utlb_gpu().bind_metrics(
-        &obs_.counter("ghum_tlb_hits_total", {{"mmu", "gmmu_gpu"}}),
-        &obs_.counter("ghum_tlb_misses_total", {{"mmu", "gmmu_gpu"}}));
-    gmmu_.utlb_sys().bind_metrics(
-        &obs_.counter("ghum_tlb_hits_total", {{"mmu", "gmmu_ats"}}),
-        &obs_.counter("ghum_tlb_misses_total", {{"mmu", "gmmu_ats"}}));
+    const std::pair<pagetable::Tlb*, const char*> tlbs[] = {
+        {&smmu_.cpu_tlb(), "smmu_cpu"}, {&smmu_.ats_tlb(), "smmu_ats"},
+        {&gmmu_.utlb_gpu(), "gmmu_gpu"}, {&gmmu_.utlb_sys(), "gmmu_ats"}};
+    for (const auto& [tlb, mmu] : tlbs) {
+      tlb->bind_metrics(&obs_.counter("ghum_tlb_hits_total", {{"mmu", mmu}}),
+                        &obs_.counter("ghum_tlb_misses_total", {{"mmu", mmu}}));
+    }
   }
 
   Machine(const Machine&) = delete;

@@ -46,7 +46,8 @@ Fabric::Fabric(NetSpec spec, std::uint32_t endpoints, obs::MetricsRegistry* reg,
       endpoints_(endpoints),
       flaps_(std::move(flaps)),
       msg_(std::move(messages)),
-      reg_(reg) {
+      own_reg_(reg != nullptr ? nullptr : std::make_unique<obs::MetricsRegistry>()),
+      reg_(reg != nullptr ? reg : own_reg_.get()) {
   if (const Status s = spec_.validate(); s != Status::kSuccess) {
     throw StatusError{s, "net: NetSpec failed validation"};
   }
@@ -79,37 +80,68 @@ Fabric::Fabric(NetSpec spec, std::uint32_t endpoints, obs::MetricsRegistry* reg,
               return a.start != b.start ? a.start < b.start
                                         : a.node_a < b.node_a;
             });
-  if (reg_ != nullptr) {
-    for (std::size_t p = 0; p < kProtocols; ++p) {
-      const auto lbl = proto_label(static_cast<Protocol>(p));
-      msgs_[p] = &reg_->counter("ghum_net_msgs_total", lbl);
-      bytes_[p] = &reg_->counter("ghum_net_bytes_total", lbl);
-      selected_[p] = &reg_->counter("ghum_net_proto_selected_total", lbl);
-    }
-    handshake_ns_ = &reg_->histogram("ghum_net_rndv_handshake_ns");
-    latency_ns_ = &reg_->histogram("ghum_net_msg_latency_ns");
-    flapped_ = &reg_->counter("ghum_net_flapped_msgs_total");
-    retransmits_ = &reg_->counter("ghum_net_retransmits_total");
-    recovered_ = &reg_->counter("ghum_net_recovered_sends_total");
-    exhausted_ = &reg_->counter("ghum_net_send_exhausted_total");
-    dropped_ = &reg_->counter("ghum_net_dropped_msgs_total");
-    corrupt_ = &reg_->counter("ghum_net_corrupt_msgs_total");
-    dup_discards_ = &reg_->counter("ghum_net_dup_discards_total");
-    reordered_ = &reg_->counter("ghum_net_reordered_msgs_total");
-    acks_ = &reg_->counter("ghum_net_acks_total");
-    e2e_corrupt_ = &reg_->counter("ghum_net_e2e_corrupt_msgs_total");
+  for (std::size_t p = 0; p < kProtocols; ++p) {
+    const auto lbl = proto_label(static_cast<Protocol>(p));
+    msgs_[p] = &reg_->counter("ghum_net_msgs_total", lbl);
+    bytes_[p] = &reg_->counter("ghum_net_bytes_total", lbl);
+    selected_[p] = &reg_->counter("ghum_net_proto_selected_total", lbl);
   }
+  handshake_ns_ = &reg_->histogram("ghum_net_rndv_handshake_ns");
+  latency_ns_ = &reg_->histogram("ghum_net_msg_latency_ns");
+  flapped_ = &reg_->counter("ghum_net_flapped_msgs_total");
+  retransmits_ = &reg_->counter("ghum_net_retransmits_total");
+  recovered_ = &reg_->counter("ghum_net_recovered_sends_total");
+  exhausted_ = &reg_->counter("ghum_net_send_exhausted_total");
+  dropped_ = &reg_->counter("ghum_net_dropped_msgs_total");
+  corrupt_ = &reg_->counter("ghum_net_corrupt_msgs_total");
+  dup_discards_ = &reg_->counter("ghum_net_dup_discards_total");
+  reordered_ = &reg_->counter("ghum_net_reordered_msgs_total");
+  acks_ = &reg_->counter("ghum_net_acks_total");
+  e2e_corrupt_ = &reg_->counter("ghum_net_e2e_corrupt_msgs_total");
 }
 
-sim::Rng& Fabric::link_rng(std::uint64_t link) {
-  const auto it = link_rng_.find(link);
-  if (it != link_rng_.end()) return it->second;
-  // Independent stream per directed link: the fate sequence depends only
-  // on this link's own message order, so cross-link interleaving cannot
-  // perturb it (the per-link reproducibility contract).
-  return link_rng_
-      .emplace(link, sim::Rng{msg_.seed ^ ((link + 1) * 0x9e3779b97f4a7c15ull)})
-      .first->second;
+FabricTotals Fabric::totals() const noexcept {
+  FabricTotals t;
+  for (std::size_t p = 0; p < kProtocols; ++p) {
+    t.msgs[p] = msgs_[p]->value();
+    t.bytes[p] = bytes_[p]->value();
+  }
+  t.rndv_handshakes = handshake_ns_->count();
+  t.flapped_msgs = flapped_->value();
+  return t;
+}
+
+ReliableTotals Fabric::reliable_totals() const noexcept {
+  return {.sends = sends_,
+          .retransmits = retransmits_->value(),
+          .recovered_sends = recovered_->value(),
+          .exhausted = exhausted_->value(),
+          .drops = dropped_->value(),
+          .corruptions = corrupt_->value(),
+          .dup_discards = dup_discards_->value(),
+          .reorders = reordered_->value(),
+          .acks = acks_->value(),
+          .e2e_corruptions = e2e_corrupt_->value()};
+}
+
+Fabric::Link& Fabric::link(std::uint32_t src, std::uint32_t dst) {
+  if (src >= endpoints_ || dst >= endpoints_ || src == dst) {
+    throw StatusError{Status::kErrorInvalidValue,
+                      "net: transfer endpoints out of range"};
+  }
+  const std::uint64_t key = std::uint64_t{src} * endpoints_ + dst;
+  const auto [it, fresh] = links_.try_emplace(key);
+  Link& l = it->second;
+  if (fresh) {
+    // Independent stream per directed link: the fate sequence depends only
+    // on this link's own message order, so cross-link interleaving cannot
+    // perturb it (the per-link reproducibility contract).
+    l.rng.reseed(msg_.seed ^ ((key + 1) * 0x9e3779b97f4a7c15ull));
+    l.bytes = &reg_->counter(
+        "ghum_net_link_bytes_total",
+        {{"link", std::to_string(src) + "-" + std::to_string(dst)}});
+  }
+  return l;
 }
 
 Fabric::Dilation Fabric::dilation(std::uint32_t src, std::uint32_t dst,
@@ -231,25 +263,33 @@ Protocol Fabric::select(std::uint64_t bytes, MemType mem) const {
 Transfer Fabric::transfer(std::uint32_t src, std::uint32_t dst,
                           std::uint64_t bytes, MemType mem, sim::Picos now,
                           const obs::TraceContext* ctx) {
-  if (src >= endpoints_ || dst >= endpoints_ || src == dst) {
-    throw StatusError{Status::kErrorInvalidValue,
-                      "net: transfer endpoints out of range"};
-  }
-  const std::uint64_t link = std::uint64_t{src} * endpoints_ + dst;
-  sim::Picos& busy = busy_until_[link];
+  return charge(link(src, dst), src, dst, bytes, mem, now, ctx);
+}
+
+Transfer Fabric::charge(Link& l, std::uint32_t src, std::uint32_t dst,
+                        std::uint64_t bytes, MemType mem, sim::Picos now,
+                        const obs::TraceContext* ctx) {
   Transfer t;
-  t.start = std::max(now, busy);
+  t.start = std::max(now, l.busy_until);
   t.queued = t.start - now;
 
   const Dilation d = dilation(src, dst, t.start);
   t.proto = select(bytes, mem);
   t.end = t.start + dilated_cost(t.proto, bytes, mem, d, &t.handshake);
-  busy = t.end;
+  l.busy_until = t.end;
 
   const auto p = static_cast<std::size_t>(t.proto);
-  ++totals_.msgs[p];
-  totals_.bytes[p] += bytes;
-  link_tally_[link] += bytes;
+  msgs_[p]->inc();
+  bytes_[p]->inc(bytes);
+  selected_[p]->inc();
+  l.bytes->inc(bytes);
+  latency_ns_->observe(
+      static_cast<std::uint64_t>((t.end - t.start) / sim::kPicosPerNano));
+  if (t.proto == Protocol::kRendezvous) {
+    handshake_ns_->observe(
+        static_cast<std::uint64_t>(t.handshake / sim::kPicosPerNano));
+  }
+  if (d.flapped) flapped_->inc();
   if (log_enabled_) {
     TransferRecord r;
     r.src = src;
@@ -261,28 +301,6 @@ Transfer Fabric::transfer(std::uint32_t src, std::uint32_t dst,
     r.end = t.end;
     if (ctx != nullptr) r.ctx = *ctx;
     log_.push_back(r);
-  }
-  if (t.proto == Protocol::kRendezvous) ++totals_.rndv_handshakes;
-  if (d.flapped) ++totals_.flapped_msgs;
-
-  if (reg_ != nullptr) {
-    msgs_[p]->inc();
-    bytes_[p]->inc(bytes);
-    selected_[p]->inc();
-    latency_ns_->observe(
-        static_cast<std::uint64_t>((t.end - t.start) / sim::kPicosPerNano));
-    if (t.proto == Protocol::kRendezvous) {
-      handshake_ns_->observe(
-          static_cast<std::uint64_t>(t.handshake / sim::kPicosPerNano));
-    }
-    if (d.flapped) flapped_->inc();
-    obs::Counter*& lc = link_bytes_[link];
-    if (lc == nullptr) {
-      lc = &reg_->counter("ghum_net_link_bytes_total",
-                          {{"link", std::to_string(src) + "-" +
-                                        std::to_string(dst)}});
-    }
-    lc->inc(bytes);
   }
 
   sim::fnv_mix(digest_, src);
@@ -298,8 +316,9 @@ Transfer Fabric::transfer(std::uint32_t src, std::uint32_t dst,
 Datagram Fabric::datagram(std::uint32_t src, std::uint32_t dst,
                           std::uint64_t bytes, MemType mem, sim::Picos now,
                           const obs::TraceContext* ctx) {
+  Link& l = link(src, dst);
   Datagram d;
-  d.wire = transfer(src, dst, bytes, mem, now, ctx);
+  d.wire = charge(l, src, dst, bytes, mem, now, ctx);
   d.delivered_at = d.wire.end;
   d.delivered = !endpoint_down(dst);
 
@@ -307,34 +326,30 @@ Datagram Fabric::datagram(std::uint32_t src, std::uint32_t dst,
     // Always draw all four fates in fixed order so the stream position
     // depends only on how many messages this link has carried, never on
     // earlier outcomes.
-    sim::Rng& rng = link_rng(std::uint64_t{src} * endpoints_ + dst);
-    const bool f_drop = rng.next_double() < msg_.drop_prob;
-    const bool f_corrupt = rng.next_double() < msg_.corrupt_prob;
-    const bool f_dup = rng.next_double() < msg_.duplicate_prob;
-    const bool f_reorder = rng.next_double() < msg_.reorder_prob;
+    const bool f_drop = l.rng.next_double() < msg_.drop_prob;
+    const bool f_corrupt = l.rng.next_double() < msg_.corrupt_prob;
+    const bool f_dup = l.rng.next_double() < msg_.duplicate_prob;
+    const bool f_reorder = l.rng.next_double() < msg_.reorder_prob;
     if (f_drop) {
       // Lost in flight: the wire was occupied but nothing arrives. Drop
       // trumps every other fate.
       d.delivered = false;
-      ++rtotals_.drops;
-      if (dropped_ != nullptr) dropped_->inc();
+      dropped_->inc();
     } else if (d.delivered) {
       if (f_corrupt) {
         d.corrupt = true;
-        ++rtotals_.corruptions;
-        if (corrupt_ != nullptr) corrupt_->inc();
+        corrupt_->inc();
       }
       if (f_dup) {
         // The link delivers a second copy: charged on the wire like any
         // message, discarded by receive-side dedup.
         d.duplicated = true;
-        transfer(src, dst, bytes, mem, d.wire.end, ctx);
+        charge(l, src, dst, bytes, mem, d.wire.end, ctx);
       }
       if (f_reorder) {
         d.reordered = true;
         d.delivered_at += msg_.reorder_delay;
-        ++rtotals_.reorders;
-        if (reordered_ != nullptr) reordered_->inc();
+        reordered_->inc();
       }
     }
   }
@@ -351,13 +366,13 @@ Datagram Fabric::datagram(std::uint32_t src, std::uint32_t dst,
 ReliableTransfer Fabric::send(std::uint32_t src, std::uint32_t dst,
                               std::uint64_t bytes, MemType mem, sim::Picos now,
                               const obs::TraceContext* ctx) {
-  const std::uint64_t link = std::uint64_t{src} * endpoints_ + dst;
+  Link& fwd = link(src, dst);
   ReliableTransfer r;
-  ++rtotals_.sends;
+  ++sends_;
 
   // The payload checksum travels with every attempt of this sequence
   // number; a link-level corruption perturbs the delivered value.
-  const std::uint64_t seq = next_seq_[link]++;
+  const std::uint64_t seq = fwd.next_seq++;
   const std::uint64_t sent_sum = payload_checksum(src, dst, bytes, seq);
   const std::uint32_t budget = msg_.enabled ? msg_.max_retransmits : 0;
 
@@ -366,72 +381,56 @@ ReliableTransfer Fabric::send(std::uint32_t src, std::uint32_t dst,
   for (std::uint32_t attempt = 0;; ++attempt) {
     const Datagram d = datagram(src, dst, bytes, mem, clock, ctx);
     bool acked = false;
-    sim::Picos ack_at = 0;
-    sim::Picos nak_at = 0;
+    sim::Picos reply_at = 0;  // when the ack, or the NAK, reached the sender
     if (d.delivered) {
       const std::uint64_t recv_sum =
           d.corrupt ? (sent_sum ^ kCorruptFlip) : sent_sum;
-      if (recv_sum == sent_sum) {
+      const bool intact = recv_sum == sent_sum;
+      if (intact) {
         if (receiver_has) {
           // Retransmission of a payload whose ack was lost: dedup
           // discards the body, but the receiver still re-acks.
-          ++rtotals_.dup_discards;
-          if (dup_discards_ != nullptr) dup_discards_->inc();
+          dup_discards_->inc();
         } else {
           receiver_has = true;
           r.wire = d.wire;
           r.delivered_at = d.delivered_at;
-          if (d.reordered) r.reordered = true;
+          r.reordered = d.reordered;
         }
-        if (d.duplicated) {
-          // The link's extra copy is always redundant by now.
-          ++rtotals_.dup_discards;
-          if (dup_discards_ != nullptr) dup_discards_->inc();
-        }
-        const Datagram ack =
-            datagram(dst, src, msg_.ack_bytes, MemType::kHost, d.delivered_at);
-        ++rtotals_.acks;
-        if (acks_ != nullptr) acks_->inc();
-        if (ack.delivered && !ack.corrupt) {
-          acked = true;
-          ack_at = ack.delivered_at;
-        }
-      } else {
-        // Checksum failure at the receiver: NAK back; a delivered NAK
-        // lets the sender retransmit before its timeout would fire.
-        const Datagram nak =
-            datagram(dst, src, msg_.ack_bytes, MemType::kHost, d.delivered_at);
-        ++rtotals_.acks;
-        if (acks_ != nullptr) acks_->inc();
-        if (nak.delivered && !nak.corrupt) nak_at = nak.delivered_at;
+        // The link's extra copy is always redundant by now.
+        if (d.duplicated) dup_discards_->inc();
+      }
+      // An ack back, or on a checksum failure a NAK, which lets the sender
+      // retransmit before its timeout would fire.
+      const Datagram reply =
+          datagram(dst, src, msg_.ack_bytes, MemType::kHost, d.delivered_at);
+      acks_->inc();
+      if (reply.delivered && !reply.corrupt) {
+        acked = intact;
+        reply_at = reply.delivered_at;
       }
     }
 
     if (acked) {
-      r.end = ack_at;
+      r.end = reply_at;
       r.status = Status::kSuccess;
-      if (attempt > 0) {
-        ++rtotals_.recovered_sends;
-        if (recovered_ != nullptr) recovered_->inc();
-      }
+      if (attempt > 0) recovered_->inc();
       break;
     }
     const sim::Picos timeout = msg_.ack_timeout * (sim::Picos{1} << attempt);
     if (attempt >= budget) {
       r.status = Status::kErrorRetransmitExhausted;
       r.end = d.wire.end + timeout;
-      ++rtotals_.exhausted;
-      if (exhausted_ != nullptr) exhausted_->inc();
+      exhausted_->inc();
       break;
     }
     // Retransmit at the exponential-backoff timeout, or as soon as a NAK
     // told us the payload arrived mangled — whichever comes first.
     clock = d.wire.end + timeout;
-    if (nak_at != 0 && nak_at < clock) clock = nak_at;
+    if (reply_at != 0 && reply_at < clock) clock = reply_at;
     ++r.attempts;
     ++r.retransmits;
-    ++rtotals_.retransmits;
-    if (retransmits_ != nullptr) retransmits_->inc();
+    retransmits_->inc();
   }
 
   // End-to-end corruption of bulk payloads: past the link checksum, so it
@@ -447,10 +446,9 @@ ReliableTransfer Fabric::send(std::uint32_t src, std::uint32_t dst,
         break;
       }
     }
-    if (scheduled || link_rng(link).next_double() < msg_.e2e_corrupt_prob) {
+    if (scheduled || fwd.rng.next_double() < msg_.e2e_corrupt_prob) {
       r.payload_corrupt = true;
-      ++rtotals_.e2e_corruptions;
-      if (e2e_corrupt_ != nullptr) e2e_corrupt_->inc();
+      e2e_corrupt_->inc();
     }
   }
 

@@ -3,6 +3,7 @@
 #include <array>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "fault/fleet_fault.hpp"
@@ -89,8 +90,8 @@ struct ReliableTransfer {
   Status status = Status::kSuccess;
 };
 
-/// Reliability-protocol tally, kept independently of the registry the
-/// same way FabricTotals is.
+/// Reliability-protocol counts. Every field but sends, which has no
+/// instrument, is a read of the fabric's ghum_net_* counter of that event.
 struct ReliableTotals {
   std::uint64_t sends = 0;            ///< reliable send() calls
   std::uint64_t retransmits = 0;      ///< payload re-transmissions
@@ -104,9 +105,9 @@ struct ReliableTotals {
   std::uint64_t e2e_corruptions = 0;  ///< bulk payloads corrupted end-to-end
 };
 
-/// Fabric-side tally kept independently of the metrics registry, so
-/// bench_observability can cross-check registry counters against it the
-/// way it checks MemSysMetrics against the Tracer.
+/// Per-protocol message counts, read from the fabric's ghum_net_*
+/// instruments: msgs and bytes from the per-protocol counters,
+/// rndv_handshakes from the rendezvous-handshake histogram's sample count.
 struct FabricTotals {
   std::array<std::uint64_t, kProtocols> msgs{};
   std::array<std::uint64_t, kProtocols> bytes{};
@@ -132,9 +133,9 @@ class Fabric {
   /// start or a window whose end precedes its start, i.e. negative
   /// duration), or \p messages fails its validation; and
   /// StatusError{kErrorInvalidValue} if a flap window names an endpoint
-  /// outside the fabric or has a factor < 1. When \p reg is non-null,
-  /// per-protocol, per-link and reliability instruments are registered
-  /// there (ghum_net_*) and incremented on every transfer.
+  /// outside the fabric or has a factor < 1. The ghum_net_* instruments,
+  /// the fabric's only count of each event, are registered in \p reg (which
+  /// must hold no other fabric's), or in a registry of its own if null.
   explicit Fabric(NetSpec spec, std::uint32_t endpoints,
                   obs::MetricsRegistry* reg = nullptr,
                   std::vector<fault::LinkFlapWindow> flaps = {},
@@ -191,9 +192,7 @@ class Fabric {
     return ep < endpoints_ && down_[ep] != 0;
   }
 
-  [[nodiscard]] const ReliableTotals& reliable_totals() const noexcept {
-    return rtotals_;
-  }
+  [[nodiscard]] ReliableTotals reliable_totals() const noexcept;
 
   /// When enabled, every transfer appends a TransferRecord to log().
   void set_log_enabled(bool on) noexcept { log_enabled_ = on; }
@@ -201,13 +200,13 @@ class Fabric {
     return log_;
   }
 
-  /// Total bytes charged on the directed link src -> dst so far — the
-  /// per-link utilization source the flight recorder samples (always
-  /// maintained, registry or not).
+  /// Total bytes charged on the directed link src -> dst so far (its
+  /// ghum_net_link_bytes_total counter) — the per-link utilization source
+  /// the flight recorder samples.
   [[nodiscard]] std::uint64_t link_bytes_moved(std::uint32_t src,
                                                std::uint32_t dst) const noexcept {
-    const auto it = link_tally_.find(std::uint64_t{src} * endpoints_ + dst);
-    return it == link_tally_.end() ? 0 : it->second;
+    const auto it = links_.find(std::uint64_t{src} * endpoints_ + dst);
+    return it == links_.end() ? 0 : it->second.bytes->value();
   }
 
   /// Protocol the spec selects for a message (no link or flap state).
@@ -220,7 +219,7 @@ class Fabric {
 
   [[nodiscard]] const NetSpec& spec() const noexcept { return spec_; }
   [[nodiscard]] std::uint32_t endpoints() const noexcept { return endpoints_; }
-  [[nodiscard]] const FabricTotals& totals() const noexcept { return totals_; }
+  [[nodiscard]] FabricTotals totals() const noexcept;
 
   /// FNV-1a over the complete transfer history (src, dst, bytes, memtype,
   /// protocol, start, end). Two identical transfer sequences => identical
@@ -234,37 +233,47 @@ class Fabric {
     bool flapped = false;
   };
 
+  struct Link {
+    sim::Picos busy_until = 0;      ///< serialization horizon
+    sim::Rng rng;                   ///< message-fate stream
+    std::uint64_t next_seq = 0;     ///< sequence number of the next send()
+    obs::Counter* bytes = nullptr;  ///< ghum_net_link_bytes_total{link}
+  };
+
+  /// The record of src -> dst, made (and its byte counter registered) on
+  /// first use. Throws StatusError{kErrorInvalidValue} on src == dst or
+  /// out-of-range ids.
+  [[nodiscard]] Link& link(std::uint32_t src, std::uint32_t dst);
+  /// transfer() on \p l, the link of src -> dst.
+  Transfer charge(Link& l, std::uint32_t src, std::uint32_t dst,
+                  std::uint64_t bytes, MemType mem, sim::Picos now,
+                  const obs::TraceContext* ctx);
+
   [[nodiscard]] Dilation dilation(std::uint32_t src, std::uint32_t dst,
                                   sim::Picos at) const noexcept;
   [[nodiscard]] sim::Picos dilated_cost(Protocol proto, std::uint64_t bytes,
                                         MemType mem, const Dilation& d,
                                         sim::Picos* handshake) const;
 
-  [[nodiscard]] sim::Rng& link_rng(std::uint64_t link);
-
   NetSpec spec_;
   std::uint32_t endpoints_ = 0;
   std::vector<fault::LinkFlapWindow> flaps_;
   fault::MessageFaultConfig msg_;
-  /// Per-directed-link fate streams, lazily seeded from (msg_.seed, link).
-  std::map<std::uint64_t, sim::Rng> link_rng_;
-  std::map<std::uint64_t, std::uint64_t> next_seq_;      ///< sender sequence
-  std::map<std::uint64_t, std::uint64_t> delivered_up_to_;  ///< dedup floor
+  /// Directed links src -> dst, keyed src * endpoints + dst. Sparse map:
+  /// fleets are small but a full N^2 array would still be wasteful for the
+  /// mostly-idle control links.
+  std::map<std::uint64_t, Link> links_;
   std::vector<std::uint8_t> down_;  ///< endpoint liveness (fabric truth)
   std::uint64_t bulk_sends_ = 0;    ///< fabric-wide bulk send order
-  ReliableTotals rtotals_;
-  /// Directed-link serialization horizons, keyed src * endpoints + dst.
-  /// Sparse map: fleets are small but a full N^2 array would still be
-  /// wasteful for the mostly-idle control links.
-  std::map<std::uint64_t, sim::Picos> busy_until_;
+  std::uint64_t sends_ = 0;         ///< reliable send() calls
 
-  FabricTotals totals_;
   std::uint64_t digest_ = sim::kFnvOffset;
-  std::map<std::uint64_t, std::uint64_t> link_tally_;  ///< bytes per link
   bool log_enabled_ = false;
   std::vector<TransferRecord> log_;
 
-  // Instruments (null when no registry was given).
+  /// reg_ is the caller's registry, or own_reg_ when it passes none.
+  std::unique_ptr<obs::MetricsRegistry> own_reg_;
+  obs::MetricsRegistry* reg_;
   std::array<obs::Counter*, kProtocols> msgs_{};
   std::array<obs::Counter*, kProtocols> bytes_{};
   std::array<obs::Counter*, kProtocols> selected_{};
@@ -280,8 +289,6 @@ class Fabric {
   obs::Counter* reordered_ = nullptr;
   obs::Counter* acks_ = nullptr;
   obs::Counter* e2e_corrupt_ = nullptr;
-  obs::MetricsRegistry* reg_ = nullptr;
-  std::map<std::uint64_t, obs::Counter*> link_bytes_;
 };
 
 }  // namespace ghum::net

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "core/system.hpp"
@@ -50,8 +51,11 @@ MultiNodeResult lockstep(
     const std::function<void(std::uint32_t round, std::vector<HaloMsg>&)>&
         plan) {
   check_node_count(cfg.nodes);
-  Fabric local_fabric{cfg.net, cfg.nodes, nullptr, {}, cfg.messages};
-  Fabric& fab = fabric != nullptr ? *fabric : local_fabric;
+  std::optional<Fabric> local;
+  Fabric& fab = fabric != nullptr
+                    ? *fabric
+                    : local.emplace(cfg.net, cfg.nodes, nullptr,
+                                    std::vector<fault::LinkFlapWindow>{}, cfg.messages);
   if (fab.endpoints() < cfg.nodes) {
     throw StatusError{Status::kErrorInvalidValue,
                       "net: fabric has fewer endpoints than nodes"};

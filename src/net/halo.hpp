@@ -61,7 +61,7 @@ struct MultiNodeResult {
   /// FNV over per-node end times, event digests, partition checksums and
   /// the fabric transfer history — the bit-for-bit reproducibility gate.
   std::uint64_t digest = 0;
-  FabricTotals net;                    ///< fabric tally for this run
+  FabricTotals net;  ///< the fabric's totals() at the end of the run
 };
 
 /// Row-band halo exchange for the hotspot stencil. \p global is the whole

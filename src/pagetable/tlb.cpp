@@ -138,22 +138,22 @@ std::optional<mem::Node> Tlb::lookup(std::uint64_t vpn) {
   if (windowed_) {
     const std::uint64_t k = vpn - lo_;
     if (k >= capacity_) {
-      count_miss();
+      misses_->inc();
       return std::nullopt;
     }
     // A hit on the most recent entry reorders nothing.
     if (k == capacity_ - 1) {
-      count_hit();
+      hits_->inc();
       return ring_[ring_slot(k)];
     }
     leave_window();
   }
   const std::uint32_t i = find(vpn);
   if (i == kNil) {
-    count_miss();
+    misses_->inc();
     return std::nullopt;
   }
-  count_hit();
+  hits_->inc();
   to_front(i);
   return entries_[i].node;
 }

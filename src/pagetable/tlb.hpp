@@ -40,6 +40,10 @@ class Tlb {
   /// entry links.
   explicit Tlb(std::size_t capacity);
 
+  // The counter pointers may point into the TLB itself.
+  Tlb(const Tlb&) = delete;
+  Tlb& operator=(const Tlb&) = delete;
+
   /// Looks up a VPN; refreshes LRU position on hit.
   [[nodiscard]] std::optional<mem::Node> lookup(std::uint64_t vpn);
 
@@ -59,8 +63,8 @@ class Tlb {
 
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-  [[nodiscard]] std::uint64_t hits() const noexcept { return hits_; }
-  [[nodiscard]] std::uint64_t misses() const noexcept { return misses_; }
+  [[nodiscard]] std::uint64_t hits() const noexcept { return hits_->value(); }
+  [[nodiscard]] std::uint64_t misses() const noexcept { return misses_->value(); }
 
   /// Calls \p visit(vpn, node) for every entry, most recent first.
   template <typename F>
@@ -74,11 +78,12 @@ class Tlb {
     }
   }
 
-  /// Mirrors hit/miss counts into registry counters (obs subsystem). Bound
-  /// once by core::Machine; nullptr (the default) means unobserved.
+  /// Counts hits and misses in \p hits and \p misses (core::Machine binds
+  /// its registry's ghum_tlb_* counters at construction); until bound, in
+  /// a pair of the TLB's own.
   void bind_metrics(obs::Counter* hits, obs::Counter* misses) noexcept {
-    hits_ctr_ = hits;
-    misses_ctr_ = misses;
+    hits_ = hits;
+    misses_ = misses;
   }
 
  private:
@@ -112,14 +117,6 @@ class Tlb {
   /// Unindexes, unlinks and frees entry \p i.
   void remove(std::uint32_t i) noexcept;
 
-  void count_hit() noexcept {
-    ++hits_;
-    if (hits_ctr_ != nullptr) hits_ctr_->inc();
-  }
-  void count_miss() noexcept {
-    ++misses_;
-    if (misses_ctr_ != nullptr) misses_ctr_->inc();
-  }
   /// Ring slot of window VPN lo_ + \p k (k < capacity_).
   [[nodiscard]] std::size_t ring_slot(std::size_t k) const noexcept {
     const std::size_t s = lo_slot_ + k;
@@ -154,12 +151,12 @@ class Tlb {
   std::uint64_t lo_ = 0;
   std::size_t lo_slot_ = 0;
   std::vector<mem::Node> ring_;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-  obs::Counter* hits_ctr_ = nullptr;
-  obs::Counter* misses_ctr_ = nullptr;
+  obs::Counter own_hits_;
+  obs::Counter own_misses_;
+  obs::Counter* hits_ = &own_hits_;
+  obs::Counter* misses_ = &own_misses_;
 
-  // Restore appends entries and copies hits_/misses_ from the counters.
+  // Restore appends entries.
   friend class ghum::chk::Snapshotter;
 };
 

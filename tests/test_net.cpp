@@ -288,6 +288,20 @@ TEST(Fabric, TransferEndpointValidation) {
   EXPECT_THROW((void)f.transfer(0, 7, 64, net::MemType::kHost, 0), StatusError);
 }
 
+TEST(Fabric, RejectedSendCountsNothing) {
+  obs::MetricsRegistry reg;
+  net::Fabric f{net::NetSpec{}, 2, &reg};
+  const std::size_t instruments = reg.size();
+  EXPECT_THROW((void)f.send(0, 0, 64, net::MemType::kHost, 0), StatusError);
+  EXPECT_THROW((void)f.send(0, 7, 64, net::MemType::kHost, 0), StatusError);
+  EXPECT_THROW((void)f.datagram(1, 1, 64, net::MemType::kHost, 0), StatusError);
+  EXPECT_EQ(f.reliable_totals().sends, 0u);
+  EXPECT_EQ(f.totals().total_msgs(), 0u);
+  // No link record, so no ghum_net_link_bytes_total{link="0-0"}.
+  EXPECT_EQ(reg.size(), instruments);
+  EXPECT_EQ(f.digest(), sim::kFnvOffset);
+}
+
 TEST(Fabric, FlapWindowDilatesDeterministically) {
   fault::LinkFlapWindow w;
   w.start = sim::microseconds(10);
@@ -524,6 +538,93 @@ TEST(Reliable, PerLinkStreamsAreIndependent) {
   EXPECT_EQ(drive(false), drive(true));
 }
 
+TEST(Reliable, RegistrylessFabricCountsLikeARegistryBackedOne) {
+  fault::MessageFaultConfig m = clean_chaos();
+  m.drop_prob = 0.2;
+  m.corrupt_prob = 0.15;
+  m.duplicate_prob = 0.3;
+  m.reorder_prob = 0.2;
+  m.bulk_threshold = 1 << 16;
+  m.e2e_corrupt_bulk = {1};
+  fault::LinkFlapWindow w;
+  w.start = sim::microseconds(20);
+  w.duration = sim::microseconds(200);
+  w.node_a = 1;
+  w.bandwidth_factor = 3.0;
+  const auto drive = [](net::Fabric& f) {
+    sim::Picos now = 0;
+    for (std::uint32_t i = 0; i < 30; ++i) {
+      const std::uint32_t src = i % 3;
+      const std::uint32_t dst = (i + 1 + i / 3 % 2) % 3;
+      const std::uint64_t bytes = (i % 5 == 0 ? 1ull << 20 : 512ull) + i;
+      now = f.send(src, dst, bytes, net::MemType::kHost, now).end;
+      (void)f.datagram(dst, src, 64, net::MemType::kCudaManaged, now);
+    }
+  };
+  net::Fabric bare{net::NetSpec{}, 3, nullptr, {w}, m};
+  obs::MetricsRegistry reg;
+  net::Fabric backed{net::NetSpec{}, 3, &reg, {w}, m};
+  drive(bare);
+  drive(backed);
+
+  const net::FabricTotals t = bare.totals();
+  const net::FabricTotals tb = backed.totals();
+  EXPECT_EQ(t.msgs, tb.msgs);
+  EXPECT_EQ(t.bytes, tb.bytes);
+  EXPECT_EQ(t.rndv_handshakes, tb.rndv_handshakes);
+  EXPECT_EQ(t.flapped_msgs, tb.flapped_msgs);
+  const net::ReliableTotals r = bare.reliable_totals();
+  const net::ReliableTotals rb = backed.reliable_totals();
+  EXPECT_EQ(r.sends, rb.sends);
+  EXPECT_EQ(r.retransmits, rb.retransmits);
+  EXPECT_EQ(r.recovered_sends, rb.recovered_sends);
+  EXPECT_EQ(r.exhausted, rb.exhausted);
+  EXPECT_EQ(r.drops, rb.drops);
+  EXPECT_EQ(r.corruptions, rb.corruptions);
+  EXPECT_EQ(r.dup_discards, rb.dup_discards);
+  EXPECT_EQ(r.reorders, rb.reorders);
+  EXPECT_EQ(r.acks, rb.acks);
+  EXPECT_EQ(r.e2e_corruptions, rb.e2e_corruptions);
+  for (std::uint32_t s = 0; s < 3; ++s) {
+    for (std::uint32_t d = 0; d < 3; ++d) {
+      EXPECT_EQ(bare.link_bytes_moved(s, d), backed.link_bytes_moved(s, d))
+          << s << "->" << d;
+    }
+  }
+  EXPECT_EQ(bare.digest(), backed.digest());
+
+  // The sequence reached every event kind, so the comparison is not 0 == 0.
+  EXPECT_EQ(r.sends, 30u);
+  EXPECT_GT(r.retransmits, 0u);
+  EXPECT_GT(r.drops, 0u);
+  EXPECT_GT(r.corruptions, 0u);
+  EXPECT_GT(r.dup_discards, 0u);
+  EXPECT_GT(r.reorders, 0u);
+  EXPECT_EQ(r.e2e_corruptions, 1u);
+  EXPECT_GT(t.rndv_handshakes, 0u);
+  EXPECT_GT(t.flapped_msgs, 0u);
+
+  // The caller's registry holds the registry-less fabric's counts.
+  EXPECT_EQ(reg.counter_sum("ghum_net_msgs_total"), t.total_msgs());
+  EXPECT_EQ(reg.counter_sum("ghum_net_bytes_total"), t.total_bytes());
+  EXPECT_EQ(reg.counter_sum("ghum_net_link_bytes_total"), t.total_bytes());
+  EXPECT_EQ(reg.histogram("ghum_net_rndv_handshake_ns").count(),
+            t.rndv_handshakes);
+  EXPECT_EQ(reg.histogram("ghum_net_msg_latency_ns").count(), t.total_msgs());
+  EXPECT_EQ(reg.counter("ghum_net_flapped_msgs_total").value(), t.flapped_msgs);
+  EXPECT_EQ(reg.counter("ghum_net_retransmits_total").value(), r.retransmits);
+  EXPECT_EQ(reg.counter("ghum_net_recovered_sends_total").value(),
+            r.recovered_sends);
+  EXPECT_EQ(reg.counter("ghum_net_send_exhausted_total").value(), r.exhausted);
+  EXPECT_EQ(reg.counter("ghum_net_dropped_msgs_total").value(), r.drops);
+  EXPECT_EQ(reg.counter("ghum_net_corrupt_msgs_total").value(), r.corruptions);
+  EXPECT_EQ(reg.counter("ghum_net_dup_discards_total").value(), r.dup_discards);
+  EXPECT_EQ(reg.counter("ghum_net_reordered_msgs_total").value(), r.reorders);
+  EXPECT_EQ(reg.counter("ghum_net_acks_total").value(), r.acks);
+  EXPECT_EQ(reg.counter("ghum_net_e2e_corrupt_msgs_total").value(),
+            r.e2e_corruptions);
+}
+
 // --- multi-node workloads ----------------------------------------------------
 
 TEST(Halo, HotspotRunsAndReproduces) {
@@ -628,6 +729,19 @@ TEST(Halo, LossyFabricReproducesAndChargesRetries) {
   EXPECT_GE(a.makespan, c.makespan);  // retransmissions only ever cost time
   // Retried payloads and their acks appear as extra wire messages.
   EXPECT_GT(a.net.total_msgs(), c.net.total_msgs());
+}
+
+TEST(Halo, ExternalFabricIgnoresTheConfigsMessageSchedule) {
+  net::Fabric fab{net::NetSpec{}, 2};
+  net::MultiNodeConfig mc;
+  mc.nodes = 2;
+  mc.node_config = node_cfg();
+  mc.messages.enabled = true;
+  mc.messages.drop_prob = 2;  // malformed, but the external fabric rules
+  EXPECT_THROW((void)net::run_hotspot_halo(mc, small_hotspot()), StatusError);
+  const net::MultiNodeResult r = net::run_hotspot_halo(mc, small_hotspot(), &fab);
+  EXPECT_GT(r.net.total_msgs(), 0u);
+  EXPECT_EQ(fab.reliable_totals().sends, 0u);  // fab is clean: raw transfers
 }
 
 TEST(Halo, SharedFabricAccumulates) {
